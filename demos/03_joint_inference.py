@@ -10,14 +10,13 @@ inform each other through selectional-preference links.
 from pathlib import Path
 
 from physrel import BPConfig, BuildConfig, TaskSpec, generate_world
-from physrel.builder import train_models
 from physrel.harness import (
     assemble_task_dataset,
     baseline_emb_maxent,
     baseline_majority,
     baseline_random,
-    load_world,
-    run_task,
+    infer,
+    prepare,
 )
 
 world_dir = Path(__file__).parent / "_world"
@@ -29,14 +28,15 @@ for task in ("frames", "objects"):
     # seed profile. Evaluation is on the held-out test half.
     spec = TaskSpec(task=task, cross_seed_fraction="20", eval_split="test")
     dataset = assemble_task_dataset(world.paths, spec)
-    graph_ds = dataset.restrict({"seed", "test"}, {"seed", "test"})
-    emb, _ = load_world(world.paths)
+    # The classifiers are trained once and shared by the emb-maxent baseline
+    # and the full model.
+    prepared = prepare(spec, world.paths)
 
     rows = [
         ("random", baseline_random(dataset, spec, rng_seed=0, resamples=1000)),
         ("majority", baseline_majority(dataset, spec)),
-        ("emb-maxent", baseline_emb_maxent(graph_ds, spec, train_models(graph_ds, emb))),
-        ("full model", run_task(spec, BuildConfig(), BPConfig(), world.paths).report),
+        ("emb-maxent", baseline_emb_maxent(prepared.dataset, spec, prepared.models)),
+        ("full model", infer(prepared, BuildConfig(), BPConfig()).report),
     ]
 
     print(f"\n=== {task} task (test split) ===")

@@ -8,7 +8,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from physrel import BPConfig, BuildConfig, TaskSpec, generate_world, tune_thresholds
-from physrel.harness import SWITCHES, run_ablation, run_task
+from physrel.harness import SWITCHES, infer, prepare, run_task, toggle_switch
 
 world = generate_world(Path(__file__).parent / "_world", rng_seed=0)
 spec = TaskSpec(task="objects", cross_seed_fraction="20", eval_split="dev")
@@ -18,13 +18,15 @@ bp = BPConfig()
 # ---------------------------------------------------------------------------
 # Toggle each switch against the full configuration. Binary-factor kinds are
 # removed; class-level switches drop the seed/classifier unaries of one node
-# class. (Positive deltas mean the component helps.)
-full = run_task(spec, base, bp, world.paths).report
+# class. (Positive deltas mean the component helps.) The data and the seed
+# classifiers do not depend on the build config, so they are prepared once.
+prepared = prepare(spec, world.paths)
+full = infer(prepared, base, bp).report
 print(f"full configuration: dev overall = {full.overall:.3f}\n")
 print(f"{'switch':>20}  {'toggled':>8}  {'delta':>7}")
 for switch in SWITCHES:
-    result = run_ablation(spec, base, switch, bp, world.paths)
-    print(f"{switch:>20}  {result.ablated.overall:8.3f}  {result.delta:+7.3f}")
+    toggled = infer(prepared, toggle_switch(base, switch), bp).report
+    print(f"{switch:>20}  {toggled.overall:8.3f}  {full.overall - toggled.overall:+7.3f}")
 
 # ---------------------------------------------------------------------------
 # Dev-set grid search over the object-similarity threshold and the factor

@@ -13,8 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .builder import BuildConfig, FACTOR_KINDS, build, train_models
-from .core import ATTRIBUTES
+from .builder import BuildConfig, FACTOR_KINDS
 from .factorgraph import BPConfig, dump_graph
 from .harness import (
     DataPaths,
@@ -24,7 +23,8 @@ from .harness import (
     baseline_emb_maxent,
     baseline_majority,
     baseline_random,
-    load_world,
+    build_graph,
+    prepare,
     run_ablation,
     run_task,
     tune_thresholds,
@@ -69,11 +69,7 @@ def _train_cfg(args) -> TrainConfig:
 
 
 def cmd_train(args) -> int:
-    paths = DataPaths.from_dir(args.data_dir)
-    spec = _spec(args)
-    dataset = assemble_task_dataset(paths, spec)
-    emb, _ = load_world(paths)
-    models = train_models(dataset, emb, _train_cfg(args))
+    models = prepare(_spec(args), DataPaths.from_dir(args.data_dir), _train_cfg(args)).models
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for (attribute, node_class), model in sorted(
@@ -85,15 +81,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_build(args) -> int:
-    paths = DataPaths.from_dir(args.data_dir)
-    spec = _spec(args)
     cfg = _build_cfg(args)
-    dataset = assemble_task_dataset(paths, spec)
-    graph_ds = dataset.restrict({"seed", spec.eval_split}, {"seed", spec.eval_split})
-    emb, stats = load_world(paths)
-    needs_models = cfg.enabled("emb") and (cfg.emb_frames or cfg.emb_objects)
-    models = train_models(graph_ds, emb, _train_cfg(args)) if needs_models else None
-    result = build(ATTRIBUTES, graph_ds, emb, stats, models, cfg)
+    result = build_graph(prepare(_spec(args), DataPaths.from_dir(args.data_dir), _train_cfg(args)), cfg)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "graph.txt").write_text(dump_graph(result.graph), encoding="utf-8")
@@ -126,16 +115,15 @@ def cmd_eval(args) -> int:
         if not result.bp.converged:
             print("warning: BP did not converge; reporting final-iteration marginals", file=sys.stderr)
     else:
-        dataset = assemble_task_dataset(paths, spec)
         if args.algorithm == "random":
-            report = baseline_random(dataset, spec, rng_seed=args.rng_seed, resamples=args.resamples)
+            report = baseline_random(
+                assemble_task_dataset(paths, spec), spec, rng_seed=args.rng_seed, resamples=args.resamples
+            )
         elif args.algorithm == "majority":
-            report = baseline_majority(dataset, spec)
+            report = baseline_majority(assemble_task_dataset(paths, spec), spec)
         else:
-            emb, _ = load_world(paths)
-            graph_ds = dataset.restrict({"seed", spec.eval_split}, {"seed", spec.eval_split})
-            models = train_models(graph_ds, emb, _train_cfg(args))
-            report = baseline_emb_maxent(graph_ds, spec, models)
+            prepared = prepare(spec, paths, _train_cfg(args))
+            report = baseline_emb_maxent(prepared.dataset, spec, prepared.models)
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.tsv").write_text(report.to_tsv(), encoding="utf-8")

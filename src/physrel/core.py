@@ -90,18 +90,6 @@ def normalize_belief(p) -> np.ndarray:
     return p / total
 
 
-def check_belief(p, atol: float = 1e-9) -> np.ndarray:
-    """Validate a point on the 3-simplex; returns it as an ndarray."""
-    p = np.asarray(p, dtype=float)
-    if p.shape != (N_VALUES,):
-        raise ValueError(f"belief must have shape ({N_VALUES},), got {p.shape}")
-    if (p < 0).any():
-        raise ValueError(f"belief has negative entries: {p}")
-    if abs(p.sum() - 1.0) > atol:
-        raise ValueError(f"belief mass {p.sum()} is not 1 within {atol}")
-    return p
-
-
 # Registered frame relation types. Each type names the pair of argument roles
 # the relation is measured between; the tuple order fixes the one-hot layout
 # used by the frame feature function.

@@ -23,12 +23,11 @@ ENUMERATION_CAP = 12
 
 @dataclass(frozen=True)
 class BPConfig:
-    """Knobs for the loopy BP schedule (flooding only)."""
+    """Knobs for loopy BP on the synchronous (flooding) schedule."""
 
     max_iterations: int = 100
     convergence_eps: float = 1e-5
     damping: float = 0.5
-    schedule: str = "synchronous"
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -37,8 +36,6 @@ class BPConfig:
             raise ValueError("convergence_eps must be > 0")
         if not (0.0 <= self.damping < 1.0):
             raise ValueError("damping must lie in [0, 1)")
-        if self.schedule != "synchronous":
-            raise ValueError(f"unsupported schedule {self.schedule!r}")
 
 
 @dataclass(frozen=True)

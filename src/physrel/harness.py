@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -65,7 +66,6 @@ class TaskSpec:
     task: str = "frames"
     cross_seed_fraction: str = "5"
     eval_split: str = "dev"
-    in_domain_fraction: str = "5"
 
     def __post_init__(self):
         if self.task not in TASKS:
@@ -78,7 +78,7 @@ class TaskSpec:
     def to_text(self) -> str:
         return (
             f"task={self.task}\ncross={self.cross_seed_fraction}\n"
-            f"eval={self.eval_split}\nin_domain={self.in_domain_fraction}\n"
+            f"eval={self.eval_split}\n"
         )
 
 
@@ -360,25 +360,50 @@ class RunResult:
         return dump_graph(self.build.graph)
 
 
-def run_task(
-    spec: TaskSpec,
+@dataclass
+class Prepared:
+    """What every build config of one task shares: the graph dataset (seed
+    plus evaluation split), embeddings, co-occurrence counts and the seed
+    classifiers, which are trained on first use."""
+
+    spec: TaskSpec
+    dataset: KnowledgeDataset
+    emb: Embeddings
+    stats: CooccurrenceStats
+    train_cfg: TrainConfig
+
+    @cached_property
+    def models(self) -> TrainedModels:
+        return train_models(self.dataset, self.emb, self.train_cfg)
+
+
+def prepare(spec: TaskSpec, paths: DataPaths, train_cfg: TrainConfig = TrainConfig()) -> Prepared:
+    """Load the task's data once, restricted to the seed and evaluation splits."""
+    splits = {"seed", spec.eval_split}
+    dataset = assemble_task_dataset(paths, spec).restrict(frame_splits=splits, pair_splits=splits)
+    emb, stats = load_world(paths)
+    return Prepared(spec, dataset, emb, stats, train_cfg)
+
+
+def build_graph(prepared: Prepared, cfg: BuildConfig, attributes: Sequence[Attribute] = ATTRIBUTES) -> Build:
+    """Assemble the graph for one config with only seed labels readable;
+    classifiers are trained only when the config attaches their factors."""
+    with prepared.dataset.audit_label_access({"seed"}):
+        needs_models = cfg.enabled("emb") and (cfg.emb_frames or cfg.emb_objects)
+        models = prepared.models if needs_models else None
+        return build(attributes, prepared.dataset, prepared.emb, prepared.stats, models, cfg)
+
+
+def infer(
+    prepared: Prepared,
     cfg: BuildConfig,
     bp_cfg: BPConfig,
-    paths: DataPaths,
-    train_cfg: TrainConfig = TrainConfig(),
     attributes: Sequence[Attribute] = ATTRIBUTES,
 ) -> RunResult:
-    """Train on seeds, build the graph, run BP, score the evaluation split."""
-    dataset = assemble_task_dataset(paths, spec)
-    emb, stats = load_world(paths)
-    graph_ds = dataset.restrict(
-        frame_splits={"seed", spec.eval_split}, pair_splits={"seed", spec.eval_split}
-    )
-    with graph_ds.audit_label_access({"seed"}):
-        needs_models = cfg.enabled("emb") and (cfg.emb_frames or cfg.emb_objects)
-        models = train_models(graph_ds, emb, train_cfg) if needs_models else None
-        built = build(attributes, graph_ds, emb, stats, models, cfg)
-        bp = run_bp(built.graph, bp_cfg)
+    """Build the graph, run BP, score the evaluation split."""
+    spec, train_cfg, graph_ds = prepared.spec, prepared.train_cfg, prepared.dataset
+    built = build_graph(prepared, cfg, attributes)
+    bp = run_bp(built.graph, bp_cfg)
 
     beliefs: dict[NodeRef, np.ndarray] = {}
     for vid in range(built.graph.n_variables):
@@ -416,6 +441,18 @@ def run_task(
         iterations=bp.iterations,
     )
     return RunResult(report, predictions, beliefs, built, bp)
+
+
+def run_task(
+    spec: TaskSpec,
+    cfg: BuildConfig,
+    bp_cfg: BPConfig,
+    paths: DataPaths,
+    train_cfg: TrainConfig = TrainConfig(),
+    attributes: Sequence[Attribute] = ATTRIBUTES,
+) -> RunResult:
+    """Train on seeds, build the graph, run BP, score the evaluation split."""
+    return infer(prepare(spec, paths, train_cfg), cfg, bp_cfg, attributes)
 
 
 # -- ablations --
@@ -461,9 +498,9 @@ def run_ablation(
     attributes: Sequence[Attribute] = ATTRIBUTES,
 ) -> AblationResult:
     """The base run and the run with one switch flipped, side by side."""
-    full = run_task(spec, base_cfg, bp_cfg, paths, train_cfg, attributes)
-    ablated_cfg = toggle_switch(base_cfg, component)
-    ablated = run_task(spec, ablated_cfg, bp_cfg, paths, train_cfg, attributes)
+    prepared = prepare(spec, paths, train_cfg)
+    full = infer(prepared, base_cfg, bp_cfg, attributes)
+    ablated = infer(prepared, toggle_switch(base_cfg, component), bp_cfg, attributes)
     return AblationResult(component, full.report, ablated.report)
 
 
@@ -490,12 +527,12 @@ def tune_thresholds(
     candidates = list(grid)
     if not candidates:
         raise ValueError("empty tuning grid")
-    dev_spec = replace(spec, eval_split="dev")
+    prepared = prepare(replace(spec, eval_split="dev"), paths, train_cfg)
     best_cfg: Optional[BuildConfig] = None
     best_score = -1.0
     table: list[tuple[str, float]] = []
     for cfg in sorted(candidates, key=lambda c: c.to_text()):
-        result = run_task(dev_spec, cfg, bp_cfg, paths, train_cfg, attributes)
+        result = infer(prepared, cfg, bp_cfg, attributes)
         score = result.report.overall
         table.append((cfg.to_text(), score))
         if score > best_score:

@@ -20,8 +20,6 @@ from .lexstats import Embeddings
 
 logger = logging.getLogger(__name__)
 
-NODE_CLASSES = ("frame", "object-pair")
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -31,7 +29,6 @@ class TrainConfig:
     learning_rate: float = 0.1
     epochs: int = 500
     rng_seed: int = 0
-    fit_bias: bool = True
 
     def __post_init__(self):
         if self.l2_lambda < 0:
@@ -78,14 +75,6 @@ def _lookup(store, word: str) -> np.ndarray:
     return vec
 
 
-def object_pair_feature_dim(emb: Embeddings) -> int:
-    return 2 * emb.objects.dim
-
-
-def frame_feature_dim(emb: Embeddings) -> int:
-    return len(FRAME_TYPES) + emb.verbs.dim + emb.objects.dim
-
-
 def loss_and_grad(
     weights: np.ndarray,
     bias: np.ndarray,
@@ -130,8 +119,7 @@ def train(
     for _ in range(cfg.epochs):
         _, grad_w, grad_b = loss_and_grad(weights, bias, X, y, cfg.l2_lambda)
         weights -= cfg.learning_rate * grad_w
-        if cfg.fit_bias:
-            bias -= cfg.learning_rate * grad_b
+        bias -= cfg.learning_rate * grad_b
     return MaxentModel(weights, bias, attribute, node_class)
 
 

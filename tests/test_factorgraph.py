@@ -76,8 +76,6 @@ def test_bp_config_validation():
         BPConfig(convergence_eps=0.0)
     with pytest.raises(ValueError):
         BPConfig(damping=1.0)
-    with pytest.raises(ValueError):
-        BPConfig(schedule="serial")
 
 
 # -- single messages --

@@ -6,6 +6,7 @@ import pytest
 
 from physrel.builder import BuildConfig, FACTOR_KINDS, train_models
 from physrel.core import Attribute, ObjectPairNode, RelationValue
+from physrel import harness
 from physrel.factorgraph import BPConfig
 from physrel.harness import (
     AccuracyReport,
@@ -16,7 +17,9 @@ from physrel.harness import (
     baseline_majority,
     baseline_random,
     decide,
+    build_graph,
     load_world,
+    prepare,
     run_ablation,
     run_task,
     toggle_switch,
@@ -24,6 +27,7 @@ from physrel.harness import (
     write_run,
 )
 from physrel.lexstats import EmbeddingStore, Embeddings, LabelAccessError
+from physrel.maxent import load_model
 from conftest import make_dataset
 
 SIZE, WEIGHT = Attribute.SIZE, Attribute.WEIGHT
@@ -295,6 +299,27 @@ def test_tune_rejects_threshold_that_adds_harmful_factor(tmp_path):
     assert scores[harmful.to_text()] == 0.0
 
 
+# -- shared preparation --
+
+
+def test_tune_and_ablation_train_classifiers_once(world, monkeypatch):
+    calls = []
+
+    def counting_train_models(*args, **kwargs):
+        calls.append(args)
+        return train_models(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "train_models", counting_train_models)
+    spec = TaskSpec(task="objects", cross_seed_fraction="5")
+    tune_thresholds(spec, [BuildConfig(), BuildConfig(obj_sim_threshold=0.7)], world.paths, BPConfig())
+    assert len(calls) == 1
+    run_ablation(spec, BuildConfig(), "selpref", BPConfig(), world.paths)
+    assert len(calls) == 2
+    # A config without classifier factors never trains them.
+    build_graph(prepare(spec, world.paths), BuildConfig(enabled_factor_kinds=frozenset({"seed", "objsim"})))
+    assert len(calls) == 2
+
+
 # -- output files and CLI --
 
 
@@ -348,6 +373,26 @@ def test_cli_subcommands(world, tmp_path):
         "eval", "--data-dir", data, "--out-dir", str(out / "eval2"), "--task", "objects",
         "--config", str(cfg_path),
     ]) == 0
+
+
+def test_cli_build_and_train_match_the_library(world, tmp_path):
+    from physrel.cli import main
+
+    data = str(world.paths.frames_5.parent)
+    spec = TaskSpec(task="objects")
+    common = ["--data-dir", data, "--task", "objects"]
+    assert main(["build", *common, "--out-dir", str(tmp_path / "build")]) == 0
+    result = run_task(spec, BuildConfig(), BPConfig(), world.paths)
+    assert (tmp_path / "build" / "graph.txt").read_text(encoding="utf-8") == result.graph_dump()
+    assert (tmp_path / "build" / "build_report.tsv").read_text(encoding="utf-8") == result.build.report_tsv()
+
+    assert main(["train", *common, "--out-dir", str(tmp_path / "train")]) == 0
+    models = prepare(spec, world.paths).models.models
+    assert len(list((tmp_path / "train").iterdir())) == len(models)
+    for (attribute, node_class), model in models.items():
+        saved = load_model(tmp_path / "train" / f"maxent_{attribute.value}_{node_class}.txt")
+        assert np.array_equal(saved.weights, model.weights)
+        assert np.array_equal(saved.bias, model.bias)
 
 
 def test_cli_error_exits_nonzero(tmp_path):
