@@ -19,30 +19,16 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    ATTRIBUTES,
-    Attribute,
-    FRAME_TYPE_ROLES,
-    FrameNode,
-    NodeRef,
-    ObjectPairNode,
-    RelationValue,
-    flip,
-)
+from .core import ATTRIBUTES, FRAME_TYPE_ROLES, Attribute, NodeRef, RelationValue, flip
 from .factorgraph import FactorGraph
-from .lexstats import CooccurrenceStats, Embeddings, KnowledgeDataset, cosine, pmi
-from .maxent import (
-    MaxentModel,
-    TrainConfig,
-    featurize_frame,
-    featurize_object_pair,
-    predict_proba,
-    train,
-)
+from .lexstats import CooccurrenceStats, Embeddings, KnowledgeDataset, pmi, similar_pairs
+from .maxent import MaxentModel, TrainConfig, featurize_frame, featurize_object_pair, predict_proba, train
 
 # Fixed 3x3 agreement potential; rows/columns indexed (GT, EQ, LT).
 SOFT_ONE = np.array(
@@ -205,30 +191,53 @@ def train_models(
 # -- graph assembly --
 
 
+# Binary tables by table id; a unary factor's table id indexes its family's rows.
+SOFT, FLIPPED = 0, 1
+BINARY_TABLES = (SOFT_ONE, flipped_table(SOFT_ONE))
+
+
+def factor_rows(kind: str, a, b=-1, table=SOFT) -> np.ndarray:
+    """Factors as (kind code, var a, var b or -1 if unary, table id) rows; b and table broadcast."""
+    a, b, table = np.broadcast_arrays(np.asarray(a, dtype=np.int64), b, table)
+    return np.column_stack([np.full(len(a), FACTOR_KINDS.index(kind)), a, b, table]).astype(np.int64)
+
+
 @dataclass
 class Build:
     graph: FactorGraph
     attributes: tuple[Attribute, ...]
-    frame_items: dict[tuple, object]  # item key -> FrameItem
+    frame_items: dict[tuple, object]  # item key -> FrameItem, in key order
     pair_items: dict[tuple, object]
     report: dict[str, int] = field(default_factory=dict)
-    _factor_keys: set = field(default_factory=set)
+    _keys: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
 
-    def var(self, node: NodeRef) -> int:
-        return self.graph.variable(node)
+    @cached_property
+    def item_vars(self) -> tuple[np.ndarray, np.ndarray]:
+        """(items, attributes) variable ids of the frame and of the pair
+        items, in key order; -1 where the graph has no node."""
+        out = []
+        for items in (self.frame_items.values(), self.pair_items.values()):
+            nodes = [it.node(a) for it in items for a in self.attributes]
+            out.append(self.graph.variables(nodes).reshape(len(items), len(self.attributes)))
+        return tuple(out)
 
-    def has_node(self, node: NodeRef) -> bool:
-        return self.graph.has_variable(node)
-
-    def add_factor(self, scope, table, kind: str) -> bool:
-        """Add unless a factor of this kind already covers the same scope."""
-        key = (kind, frozenset(scope))
-        if key in self._factor_keys:
-            return False
-        self._factor_keys.add(key)
-        self.graph.add_factor(scope, table, kind)
-        self.report[kind] = self.report.get(kind, 0) + 1
-        return True
+    def add(self, chunks: Sequence[np.ndarray], rows: Sequence = ()) -> np.ndarray:
+        """Add :func:`factor_rows` chunks in order, unary table ids indexing
+        ``rows``; skip each factor whose kind and unordered scope an earlier
+        one has. Returns which factors were added."""
+        kind, a, b, table = np.concatenate([np.zeros((0, 4), np.int64), *chunks]).T
+        lo, hi = np.where(b == -1, a, np.minimum(a, b)), np.where(b == -1, -1, np.maximum(a, b))
+        key = (kind << 58) | (lo << 29) | (hi + 1)  # variable ids fit in 29 bits
+        keep = np.zeros(len(key), dtype=bool)
+        keep[np.unique(key, return_index=True)[1]] = True
+        keep &= ~np.isin(key, self._keys)
+        self._keys = np.concatenate([self._keys, key[keep]])
+        scopes = np.column_stack([a, b])[keep]
+        self.graph.add_factors(FACTOR_KINDS, kind[keep], scopes, table[keep], rows, BINARY_TABLES)
+        added = kind[keep]
+        for name, code in ((FACTOR_KINDS[c], c) for c in added[np.sort(np.unique(added, return_index=True)[1])]):
+            self.report[name] = self.report.get(name, 0) + int(np.count_nonzero(added == code))
+        return keep
 
     def report_tsv(self) -> str:
         lines = [f"variables\t{self.graph.n_variables}"]
@@ -259,51 +268,40 @@ def make_nodes(dataset: KnowledgeDataset, attributes=None) -> Build:
                 nodes.append(it.node(attribute))
     for node in sorted(nodes, key=lambda n: n.sort_key):
         graph.add_variable(node)
-    return Build(
-        graph,
-        attrs,
-        {it.key: it for it in dataset.frames},
-        {it.key: it for it in dataset.pairs},
-    )
+    return Build(graph, attrs, {it.key: it for it in dataset.frames}, {it.key: it for it in dataset.pairs})
 
 
 def add_seed_and_emb_factors(
-    build: Build,
-    dataset: KnowledgeDataset,
-    models: Optional[TrainedModels],
-    cfg: BuildConfig,
+    build: Build, dataset: KnowledgeDataset, models: Optional[TrainedModels], cfg: BuildConfig
 ) -> Build:
     """Unary factors: soft-1 gold rows on seed nodes, classifier rows everywhere."""
+    factors, rows = [], []
+
+    def unary(kind: str, var: int, table) -> None:
+        factors.append((FACTOR_KINDS.index(kind), var, -1, len(rows)))
+        rows.append(table)
+
     with dataset.audit_label_access({"seed"}):
         for attribute in build.attributes:
-            for it in dataset.frames:
-                if not dataset.has_label(it, attribute):
-                    continue
-                node = it.node(attribute)
-                if cfg.enabled("seed") and cfg.seed_frames and it.split == "seed":
-                    build.add_factor([build.var(node)], seed_table(dataset.gold(it, attribute)), "seed")
-                if cfg.enabled("emb") and cfg.emb_frames:
-                    if models is None:
-                        raise ValueError("emb factors requested but no trained models supplied")
-                    build.add_factor([build.var(node)], models.frame_proba(it, attribute), "emb")
-            for it in dataset.pairs:
-                if not dataset.has_label(it, attribute):
-                    continue
-                node = it.node(attribute)
-                if cfg.enabled("seed") and cfg.seed_objects and it.split == "seed":
-                    build.add_factor([build.var(node)], seed_table(dataset.gold(it, attribute)), "seed")
-                if cfg.enabled("emb") and cfg.emb_objects:
-                    if models is None:
-                        raise ValueError("emb factors requested but no trained models supplied")
-                    build.add_factor([build.var(node)], models.pair_proba(it, attribute), "emb")
+            for items, seeded, embedded, proba in (
+                (dataset.frames, cfg.seed_frames, cfg.emb_frames, "frame_proba"),
+                (dataset.pairs, cfg.seed_objects, cfg.emb_objects, "pair_proba"),
+            ):
+                for it in items:
+                    if not dataset.has_label(it, attribute):
+                        continue
+                    var = build.graph.variable(it.node(attribute))
+                    if cfg.enabled("seed") and seeded and it.split == "seed":
+                        unary("seed", var, seed_table(dataset.gold(it, attribute)))
+                    if cfg.enabled("emb") and embedded:
+                        if models is None:
+                            raise ValueError("emb factors requested but no trained models supplied")
+                        unary("emb", var, getattr(models, proba)(it, attribute))
+    build.add([np.array(factors, dtype=np.int64).reshape(-1, 4)], rows)
     return build
 
 
-def add_selectional_preference_factors(
-    build: Build,
-    stats: CooccurrenceStats,
-    cfg: BuildConfig,
-) -> Build:
+def add_selectional_preference_factors(build: Build, stats: CooccurrenceStats, cfg: BuildConfig) -> Build:
     """Frame <-> pair factors gated by PMI over text co-occurrence.
 
     The stored pair node is canonical; when the canonical order reverses the
@@ -311,8 +309,8 @@ def add_selectional_preference_factors(
     orientations of the same (frame, pair) evidence resolve to the larger
     joint count.
     """
-    # frame_key -> frame item key(s); a frame_key maps to exactly one item.
-    frames_by_key = {it.frame_key: it for it in build.frame_items.values()}
+    frame_row = {it.frame_key: i for i, it in enumerate(build.frame_items.values())}
+    pair_row = {key: i for i, key in enumerate(build.pair_items)}
 
     chosen: dict[tuple[str, tuple[str, str]], tuple[int, tuple[str, str]]] = {}
     for frame_key, (p, q), count in stats.entries():
@@ -324,23 +322,16 @@ def add_selectional_preference_factors(
         if prev is None or count > prev[0]:
             chosen[slot] = (count, (p, q))
 
+    links = []  # (frame row, pair row, table) per qualifying evidence
     for (frame_key, (lo, hi)), (count, evidence) in sorted(chosen.items()):
-        frame_item = frames_by_key.get(frame_key)
-        if frame_item is None:
-            continue
-        pair_item = build.pair_items.get((lo, hi))
-        if pair_item is None:
-            continue
-        score = pmi(stats, frame_key, evidence)
-        if not score > cfg.pmi_threshold:
-            continue
-        swapped = evidence[0] != lo
-        table = flipped_table(SOFT_ONE) if swapped else SOFT_ONE
-        for attribute in build.attributes:
-            f_node = frame_item.node(attribute)
-            p_node = pair_item.node(attribute)
-            if build.has_node(f_node) and build.has_node(p_node):
-                build.add_factor([build.var(f_node), build.var(p_node)], table, "selpref")
+        if frame_key in frame_row and (lo, hi) in pair_row and pmi(stats, frame_key, evidence) > cfg.pmi_threshold:
+            links.append((frame_row[frame_key], pair_row[(lo, hi)], FLIPPED if evidence[0] != lo else SOFT))
+    frames, pairs, tables = np.array(links, dtype=np.int64).reshape(-1, 3).T
+    # One factor per link and attribute where both nodes exist.
+    frame_vars, pair_vars = build.item_vars[0][frames], build.item_vars[1][pairs]
+    both = (frame_vars >= 0) & (pair_vars >= 0)
+    table = np.broadcast_to(tables[:, None], both.shape)[both]
+    build.add([factor_rows("selpref", frame_vars[both], pair_vars[both], table)])
     return build
 
 
@@ -358,108 +349,98 @@ def frames_link(frame_type_a: str, frame_type_b: str) -> bool:
 
 
 def add_similarity_factors(build: Build, emb: Embeddings, cfg: BuildConfig) -> Build:
-    """Verb-, frame-, and object-similarity factors."""
-    for attribute in build.attributes:
-        frame_nodes = [
-            it.node(attribute)
-            for it in sorted(build.frame_items.values(), key=lambda f: f.key)
-            if build.has_node(it.node(attribute))
-        ]
-        pair_nodes = [
-            it.node(attribute)
-            for it in sorted(build.pair_items.values(), key=lambda p: p.key)
-            if build.has_node(it.node(attribute))
-        ]
+    """Verb-, frame-, and object-similarity factors.
 
-        if cfg.enabled("verbsim") or cfg.enabled("framesim"):
-            _add_verb_and_frame_factors(build, emb, cfg, attribute, frame_nodes)
+    Verb and object similarity are computed once, over every verb and object
+    of the build's items, and shared by all attributes.
+    """
+    frames, pairs = list(build.frame_items.values()), list(build.pair_items.values())
+    verbs = sorted({it.verb for it in frames})
+    objects = sorted({o for it in pairs for o in (it.x, it.y)})
+    similar_verbs = (verbs, similar_pairs(emb.verbs, verbs, cfg.verb_sim_threshold))
+    similar_objects = (objects, similar_pairs(emb.objects, objects, cfg.obj_sim_threshold))
+
+    chunks = []
+    for column in range(len(build.attributes)):
+        # The attribute's frames and pairs that have a node, with its variable.
+        frame_vars, pair_vars = build.item_vars[0][:, column].tolist(), build.item_vars[1][:, column].tolist()
+        attr_frames = [(it, v) for it, v in zip(frames, frame_vars) if v >= 0]
+        attr_pairs = [(it, v) for it, v in zip(pairs, pair_vars) if v >= 0]
+        if cfg.enabled("framesim"):
+            chunks.append(_frame_factors(attr_frames))
+        if cfg.enabled("verbsim"):
+            chunks.append(_verb_factors(attr_frames, similar_verbs))
         if cfg.enabled("objsim"):
-            _add_object_similarity_factors(build, emb, cfg, attribute, pair_nodes)
+            chunks.append(_object_similarity_factors(attr_pairs, similar_objects))
+    build.add(chunks, [seed_table(RelationValue.EQ)])
     return build
 
 
-def _add_verb_and_frame_factors(build, emb, cfg, attribute, frame_nodes) -> None:
-    by_verb: dict[str, list[FrameNode]] = {}
-    for node in frame_nodes:
-        by_verb.setdefault(node.verb, []).append(node)
-    verbs = sorted(by_verb)
-
-    if cfg.enabled("framesim"):
-        for verb in verbs:
-            nodes = by_verb[verb]
-            for i in range(len(nodes)):
-                for j in range(i + 1, len(nodes)):
-                    if frames_link(nodes[i].frame_type, nodes[j].frame_type):
-                        build.add_factor(
-                            [build.var(nodes[i]), build.var(nodes[j])], SOFT_ONE, "framesim"
-                        )
-
-    if cfg.enabled("verbsim"):
-        vectors = {v: emb.verbs.get(v) for v in verbs}
-        for i in range(len(verbs)):
-            for j in range(i + 1, len(verbs)):
-                u, v = verbs[i], verbs[j]
-                if vectors[u] is None or vectors[v] is None:
-                    continue
-                if cosine(vectors[u], vectors[v]) <= cfg.verb_sim_threshold:
-                    continue
-                shapes_v = {(n.frame_type, n.preposition): n for n in by_verb[v]}
-                for node_u in by_verb[u]:
-                    node_v = shapes_v.get((node_u.frame_type, node_u.preposition))
-                    if node_v is not None:
-                        build.add_factor([build.var(node_u), build.var(node_v)], SOFT_ONE, "verbsim")
+def _among(similar: tuple[list[str], np.ndarray], words: list[str]) -> np.ndarray:
+    """The similarity mask of a sorted sub-list of the similarity's words."""
+    return similar[1][np.ix_(*[np.searchsorted(similar[0], words)] * 2)]
 
 
-def _add_object_similarity_factors(build, emb, cfg, attribute, pair_nodes) -> None:
-    partners: dict[str, set[str]] = {}
-    node_of_pair: dict[tuple[str, str], ObjectPairNode] = {}
-    for node in pair_nodes:
-        partners.setdefault(node.x, set()).add(node.y)
-        partners.setdefault(node.y, set()).add(node.x)
-        node_of_pair[(node.x, node.y)] = node
-    objects = sorted(partners)
-    vectors = {o: emb.objects.get(o) for o in objects}
+def _frame_factors(frames) -> np.ndarray:
+    by_verb: dict[str, list[tuple[str, int]]] = {}
+    for it, var in frames:
+        by_verb.setdefault(it.verb, []).append((it.frame_type, var))
+    links = [(a, b) for v in sorted(by_verb) for (s, a), (t, b) in combinations(by_verb[v], 2) if frames_link(s, t)]
+    a, b = np.array(links, dtype=np.int64).reshape(-1, 2).T
+    return factor_rows("framesim", a, b)
 
-    for i in range(len(objects)):
-        for j in range(i + 1, len(objects)):
-            x, y = objects[i], objects[j]
-            if vectors[x] is None or vectors[y] is None:
-                continue
-            if cosine(vectors[x], vectors[y]) <= cfg.obj_sim_threshold:
-                continue
-            # The trivial case: the pair of similar objects is itself a node.
-            direct = node_of_pair.get((x, y))
-            if direct is not None:
-                build.add_factor([build.var(direct)], seed_table(RelationValue.EQ), "objsim")
-            for z in sorted(partners[x] & partners[y] - {x, y}):
-                node_xz = node_of_pair[(x, z) if x < z else (z, x)]
-                node_yz = node_of_pair[(y, z) if y < z else (z, y)]
-                same_side = (node_xz.x == x) == (node_yz.x == y)
-                table = SOFT_ONE if same_side else flipped_table(SOFT_ONE)
-                build.add_factor([build.var(node_xz), build.var(node_yz)], table, "objsim")
+
+def _verb_factors(frames, similar) -> np.ndarray:
+    """For each similar verb pair (u, v), u before v, link the frames of u
+    and v that have the same shape, in u's frame order."""
+    verbs = sorted({it.verb for it, _ in frames})
+    shapes = sorted({(it.frame_type, it.preposition) for it, _ in frames}, key=lambda s: (s[0], s[1] or ""))
+    verb_pos, shape_pos = {v: i for i, v in enumerate(verbs)}, {s: i for i, s in enumerate(shapes)}
+    var_at = np.full((len(verbs), len(shapes)), -1, dtype=np.int64)
+    for it, var in frames:
+        var_at[verb_pos[it.verb], shape_pos[(it.frame_type, it.preposition)]] = var
+    u, v = np.nonzero(np.triu(_among(similar, verbs), 1))
+    both = (var_at[u] >= 0) & (var_at[v] >= 0)
+    return factor_rows("verbsim", var_at[u][both], var_at[v][both])
+
+
+def _object_similarity_factors(pairs, similar) -> np.ndarray:
+    """For each similar object pair (x, y), x before y: an EQ nudge (unary
+    row 0) on the pair's own node, then a link between (x, z) and (y, z) for
+    every shared comparator z in order, flipped when z sits between x and y."""
+    objects = sorted({o for it, _ in pairs for o in (it.x, it.y)})
+    pos = {o: i for i, o in enumerate(objects)}
+    var_of = np.full((len(objects), len(objects)), -1, dtype=np.int64)
+    for it, var in pairs:
+        var_of[pos[it.x], pos[it.y]] = var_of[pos[it.y], pos[it.x]] = var
+    x, y = np.nonzero(np.triu(_among(similar, objects), 1))
+    # Per similar pair, column 0 is the pair's own node and column 1 + z the comparator z.
+    p, col = np.nonzero(np.column_stack([var_of[x, y] >= 0, (var_of[x] >= 0) & (var_of[y] >= 0)]))
+    x, y, z, direct = x[p], y[p], col - 1, col == 0
+    a = np.where(direct, var_of[x, y], var_of[x, z])
+    b = np.where(direct, -1, var_of[y, z])
+    return factor_rows("objsim", a, b, np.where(direct, 0, np.where((x < z) == (y < z), SOFT, FLIPPED)))
 
 
 def add_attribute_factors(build: Build, dataset: KnowledgeDataset, cfg: BuildConfig) -> Build:
     """Cross-attribute frame coupling, gated on seed-label agreement."""
     attrs = build.attributes
+    chunks = []
     with dataset.audit_label_access({"seed"}):
         for i in range(len(attrs)):
             for j in range(i + 1, len(attrs)):
                 a, b = attrs[i], attrs[j]
-                shared = [
-                    it
-                    for it in dataset.frames_in("seed")
-                    if dataset.has_label(it, a) and dataset.has_label(it, b)
-                ]
+                seeds = dataset.frames_in("seed")
+                shared = [it for it in seeds if dataset.has_label(it, a) and dataset.has_label(it, b)]
                 if len(shared) < cfg.min_shared_seed_frames:
                     continue
                 agree = sum(1 for it in shared if dataset.gold(it, a) == dataset.gold(it, b))
                 if agree / len(shared) < cfg.attr_agreement_threshold:
                     continue
-                for it in sorted(build.frame_items.values(), key=lambda f: f.key):
-                    node_a, node_b = it.node(a), it.node(b)
-                    if build.has_node(node_a) and build.has_node(node_b):
-                        build.add_factor([build.var(node_a), build.var(node_b)], SOFT_ONE, "attrsim")
+                var_a, var_b = build.item_vars[0][:, i], build.item_vars[0][:, j]
+                both = (var_a >= 0) & (var_b >= 0)
+                chunks.append(factor_rows("attrsim", var_a[both], var_b[both]))
+    build.add(chunks)
     return build
 
 

@@ -78,10 +78,6 @@ def flip_belief(p: np.ndarray) -> np.ndarray:
     return np.asarray(p)[FLIP_INDEX]
 
 
-def uniform_belief() -> np.ndarray:
-    return np.full(N_VALUES, 1.0 / N_VALUES)
-
-
 def normalize_belief(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     total = p.sum()

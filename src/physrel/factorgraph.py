@@ -1,9 +1,10 @@
 """Discrete factor graph over 3-valued variables with loopy sum-product BP.
 
 Variables all share the domain (GT, EQ, LT). Factors are unary or binary with
-strictly positive tables. Inference runs a synchronous (flooding) schedule
-with optional damping; products of incoming messages are accumulated in the
-log domain so high-degree variables cannot underflow.
+strictly positive tables, stored as arrays; binary factors share a bank of
+distinct 3x3 tables. Inference runs a synchronous (flooding) schedule with
+optional damping; products of incoming messages are accumulated in the log
+domain so high-degree variables cannot underflow.
 
 A full-enumeration oracle (:func:`exact_marginals`) is provided for small
 graphs; sum-product marginals agree with it exactly on trees.
@@ -11,14 +12,17 @@ graphs; sum-product marginals agree with it exactly on trees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .core import N_VALUES, uniform_belief
+from .core import N_VALUES
 
 ENUMERATION_CAP = 12
+# Message columns run_bp updates together: a few (3, BP_BLOCK) float arrays
+# fit in a core's L2 cache, where a full pass over every edge would not.
+BP_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -40,6 +44,8 @@ class BPConfig:
 
 @dataclass(frozen=True)
 class Factor:
+    """One factor, assembled on demand from the graph's arrays."""
+
     id: int
     kind: str
     scope: tuple[int, ...]
@@ -54,14 +60,22 @@ class FactorGraph:
     """Mutable container of 3-valued variables and positive factors.
 
     Variables are identified by dense integer ids in insertion order; each
-    carries an arbitrary hashable node key (e.g. a NodeRef).
+    carries an arbitrary hashable node key (e.g. a NodeRef). Factor ids are
+    dense in insertion order too.
     """
 
     def __init__(self):
         self._nodes: list[Hashable] = []
         self._var_of: dict[Hashable, int] = {}
-        self.factors: list[Factor] = []
-        self._adjacency: list[list[int]] = []
+        self.kinds: list[str] = []  # kind id -> name
+        self._kinds: dict[str, int] = {}
+        self._bank: dict[bytes, int] = {}  # binary table bytes -> table id
+        # Chunks of factor columns (kind id, scope, table id) and unary rows,
+        # joined on read. scope[:, 1] is -1 for a unary factor, whose table id
+        # indexes the unary rows; a binary factor's indexes the bank.
+        none = np.zeros(0, np.int64)
+        self._chunks = [(none, none.reshape(0, 2), none, np.zeros((0, N_VALUES)))]
+        self._n_factors = self._n_rows = 0
 
     # -- variables --
 
@@ -71,11 +85,14 @@ class FactorGraph:
         vid = len(self._nodes)
         self._nodes.append(node)
         self._var_of[node] = vid
-        self._adjacency.append([])
         return vid
 
     def variable(self, node: Hashable) -> int:
         return self._var_of[node]
+
+    def variables(self, nodes: Sequence[Hashable]) -> np.ndarray:
+        """Variable ids of ``nodes``; -1 for a node without a variable."""
+        return np.array([self._var_of.get(node, -1) for node in nodes], dtype=np.int64)
 
     def has_variable(self, node: Hashable) -> bool:
         return node in self._var_of
@@ -90,85 +107,77 @@ class FactorGraph:
     # -- factors --
 
     def add_factor(self, scope: Sequence[int], table, kind: str = "generic") -> int:
-        table = np.asarray(table, dtype=float)
         scope = tuple(int(v) for v in scope)
-        if len(scope) not in (1, 2):
-            raise ValueError("factor arity must be 1 or 2")
-        expected = (N_VALUES,) * len(scope)
-        if table.shape != expected:
-            raise ValueError(f"table shape {table.shape} does not match scope arity {len(scope)}")
-        if not (table > 0).all():
-            raise ValueError("potential tables must be strictly positive")
-        for v in scope:
-            if not 0 <= v < self.n_variables:
-                raise ValueError(f"scope variable {v} does not exist")
-        fid = len(self.factors)
-        self.factors.append(Factor(fid, kind, scope, table))
-        for v in scope:
-            self._adjacency[v].append(fid)
-        return fid
+        table = np.asarray(table, dtype=float)
+        if len(scope) not in (1, 2) or table.shape != (N_VALUES,) * len(scope):
+            raise ValueError(f"a table of shape {table.shape} does not fit scope {scope}")
+        tables = {"unary_tables" if len(scope) == 1 else "binary_tables": [table]}
+        return self.add_factors([kind], [0], [(scope + (-1,))[:2]], [0], **tables)[0]
 
-    def neighbors(self, var_id: int) -> list[int]:
-        return list(self._adjacency[var_id])
+    def add_factors(self, kinds, kind_ids, scopes, table_ids, unary_tables=(), binary_tables=()) -> range:
+        """Append factors in bulk; returns their ids.
+
+        Factor i has kind ``kinds[kind_ids[i]]`` and scope ``scopes[i]`` (N x 2,
+        -1 in column 1 for a unary factor). Its table is ``unary_tables[table_ids[i]]``
+        (3 values) if unary, else ``binary_tables[table_ids[i]]`` (3x3), which the
+        bank keeps once however many factors share it. Raises ValueError naming
+        the first factor with an unknown kind, variable or table, or a table
+        that is not strictly positive.
+        """
+        kind_ids, table_ids = (np.array(ids, dtype=np.int64).reshape(-1) for ids in (kind_ids, table_ids))
+        scopes = np.array(scopes, dtype=np.int64).reshape(-1, 2)
+        rows = np.array(unary_tables, dtype=float).reshape(-1, N_VALUES)
+        tables = np.array(binary_tables, dtype=float).reshape(-1, N_VALUES, N_VALUES)
+        unary = scopes[:, 1] == -1
+
+        def check(reason: str, bad: np.ndarray) -> None:
+            if bad.any():
+                raise ValueError(f"factor {int(np.argmax(bad))} of the batch: {reason}")
+
+        check("unknown kind", (kind_ids < 0) | (kind_ids >= len(kinds)))
+        check("unknown variable", (scopes[:, 0] < 0) | (scopes[:, 1] < -1) | (scopes >= self.n_variables).any(axis=1))
+        check("unknown table", (table_ids < 0) | (table_ids >= np.where(unary, len(rows), len(tables))))
+        positive = np.concatenate([(rows > 0).all(axis=1), (tables > 0).all(axis=(1, 2))])
+        check("table not strictly positive", ~positive[np.where(unary, table_ids, len(rows) + table_ids)])
+
+        kind_map = np.array([self._kinds.setdefault(k, len(self._kinds)) for k in kinds] + [0])
+        self.kinds = list(self._kinds)
+        bank_map = np.array([self._bank.setdefault(t.tobytes(), len(self._bank)) for t in tables] + [0])
+        stored = np.where(unary, self._n_rows + table_ids, bank_map[np.where(unary, -1, table_ids)])
+        self._chunks.append((kind_map[kind_ids], scopes, stored, rows))
+        self._n_rows += len(rows)
+        self._n_factors += len(scopes)
+        return range(self._n_factors - len(scopes), self._n_factors)
+
+    @property
+    def bank(self) -> list[np.ndarray]:
+        """Distinct binary tables by table id (read-only)."""
+        return [np.frombuffer(key).reshape(N_VALUES, N_VALUES) for key in self._bank]
+
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only factor arrays: kind ids (F,), scopes (F, 2), table ids
+        (F,) and the unary rows (U, 3); see ``__init__``."""
+        if len(self._chunks) > 1:
+            self._chunks = [tuple(np.concatenate(parts) for parts in zip(*self._chunks))]
+            for array in self._chunks[0]:
+                array.flags.writeable = False
+        return self._chunks[0]
+
+    def factor(self, fid: int) -> Factor:
+        kind, scope, table, rows = self.columns()
+        a, b = scope[fid].tolist()
+        if b == -1:
+            return Factor(fid, self.kinds[kind[fid]], (a,), rows[table[fid]])
+        return Factor(fid, self.kinds[kind[fid]], (a, b), self.bank[table[fid]])
+
+    @property
+    def factors(self) -> list[Factor]:
+        """Every factor in id order, assembled on demand (small graphs and tests)."""
+        return [self.factor(fid) for fid in range(self._n_factors)]
 
     @property
     def n_factors(self) -> int:
-        return len(self.factors)
-
-
-# -- single message updates (reference semantics; run_bp vectorizes the same math) --
-
-
-def message_var_to_factor(
-    graph: FactorGraph,
-    v: int,
-    f: int,
-    inbox: Mapping[tuple[int, int], np.ndarray],
-) -> np.ndarray:
-    """Normalized product of factor-to-variable messages from N(v) \\ {f}.
-
-    ``inbox`` maps (factor_id, var_id) to the current factor-to-variable
-    message; absent messages count as uniform. The empty product is uniform.
-    """
-    if f not in graph._adjacency[v]:
-        raise ValueError(f"factor {f} is not a neighbor of variable {v}")
-    log_p = np.zeros(N_VALUES)
-    for other in graph._adjacency[v]:
-        if other == f:
-            continue
-        msg = inbox.get((other, v))
-        if msg is not None:
-            log_p += np.log(np.asarray(msg, dtype=float))
-    log_p -= logsumexp(log_p)
-    return np.exp(log_p)
-
-
-def message_factor_to_var(
-    graph: FactorGraph,
-    f: int,
-    v: int,
-    inbox: Mapping[tuple[int, int], np.ndarray],
-) -> np.ndarray:
-    """Marginalized belief about v from factor f and the other scope message.
-
-    ``inbox`` maps (var_id, factor_id) to the current variable-to-factor
-    message; absent messages count as uniform. A unary factor returns its
-    normalized potential.
-    """
-    factor = graph.factors[f]
-    if v not in factor.scope:
-        raise ValueError(f"variable {v} is not in the scope of factor {f}")
-    if factor.arity == 1:
-        return factor.table / factor.table.sum()
-    pos = factor.scope.index(v)
-    other = factor.scope[1 - pos]
-    msg = inbox.get((other, f))
-    msg = uniform_belief() if msg is None else np.asarray(msg, dtype=float)
-    if pos == 0:
-        out = factor.table @ msg
-    else:
-        out = msg @ factor.table
-    return out / out.sum()
+        return self._n_factors
 
 
 # -- full inference --
@@ -179,9 +188,15 @@ class BPResult:
     marginals: np.ndarray  # (n_variables, 3), rows normalized
     converged: bool
     iterations: int
+    residuals: list[float]  # per iteration, the largest change of any message
 
     def belief(self, var_id: int) -> np.ndarray:
         return self.marginals[var_id]
+
+
+def _sum_by_variable(variables: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """(3, n) per-variable sums of the (3, k) value-major ``values``."""
+    return np.stack([np.bincount(variables, weights=row, minlength=n) for row in values])
 
 
 def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
@@ -191,66 +206,72 @@ def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
     the final iteration are returned either way. Unary-factor messages are
     constant (the normalized potential) and sent exactly from the start, so
     damping only touches binary-factor messages.
+
+    Messages are value-major ``(3, 2B)`` arrays: column e < B is slot 0 of
+    binary factor e and column B + e its slot 1, factors ordered by bank table.
+    After the per-variable totals, an iteration updates BP_BLOCK factors at a time.
     """
     n = graph.n_variables
     if n == 0:
         raise ValueError("graph has no variables")
-
+    _, scope, table, rows = graph.columns()
+    unary = scope[:, 1] == -1
     # Constant per-variable log contribution from unary factors.
-    base = np.zeros((n, N_VALUES))
-    binary = [f for f in graph.factors if f.arity == 2]
-    for f in graph.factors:
-        if f.arity == 1:
-            base[f.scope[0]] += np.log(f.table / f.table.sum())
+    base = _sum_by_variable(scope[unary, 0], np.log(rows / rows.sum(axis=1, keepdims=True))[table[unary]].T, n)
+    order = np.argsort(table[~unary], kind="stable")
+    pairs, tids = scope[~unary][order], table[~unary][order]
+    b = len(pairs)
+    if b == 0:
+        return BPResult(_normalize_rows_log(base.T), True, 1, [0.0])
+    edge_var = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    # Per block, the factors' shared table, or else each one's along a last axis.
+    bank = np.stack(graph.bank)
+    blocks = [(lo, min(lo + BP_BLOCK, b)) for lo in range(0, b, BP_BLOCK)]
+    tables = [bank[tids[lo]] if tids[lo] == tids[hi - 1] else bank[tids[lo:hi]].transpose(1, 2, 0) for lo, hi in blocks]
 
-    if not binary:
-        marg = _normalize_rows_log(base)
-        return BPResult(marg, True, 1)
+    f2v = np.full((N_VALUES, 2 * b), 1.0 / N_VALUES)
+    v2f, log_f2v = f2v.copy(), np.log(f2v)
+    new, diff, row = np.empty((N_VALUES, BP_BLOCK)), np.empty((N_VALUES, BP_BLOCK)), np.empty(BP_BLOCK)
 
-    tables = np.stack([f.table for f in binary])  # (B, 3, 3)
-    scopes = np.array([f.scope for f in binary])  # (B, 2)
-    b = len(binary)
+    def update(old: np.ndarray, cols: slice, raw: np.ndarray) -> float:
+        """Normalize ``raw``, damp it into ``old[:, cols]``; return the largest change."""
+        k = raw.shape[1]
+        np.add(np.add(raw[0], raw[1], out=row[:k]), raw[2], out=row[:k])
+        raw /= row[:k]
+        raw *= 1.0 - config.damping
+        raw += np.multiply(old[:, cols], config.damping, out=diff[:, :k])
+        np.subtract(raw, old[:, cols], out=diff[:, :k])
+        old[:, cols] = raw
+        return max(diff[:, :k].max(), -diff[:, :k].min())
 
-    f2v = np.full((b, 2, N_VALUES), 1.0 / N_VALUES)
-    v2f = np.full((b, 2, N_VALUES), 1.0 / N_VALUES)
-    flat_vars = scopes.ravel()
-    d = config.damping
-
-    converged = False
-    iterations = 0
+    residuals: list[float] = []
     for _ in range(config.max_iterations):
-        iterations += 1
-        # Variable -> factor: per-variable log-sum of all incoming messages,
-        # minus each edge's own contribution (max-subtraction normalization).
-        log_f2v = np.log(f2v)
-        totals = base.copy()
-        np.add.at(totals, flat_vars, log_f2v.reshape(-1, N_VALUES))
-        raw = totals[flat_vars].reshape(b, 2, N_VALUES) - log_f2v
-        raw -= raw.max(axis=2, keepdims=True)
-        raw = np.exp(raw)
-        raw /= raw.sum(axis=2, keepdims=True)
-        new_v2f = (1.0 - d) * raw + d * v2f
-
-        # Factor -> variable: marginalize the table against the message
-        # arriving at the opposite slot.
-        out0 = np.einsum("bxy,by->bx", tables, new_v2f[:, 1])
-        out1 = np.einsum("bxy,bx->by", tables, new_v2f[:, 0])
-        raw_f2v = np.stack([out0, out1], axis=1)
-        raw_f2v /= raw_f2v.sum(axis=2, keepdims=True)
-        new_f2v = (1.0 - d) * raw_f2v + d * f2v
-
-        delta = max(
-            np.abs(new_f2v - f2v).max(),
-            np.abs(new_v2f - v2f).max(),
-        )
-        f2v, v2f = new_f2v, new_v2f
+        totals = base + _sum_by_variable(edge_var, log_f2v, n)
+        delta = 0.0
+        for (lo, hi), t in zip(blocks, tables):
+            raw, k = new[:, : hi - lo], hi - lo
+            slot0, slot1 = slice(lo, hi), slice(b + lo, b + hi)
+            for cols in (slot0, slot1):
+                # Variable -> factor: per-variable log-sum of all incoming
+                # messages, minus the edge's own (max-subtraction normalization).
+                for value in range(N_VALUES):
+                    np.take(totals[value], edge_var[cols], out=raw[value])
+                raw -= log_f2v[:, cols]
+                raw -= np.maximum(np.maximum(raw[0], raw[1], out=row[:k]), raw[2], out=row[:k])
+                delta = max(delta, update(v2f, cols, np.exp(raw, out=raw)))
+            # Factor -> variable: marginalize the table against the message
+            # arriving at the opposite slot.
+            axes = "xy" if t.ndim == 2 else "xye"
+            for cols, opposite, to in ((slot0, slot1, "ye->xe"), (slot1, slot0, "xe->ye")):
+                delta = max(delta, update(f2v, cols, np.einsum(f"{axes},{to}", t, v2f[:, opposite], out=raw)))
+                np.log(f2v[:, cols], out=log_f2v[:, cols])
+        residuals.append(float(delta))
         if delta < config.convergence_eps:
-            converged = True
             break
 
-    totals = base.copy()
-    np.add.at(totals, flat_vars, np.log(f2v).reshape(-1, N_VALUES))
-    return BPResult(_normalize_rows_log(totals), converged, iterations)
+    totals = base + _sum_by_variable(edge_var, log_f2v, n)
+    converged = residuals[-1] < config.convergence_eps
+    return BPResult(_normalize_rows_log(totals.T), converged, len(residuals), residuals)
 
 
 def _normalize_rows_log(log_rows: np.ndarray) -> np.ndarray:
@@ -272,19 +293,10 @@ def exact_marginals(graph: FactorGraph, cap: int = ENUMERATION_CAP) -> np.ndarra
     log_joint = np.zeros((N_VALUES,) * n)
     for f in graph.factors:
         table = np.log(f.table)
-        if f.arity == 1:
-            shape = [1] * n
-            shape[f.scope[0]] = N_VALUES
-            log_joint = log_joint + table.reshape(shape)
-        else:
-            a, b = f.scope
-            if a > b:
-                table = table.T
-                a, b = b, a
-            shape = [1] * n
-            shape[a] = N_VALUES
-            shape[b] = N_VALUES
-            log_joint = log_joint + table.reshape(shape)
+        if f.arity == 2 and f.scope[0] > f.scope[1]:
+            table = table.T
+        shape = [N_VALUES if v in f.scope else 1 for v in range(n)]
+        log_joint = log_joint + table.reshape(shape)
     marginals = np.empty((n, N_VALUES))
     for v in range(n):
         axes = tuple(i for i in range(n) if i != v)
@@ -304,33 +316,49 @@ def dump_graph(graph: FactorGraph) -> str:
     Node keys are rendered with str(); loading reconstructs them as strings.
     Identical graphs dump byte-identically.
     """
-    lines = []
-    for vid in range(graph.n_variables):
-        lines.append(f"var\t{vid}\t{graph.node_of(vid)}")
-    for f in graph.factors:
-        scope = ",".join(str(v) for v in f.scope)
-        values = " ".join(repr(float(x)) for x in f.table.ravel())
-        lines.append(f"factor\t{f.id}\t{f.kind}\t{scope}\t{values}")
+    kind, scope, table, rows = graph.columns()
+    values = [" ".join(map(repr, t)) for t in rows.tolist() + [t.ravel().tolist() for t in graph.bank]]
+    lines = [f"var\t{vid}\t{graph.node_of(vid)}" for vid in range(graph.n_variables)]
+    columns = zip(kind.tolist(), scope.tolist(), np.where(scope[:, 1] == -1, table, len(rows) + table).tolist())
+    for fid, (k, (a, b), t) in enumerate(columns):
+        scope_text = f"{a}" if b == -1 else f"{a},{b}"
+        lines.append(f"factor\t{fid}\t{graph.kinds[k]}\t{scope_text}\t{values[t]}")
     return "\n".join(lines) + "\n"
 
 
 def load_graph(text: str) -> FactorGraph:
+    """Parse :func:`dump_graph` output, adding every factor in one bulk call.
+
+    Malformed input raises ValueError naming its line.
+    """
     graph = FactorGraph()
+    kinds: dict[str, int] = {}
+    tables: dict[str, tuple[int, int]] = {}  # value text -> (arity, id into rows or bank)
+    rows, bank, factors = [], [], []
     for lineno, line in enumerate(text.splitlines(), 1):
+        parts = line.split("\t")
         if not line.strip() or line.startswith("#"):
             continue
-        parts = line.split("\t")
-        if parts[0] == "var":
-            if len(parts) != 3:
-                raise ValueError(f"line {lineno}: malformed variable line")
+        if parts[0] == "var" and len(parts) == 3 and not graph.has_variable(parts[2]):
             graph.add_variable(parts[2])
-        elif parts[0] == "factor":
-            if len(parts) != 5:
-                raise ValueError(f"line {lineno}: malformed factor line")
+            continue
+        try:
+            if parts[0] != "factor" or len(parts) != 5:
+                raise ValueError
             scope = [int(v) for v in parts[3].split(",")]
-            values = np.array([float(x) for x in parts[4].split()])
-            table = values if len(scope) == 1 else values.reshape(N_VALUES, N_VALUES)
-            graph.add_factor(scope, table, kind=parts[2])
-        else:
-            raise ValueError(f"line {lineno}: unknown record {parts[0]!r}")
+            if parts[4] not in tables:
+                values = [float(x) for x in parts[4].split()]
+                store = {N_VALUES: rows, N_VALUES * N_VALUES: bank}[len(values)]
+                if not all(x > 0 for x in values):
+                    raise ValueError
+                store.append(values)
+                tables[parts[4]] = (1 if store is rows else 2, len(store) - 1)
+            arity, table_id = tables[parts[4]]
+            if len(scope) != arity or min(scope) < 0 or max(scope) >= graph.n_variables:
+                raise ValueError
+        except (ValueError, KeyError):
+            raise ValueError(f"line {lineno}: malformed or duplicate record") from None
+        factors.append((kinds.setdefault(parts[2], len(kinds)), scope[0], scope[-1] if arity == 2 else -1, table_id))
+    columns = np.array(factors, dtype=np.int64).reshape(-1, 4)
+    graph.add_factors(list(kinds), columns[:, 0], columns[:, 1:3], columns[:, 3], rows, bank)
     return graph

@@ -13,23 +13,13 @@ from __future__ import annotations
 
 import logging
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    Attribute,
-    FrameNode,
-    ObjectPairNode,
-    RelationValue,
-    TOKEN_OF_RELATION,
-    canonicalize,
-    flip,
-    ordered_pair,
-    relation_from_token,
-)
+from .core import TOKEN_OF_RELATION, Attribute, FrameNode, ObjectPairNode, RelationValue, flip, ordered_pair
+from .core import relation_from_token
 
 logger = logging.getLogger(__name__)
 
@@ -125,6 +115,17 @@ def cosine(u, v) -> float:
     return float(u @ v / (nu * nv))
 
 
+def similar_pairs(store: EmbeddingStore, words: Sequence[str], threshold: float) -> np.ndarray:
+    """(W, W) mask of the word pairs whose :func:`cosine` exceeds ``threshold``,
+    as one product of row-normalized vectors; a word without a vector has none."""
+    vectors = [store.get(w) for w in words]
+    m = np.array([np.full(store.dim, np.nan) if v is None else v for v in vectors]).reshape(len(words), store.dim)
+    norms = np.linalg.norm(m, axis=1, keepdims=True)
+    # A zero-norm row stays zero (cosine 0.0); a missing word's NaN row compares false.
+    m = np.divide(m, norms, out=np.zeros_like(m), where=norms != 0)
+    return m @ m.T > threshold
+
+
 # -- co-occurrence counts and PMI --
 
 
@@ -162,20 +163,14 @@ class CooccurrenceStats:
 
 def load_cooccurrence(path) -> CooccurrenceStats:
     joint: dict[tuple[str, tuple[str, str]], int] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 4:
-                raise ValueError(f"{path}: line {lineno}: expected 4 columns, got {len(parts)}")
-            frame_key, x, y, count = parts
-            try:
-                count = int(count)
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-integer count {parts[3]!r}") from None
-            key = (frame_key, (x, y))
-            joint[key] = joint.get(key, 0) + count
+    for lineno, (frame_key, x, y, count) in _read_rows(path, 4):
+        try:
+            count = int(count)
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: non-integer count {count!r}") from None
+        if count < 1:
+            raise ValueError(f"{path}: line {lineno}: count {count} is below 1")
+        joint[(frame_key, (x, y))] = joint.get((frame_key, (x, y)), 0) + count
     return CooccurrenceStats(joint)
 
 

@@ -11,6 +11,7 @@ from physrel.builder import (
     add_selectional_preference_factors,
     add_similarity_factors,
     build,
+    factor_rows,
     flipped_table,
     frames_link,
     make_nodes,
@@ -19,7 +20,7 @@ from physrel.builder import (
 )
 from physrel.core import Attribute, FrameNode, ObjectPairNode, RelationValue
 from physrel.factorgraph import BPConfig, dump_graph, run_bp
-from physrel.lexstats import CooccurrenceStats, EmbeddingStore, Embeddings
+from physrel.lexstats import CooccurrenceStats, EmbeddingStore, Embeddings, cosine, similar_pairs
 from conftest import make_dataset
 
 SIZE, WEIGHT, SPEED = Attribute.SIZE, Attribute.WEIGHT, Attribute.SPEED
@@ -84,8 +85,8 @@ def test_make_nodes_covers_usable_items_only():
     b = make_nodes(ds, (SIZE, WEIGHT))
     # size: 2 frames + 2 pairs; weight: 1 frame.
     assert b.graph.n_variables == 5
-    assert b.has_node(FrameNode("throw", "dobj", None, WEIGHT))
-    assert not b.has_node(FrameNode("carry", "dobj", None, WEIGHT))
+    assert b.graph.has_variable(FrameNode("throw", "dobj", None, WEIGHT))
+    assert not b.graph.has_variable(FrameNode("carry", "dobj", None, WEIGHT))
 
 
 def test_seed_only_build_gives_uniform_dev_marginals():
@@ -93,8 +94,8 @@ def test_seed_only_build_gives_uniform_dev_marginals():
     cfg = BuildConfig(enabled_factor_kinds=frozenset({"seed"}))
     b = build((SIZE,), ds, None, None, None, cfg)
     result = run_bp(b.graph, BPConfig())
-    seed_node = b.var(ObjectPairNode("ant", "zebra", SIZE))
-    dev_node = b.var(ObjectPairNode("car", "house", SIZE))
+    seed_node = b.graph.variable(ObjectPairNode("ant", "zebra", SIZE))
+    dev_node = b.graph.variable(ObjectPairNode("car", "house", SIZE))
     assert np.allclose(result.marginals[seed_node], seed_table(LT))
     assert np.allclose(result.marginals[dev_node], [1 / 3, 1 / 3, 1 / 3])
 
@@ -161,9 +162,9 @@ def test_selpref_flipped_when_canonical_order_reverses_evidence():
     b = make_nodes(ds, (SIZE,))
     add_selectional_preference_factors(b, stats, BuildConfig(pmi_threshold=-1.0))
     assert kind_counts(b)["selpref"] == 1
-    factor = b.graph.factors[0]
-    f_var = b.var(FrameNode("threw", "dobj", None, SIZE))
-    p_var = b.var(ObjectPairNode("basketball", "person", SIZE))
+    factor = b.graph.factor(0)
+    f_var = b.graph.variable(FrameNode("threw", "dobj", None, SIZE))
+    p_var = b.graph.variable(ObjectPairNode("basketball", "person", SIZE))
     assert factor.scope == (f_var, p_var)
     assert np.array_equal(factor.table, flipped_table(SOFT_ONE))
 
@@ -173,7 +174,7 @@ def test_selpref_plain_when_orientation_matches():
     stats = CooccurrenceStats({("threw:dobj:-", ("basketball", "person")): 50})
     b = make_nodes(ds, (SIZE,))
     add_selectional_preference_factors(b, stats, BuildConfig(pmi_threshold=-1.0))
-    assert np.array_equal(b.graph.factors[0].table, SOFT_ONE)
+    assert np.array_equal(b.graph.factor(0).table, SOFT_ONE)
 
 
 def test_selpref_gated_by_pmi_threshold():
@@ -217,7 +218,7 @@ def test_selpref_orientation_conflict_resolves_to_larger_count():
     b = make_nodes(ds, (SIZE,))
     add_selectional_preference_factors(b, stats, BuildConfig(pmi_threshold=-10.0))
     assert kind_counts(b)["selpref"] == 1
-    assert np.array_equal(b.graph.factors[0].table, flipped_table(SOFT_ONE))
+    assert np.array_equal(b.graph.factor(0).table, flipped_table(SOFT_ONE))
 
 
 # -- similarity factors --
@@ -248,10 +249,10 @@ def test_object_similarity_same_side_and_opposite_side():
     cfg = BuildConfig(obj_sim_threshold=0.9)
     add_similarity_factors(b, emb, cfg)
     factors = {tuple(sorted(f.scope)): f for f in b.graph.factors if f.arity == 2}
-    cup_table = b.var(ObjectPairNode("cup", "table", SIZE))
-    mug_table = b.var(ObjectPairNode("mug", "table", SIZE))
-    apple_cup = b.var(ObjectPairNode("apple", "cup", SIZE))
-    apple_mug = b.var(ObjectPairNode("apple", "mug", SIZE))
+    cup_table = b.graph.variable(ObjectPairNode("cup", "table", SIZE))
+    mug_table = b.graph.variable(ObjectPairNode("mug", "table", SIZE))
+    apple_cup = b.graph.variable(ObjectPairNode("apple", "cup", SIZE))
+    apple_mug = b.graph.variable(ObjectPairNode("apple", "mug", SIZE))
     # Same side: cup and mug both first against table -> agreement table.
     same = factors[tuple(sorted((cup_table, mug_table)))]
     assert np.array_equal(same.table, SOFT_ONE)
@@ -278,7 +279,7 @@ def test_object_similarity_opposite_sides_uses_flipped_table():
     b_ = make_nodes(ds, (SIZE,))
     add_similarity_factors(b_, emb, BuildConfig(obj_sim_threshold=0.9))
     assert kind_counts(b_)["objsim"] == 1
-    assert np.array_equal(b_.graph.factors[0].table, flipped_table(SOFT_ONE))
+    assert np.array_equal(b_.graph.factor(0).table, flipped_table(SOFT_ONE))
 
 
 def test_directly_similar_pair_gets_eq_unary():
@@ -289,7 +290,7 @@ def test_directly_similar_pair_gets_eq_unary():
     b = make_nodes(ds, (SIZE,))
     add_similarity_factors(b, emb, BuildConfig(obj_sim_threshold=0.9))
     assert kind_counts(b)["objsim"] == 1
-    factor = b.graph.factors[0]
+    factor = b.graph.factor(0)
     assert factor.arity == 1
     assert np.array_equal(factor.table, SOFT_ONE[EQ])
 
@@ -302,6 +303,42 @@ def test_similarity_threshold_above_all_cosines_gives_no_factors():
     b = make_nodes(ds, (SIZE,))
     add_similarity_factors(b, emb, BuildConfig(obj_sim_threshold=1.1, verb_sim_threshold=1.1))
     assert kind_counts(b)["objsim"] == 0 and kind_counts(b)["verbsim"] == 0
+
+
+def test_similar_pairs_follow_the_scalar_cosine_rule():
+    rng = np.random.default_rng(5)
+    vectors = {f"w{i}": rng.normal(size=50) for i in range(6)}
+    vectors["zero"] = np.zeros(50)
+    store = EmbeddingStore(50, vectors)
+    words = sorted(vectors) + ["unknown"]
+    for threshold in (-0.5, -1e-9, 0.0, 0.3):
+        mask = similar_pairs(store, words, threshold)
+        for i, u in enumerate(words):
+            for j, v in enumerate(words):
+                expected = u in store and v in store and cosine(store.get(u), store.get(v)) > threshold
+                assert mask[i, j] == expected, (u, v, threshold)
+
+
+def test_zero_norm_object_links_under_a_negative_threshold():
+    # cosine(zero, anything) is 0.0: above -0.5, not above 0.0. "a" and "m"
+    # point in opposite directions, so they never link.
+    a = np.concatenate([[1.0], np.zeros(49)])
+    ds = make_dataset(pairs=[("a", "m", "dev", {SIZE: LT}), ("m", "zero", "dev", {SIZE: GT})])
+    emb = embeddings_for(obj_vecs={"a": a, "m": -a, "zero": np.zeros(50)})
+    b = make_nodes(ds, (SIZE,))
+    add_similarity_factors(b, emb, BuildConfig(obj_sim_threshold=-0.5))
+    # (a, zero) share comparator m, which sits between them: flipped link;
+    # (m, zero) is itself a node: EQ nudge.
+    a_m = b.graph.variable(ObjectPairNode("a", "m", SIZE))
+    m_zero = b.graph.variable(ObjectPairNode("m", "zero", SIZE))
+    assert kind_counts(b)["objsim"] == 2
+    assert b.graph.factor(0).scope == (a_m, m_zero)
+    assert np.array_equal(b.graph.factor(0).table, flipped_table(SOFT_ONE))
+    assert b.graph.factor(1).scope == (m_zero,)
+    assert np.array_equal(b.graph.factor(1).table, SOFT_ONE[EQ])
+    unlinked = make_nodes(ds, (SIZE,))
+    add_similarity_factors(unlinked, emb, BuildConfig(obj_sim_threshold=0.0))
+    assert unlinked.graph.n_factors == 0
 
 
 def test_verb_similarity_links_matching_frame_shapes_only():
@@ -322,7 +359,7 @@ def test_verb_similarity_links_matching_frame_shapes_only():
     # Only the dobj frames match on (type, preposition); the pobj frames
     # differ in preposition.
     assert kind_counts(b)["verbsim"] == 1
-    factor = b.graph.factors[0]
+    factor = b.graph.factor(0)
     assert {b.graph.node_of(v).verb for v in factor.scope} == {"hurl", "toss"}
 
 
@@ -445,11 +482,11 @@ def test_build_deterministic_dump(world):
 def test_duplicate_factors_do_not_stack():
     ds = selpref_dataset()
     b = make_nodes(ds, (SIZE,))
-    f_var = b.var(FrameNode("threw", "dobj", None, SIZE))
-    p_var = b.var(ObjectPairNode("basketball", "person", SIZE))
-    assert b.add_factor([f_var, p_var], SOFT_ONE, "selpref")
-    assert not b.add_factor([p_var, f_var], SOFT_ONE, "selpref")
-    assert b.graph.n_factors == 1
+    f_var = b.graph.variable(FrameNode("threw", "dobj", None, SIZE))
+    p_var = b.graph.variable(ObjectPairNode("basketball", "person", SIZE))
+    assert b.add([factor_rows("selpref", [f_var, p_var], [p_var, f_var])]).tolist() == [True, False]
+    assert b.add([factor_rows("selpref", [p_var], [f_var])]).tolist() == [False]
+    assert b.graph.n_factors == 1 and b.report == {"selpref": 1}
 
 
 def test_build_config_file_round_trip(tmp_path):

@@ -1,20 +1,67 @@
 """Factor graph and BP: message math, tree exactness, robustness."""
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
-from physrel.builder import SOFT_ONE
+from physrel.builder import SOFT_ONE, flipped_table
 from physrel.factorgraph import (
     BPConfig,
     FactorGraph,
     dump_graph,
     exact_marginals,
     load_graph,
-    message_factor_to_var,
-    message_var_to_factor,
     run_bp,
 )
 
 UNIFORM = np.full(3, 1 / 3)
+
+
+# -- reference message updates: one message at a time, from the factor view --
+
+
+def neighbors(graph, v):
+    """Ids of the factors whose scope holds variable v, in id order."""
+    return [f.id for f in graph.factors for u in f.scope if u == v]
+
+
+def message_var_to_factor(graph, v, f, inbox):
+    """Normalized product of factor-to-variable messages from N(v) \\ {f}.
+
+    ``inbox`` maps (factor_id, var_id) to the current factor-to-variable
+    message; absent messages count as uniform. The empty product is uniform.
+    """
+    adjacent = neighbors(graph, v)
+    if f not in adjacent:
+        raise ValueError(f"factor {f} is not a neighbor of variable {v}")
+    log_p = np.zeros(3)
+    for other in adjacent:
+        if other == f:
+            continue
+        msg = inbox.get((other, v))
+        if msg is not None:
+            log_p += np.log(np.asarray(msg, dtype=float))
+    log_p -= logsumexp(log_p)
+    return np.exp(log_p)
+
+
+def message_factor_to_var(graph, f, v, inbox):
+    """Marginalized belief about v from factor f and the other scope message.
+
+    ``inbox`` maps (var_id, factor_id) to the current variable-to-factor
+    message; absent messages count as uniform. A unary factor returns its
+    normalized potential.
+    """
+    factor = graph.factor(f)
+    if v not in factor.scope:
+        raise ValueError(f"variable {v} is not in the scope of factor {f}")
+    if factor.arity == 1:
+        return factor.table / factor.table.sum()
+    pos = factor.scope.index(v)
+    other = factor.scope[1 - pos]
+    msg = inbox.get((other, f))
+    msg = UNIFORM if msg is None else np.asarray(msg, dtype=float)
+    out = factor.table @ msg if pos == 0 else msg @ factor.table
+    return out / out.sum()
 
 
 def brute_force_factor_message(table, sender_msg, to_position):
@@ -204,17 +251,36 @@ def test_marginals_and_messages_normalized_on_loopy_graph():
 
 
 def test_damping_zero_matches_reference_implementation():
-    """Dual route: naive per-edge flooding BP built from the exposed message
-    ops must agree with the vectorized engine at damping 0."""
+    """Dual route: naive per-edge flooding BP built from the reference message
+    ops must agree with the vectorized engine at damping 0, on a mixed bank
+    (shared SOFT_ONE, its flip, per-factor random tables), scopes in both id
+    orders and a variable with no factors."""
     rng = np.random.default_rng(13)
     g = random_loopy(rng, 6, extra_edges=2)
+    lonely = g.add_variable("lonely")
+    y = [g.add_variable(f"y{i}") for i in range(3)]
+    flip = flipped_table(SOFT_ONE)
+    for scope, table in (
+        ([y[0], 0], SOFT_ONE),
+        ([3, y[1]], SOFT_ONE),
+        ([y[1], y[0]], flip),
+        ([y[2], 2], flip),
+        ([5, 1], SOFT_ONE),
+        ([y[2], y[0]], SOFT_ONE),
+        ([4, y[2]], flip),
+    ):
+        g.add_factor(scope, table, "shared")
+    g.add_factor([y[2]], [0.2, 0.3, 0.5], "unary")
+    assert len(g.bank) == 5 + 2 + 2  # tree and loop tables, then the two shared ones
+    assert any(f.scope[0] > f.scope[1] for f in g.factors if f.arity == 2)
     iterations = 37
 
+    # Unary messages are constant; the engine sends them from the start.
     f2v = {}
     v2f = {}
     for f in g.factors:
         for v in f.scope:
-            f2v[(f.id, v)] = UNIFORM.copy()
+            f2v[(f.id, v)] = message_factor_to_var(g, f.id, v, {}) if f.arity == 1 else UNIFORM.copy()
             v2f[(v, f.id)] = UNIFORM.copy()
     for _ in range(iterations):
         new_v2f = {
@@ -229,7 +295,7 @@ def test_damping_zero_matches_reference_implementation():
     reference = np.zeros((g.n_variables, 3))
     for v in range(g.n_variables):
         log_p = np.zeros(3)
-        for fid in g.neighbors(v):
+        for fid in neighbors(g, v):
             log_p += np.log(f2v[(fid, v)])
         log_p -= log_p.max()
         p = np.exp(log_p)
@@ -238,6 +304,35 @@ def test_damping_zero_matches_reference_implementation():
     result = run_bp(g, BPConfig(damping=0.0, convergence_eps=1e-300, max_iterations=iterations))
     assert not result.converged and result.iterations == iterations
     assert np.abs(result.marginals - reference).max() < 1e-12
+    assert np.allclose(result.marginals[lonely], UNIFORM)
+
+
+def test_shared_tables_are_stored_once():
+    g = FactorGraph()
+    for i in range(1001):
+        g.add_variable(i)
+    flip = flipped_table(SOFT_ONE)
+    for i in range(1000):
+        g.add_factor([i, i + 1], SOFT_ONE if i % 3 else flip, "shared")
+    assert g.n_factors == 1000
+    assert len(g.bank) == 2
+    assert np.array_equal(g.factor(0).table, flip) and np.array_equal(g.factor(1).table, SOFT_ONE)
+
+
+def test_residuals_trace_every_iteration():
+    rng = np.random.default_rng(31)
+    g = random_loopy(rng, 8, extra_edges=5)
+    stopped = set()
+    for config in (BPConfig(), BPConfig(max_iterations=3), BPConfig(damping=0.0, convergence_eps=1e-12)):
+        result = run_bp(g, config)
+        assert len(result.residuals) == result.iterations
+        assert (result.residuals[-1] < config.convergence_eps) == result.converged
+        stopped.add(result.converged)
+    assert stopped == {True, False}
+    unary_only = FactorGraph()
+    unary_only.add_factor([unary_only.add_variable("a")], [0.2, 0.3, 0.5])
+    result = run_bp(unary_only, BPConfig())
+    assert result.converged and result.residuals == [0.0] and result.iterations == 1
 
 
 def test_run_bp_deterministic():
@@ -323,3 +418,25 @@ def test_load_rejects_malformed_lines():
         load_graph("var\t0\n")
     with pytest.raises(ValueError):
         load_graph("thing\t0\tx\n")
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        "factor\t2\tk\t0,1\t1 1 1",  # three values for a binary scope
+        "factor\t2\tk\t0\t" + " ".join(["1"] * 9),  # nine values for a unary scope
+        "factor\t2\tk\t0,1,0\t" + " ".join(["1"] * 9),  # arity 3
+        "factor\t2\tk\tzero\t1 1 1",  # non-integer scope
+        "factor\t2\tk\t0,-1\t" + " ".join(["1"] * 9),  # negative variable id
+        "factor\t2\tk\t0,7\t" + " ".join(["1"] * 9),  # unknown variable
+        "factor\t2\tk\t1\t0.5 0.0 0.5",  # non-positive table
+        "factor\t2\tk\t1\t0.5 x 0.5",  # non-numeric value
+        "factor\t2\tk\t1",  # missing column
+        "var\t2\ta",  # duplicate variable
+    ],
+)
+def test_load_names_the_malformed_line(bad_line):
+    text = "var\t0\ta\nvar\t1\tb\n\nfactor\t0\tk\t0,1\t" + " ".join(["2"] * 9) + "\nfactor\t1\tk\t0\t1 2 3\n"
+    load_graph(text)
+    with pytest.raises(ValueError, match=r"^line 6: "):
+        load_graph(text + bad_line + "\n" + "factor\t3\tk\t1\t1 1 1\n")

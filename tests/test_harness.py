@@ -4,12 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from physrel.builder import BuildConfig, FACTOR_KINDS, train_models
+from physrel.builder import BuildConfig, train_models
 from physrel.core import Attribute, ObjectPairNode, RelationValue
 from physrel import harness
 from physrel.factorgraph import BPConfig
 from physrel.harness import (
-    AccuracyReport,
     DataPaths,
     TaskSpec,
     assemble_task_dataset,
@@ -18,7 +17,6 @@ from physrel.harness import (
     baseline_random,
     decide,
     build_graph,
-    load_world,
     prepare,
     run_ablation,
     run_task,
@@ -399,3 +397,24 @@ def test_cli_error_exits_nonzero(tmp_path):
     from physrel.cli import main
 
     assert main(["eval", "--data-dir", str(tmp_path / "missing")]) == 1
+
+
+def test_frame_with_only_zero_counts_fails_at_load(world, tmp_path):
+    """Zeroing every co-occurrence row of one frame used to load, and then
+    crash build inside pmi ("zero marginal count"); now the loader names the
+    first zero row."""
+    source = world.paths.cooccurrence.parent
+    for path in source.iterdir():
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    cooc = tmp_path / "cooccurrence.tsv"
+    lines = cooc.read_text(encoding="utf-8").splitlines()
+    frame_key = lines[-1].split("\t")[0]
+    first = None
+    for i, line in enumerate(lines):
+        fields = line.split("\t")
+        if fields[0] == frame_key:
+            lines[i] = "\t".join(fields[:3] + ["0"])
+            first = first or i + 1
+    cooc.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"cooccurrence\.tsv: line {first}: count 0 is below 1"):
+        prepare(TaskSpec("frames", "5", "dev"), DataPaths.from_dir(tmp_path))

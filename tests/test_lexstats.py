@@ -190,6 +190,14 @@ def test_load_cooccurrence(tmp_path):
         load_cooccurrence(bad)
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_load_cooccurrence_rejects_counts_below_one(tmp_path, count):
+    path = tmp_path / "cooc.tsv"
+    path.write_text(f"# comment\nf:dobj:-\ta\tb\t10\n\ng:dobj:-\ta\tc\t{count}\n")
+    with pytest.raises(ValueError, match=rf"cooc\.tsv: line 4: count {count} is below 1"):
+        load_cooccurrence(path)
+
+
 # -- dataset loading --
 
 FRAME_TSV = """# frames
