@@ -235,8 +235,8 @@ class Build:
         scopes = np.column_stack([a, b])[keep]
         self.graph.add_factors(FACTOR_KINDS, kind[keep], scopes, table[keep], rows, BINARY_TABLES)
         added = kind[keep]
-        for name, code in ((FACTOR_KINDS[c], c) for c in added[np.sort(np.unique(added, return_index=True)[1])]):
-            self.report[name] = self.report.get(name, 0) + int(np.count_nonzero(added == code))
+        for code in added[np.sort(np.unique(added, return_index=True)[1])]:  # kinds in first-added order
+            self.report[FACTOR_KINDS[code]] = self.report.get(FACTOR_KINDS[code], 0) + int((added == code).sum())
         return keep
 
     def report_tsv(self) -> str:

@@ -112,7 +112,7 @@ class FactorGraph:
         if len(scope) not in (1, 2) or table.shape != (N_VALUES,) * len(scope):
             raise ValueError(f"a table of shape {table.shape} does not fit scope {scope}")
         tables = {"unary_tables" if len(scope) == 1 else "binary_tables": [table]}
-        return self.add_factors([kind], [0], [(scope + (-1,))[:2]], [0], **tables)[0]
+        return self.add_factors([kind], [0], [scope if len(scope) == 2 else (scope[0], -1)], [0], **tables)[0]
 
     def add_factors(self, kinds, kind_ids, scopes, table_ids, unary_tables=(), binary_tables=()) -> range:
         """Append factors in bulk; returns their ids.
