@@ -378,7 +378,8 @@ def add_similarity_factors(build: Build, emb: Embeddings, cfg: BuildConfig) -> B
 
 def _among(similar: tuple[list[str], np.ndarray], words: list[str]) -> np.ndarray:
     """The similarity mask of a sorted sub-list of the similarity's words."""
-    return similar[1][np.ix_(*[np.searchsorted(similar[0], words)] * 2)]
+    index = np.searchsorted(similar[0], words)
+    return similar[1][np.ix_(index, index)]
 
 
 def _frame_factors(frames) -> np.ndarray:

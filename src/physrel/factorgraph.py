@@ -68,6 +68,7 @@ class FactorGraph:
         self._nodes: list[Hashable] = []
         self._var_of: dict[Hashable, int] = {}
         self.kinds: list[str] = []  # kind id -> name
+        self.bank: list[np.ndarray] = []  # table id -> distinct binary table (read-only)
         self._kinds: dict[str, int] = {}
         self._bank: dict[bytes, int] = {}  # binary table bytes -> table id
         # Chunks of factor columns (kind id, scope, table id) and unary rows,
@@ -142,17 +143,14 @@ class FactorGraph:
 
         kind_map = np.array([self._kinds.setdefault(k, len(self._kinds)) for k in kinds] + [0])
         self.kinds = list(self._kinds)
-        bank_map = np.array([self._bank.setdefault(t.tobytes(), len(self._bank)) for t in tables] + [0])
+        keys = [t.tobytes() for t in tables]
+        self.bank += [np.frombuffer(k).reshape(N_VALUES, N_VALUES) for k in dict.fromkeys(keys) if k not in self._bank]
+        bank_map = np.array([self._bank.setdefault(k, len(self._bank)) for k in keys] + [0])
         stored = np.where(unary, self._n_rows + table_ids, bank_map[np.where(unary, -1, table_ids)])
         self._chunks.append((kind_map[kind_ids], scopes, stored, rows))
         self._n_rows += len(rows)
         self._n_factors += len(scopes)
         return range(self._n_factors - len(scopes), self._n_factors)
-
-    @property
-    def bank(self) -> list[np.ndarray]:
-        """Distinct binary tables by table id (read-only)."""
-        return [np.frombuffer(key).reshape(N_VALUES, N_VALUES) for key in self._bank]
 
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Read-only factor arrays: kind ids (F,), scopes (F, 2), table ids
