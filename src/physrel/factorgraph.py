@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import N_VALUES
 
@@ -295,12 +294,10 @@ def exact_marginals(graph: FactorGraph, cap: int = ENUMERATION_CAP) -> np.ndarra
             table = table.T
         shape = [N_VALUES if v in f.scope else 1 for v in range(n)]
         log_joint = log_joint + table.reshape(shape)
+    joint = np.exp(log_joint - log_joint.max())  # the likeliest state weighs 1
     marginals = np.empty((n, N_VALUES))
     for v in range(n):
-        axes = tuple(i for i in range(n) if i != v)
-        log_m = logsumexp(log_joint, axis=axes) if axes else log_joint
-        log_m = log_m - log_m.max()
-        p = np.exp(log_m)
+        p = joint.sum(axis=tuple(i for i in range(n) if i != v))
         marginals[v] = p / p.sum()
     return marginals
 
