@@ -41,9 +41,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eval-split", choices=("dev", "test"), default="dev")
     parser.add_argument("--config", help="BuildConfig key=value file")
     parser.add_argument("--rng-seed", type=int, default=0)
-    parser.add_argument("--bp-max-iterations", type=int, default=100)
-    parser.add_argument("--bp-eps", type=float, default=1e-5)
-    parser.add_argument("--bp-damping", type=float, default=0.5)
+    bp = BPConfig()
+    parser.add_argument("--bp-max-iterations", type=int, default=bp.max_iterations)
+    parser.add_argument("--bp-eps", type=float, default=bp.convergence_eps)
+    parser.add_argument("--bp-damping", type=float, default=bp.damping)
 
 
 def _spec(args) -> TaskSpec:
@@ -101,7 +102,8 @@ def cmd_infer(args) -> int:
         p = result.beliefs[node]
         lines.append(f"{node.key}\t{p[0]:.6f}\t{p[1]:.6f}\t{p[2]:.6f}")
     (out / "marginals.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"converged={result.bp.converged} iterations={result.bp.iterations}")
+    report = result.report
+    print(f"converged={report.converged} iterations={report.iterations} residual={report.residual!r}")
     return 0
 
 
@@ -113,7 +115,11 @@ def cmd_eval(args) -> int:
         write_run(result, args.out_dir)
         report = result.report
         if not result.bp.converged:
-            print("warning: BP did not converge; reporting final-iteration marginals", file=sys.stderr)
+            print(
+                f"warning: BP did not converge (iterations={report.iterations} residual={report.residual!r});"
+                " reporting final-iteration marginals",
+                file=sys.stderr,
+            )
     else:
         if args.algorithm == "random":
             report = baseline_random(

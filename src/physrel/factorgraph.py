@@ -2,9 +2,9 @@
 
 Variables all share the domain (GT, EQ, LT). Factors are unary or binary with
 strictly positive tables, stored as arrays; binary factors share a bank of
-distinct 3x3 tables. Inference runs a synchronous (flooding) schedule with
-optional damping; products of incoming messages are accumulated in the log
-domain so high-degree variables cannot underflow.
+distinct 3x3 tables. Inference runs a synchronous (flooding) schedule,
+undamped by default (damping is optional); products of incoming messages are
+accumulated in the log domain so high-degree variables cannot underflow.
 
 A full-enumeration oracle (:func:`exact_marginals`) is provided for small
 graphs; sum-product marginals agree with it exactly on trees.
@@ -26,11 +26,15 @@ BP_BLOCK = 16384
 
 @dataclass(frozen=True)
 class BPConfig:
-    """Knobs for loopy BP on the synchronous (flooding) schedule."""
+    """Knobs for loopy BP on the synchronous (flooding) schedule.
+
+    Undamped by default: at paper scale it converges in fewer iterations than
+    damping 0.5 (which mostly stops at the cap); see ROADMAP item 4.
+    """
 
     max_iterations: int = 100
     convergence_eps: float = 1e-5
-    damping: float = 0.5
+    damping: float = 0.0
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -197,7 +201,8 @@ def _sum_by_variable(variables: np.ndarray, values: np.ndarray, n: int) -> np.nd
 
 
 def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
-    """Synchronous damped sum-product until message change < eps.
+    """Synchronous sum-product, damped by ``config.damping``, until every
+    message changes by less than eps.
 
     Non-convergence is reported through the flag, not raised; marginals at
     the final iteration are returned either way. Unary-factor messages are
@@ -235,8 +240,9 @@ def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
         k = raw.shape[1]
         np.add(np.add(raw[0], raw[1], out=row[:k]), raw[2], out=row[:k])
         raw /= row[:k]
-        raw *= 1.0 - config.damping
-        raw += np.multiply(old[:, cols], config.damping, out=diff[:, :k])
+        if config.damping:  # at 0 the blend would leave raw bit-identical
+            raw *= 1.0 - config.damping
+            raw += np.multiply(old[:, cols], config.damping, out=diff[:, :k])
         np.subtract(raw, old[:, cols], out=diff[:, :k])
         old[:, cols] = raw
         return max(diff[:, :k].max(), -diff[:, :k].min())

@@ -145,6 +145,7 @@ class AccuracyReport:
     config_fingerprint: str
     converged: Optional[bool] = None
     iterations: Optional[int] = None
+    residual: Optional[float] = None  # BP's last largest message change
 
     def to_tsv(self) -> str:
         lines = [
@@ -153,6 +154,7 @@ class AccuracyReport:
             f"eval_split\t{self.eval_split}",
             f"converged\t{self.converged}",
             f"iterations\t{self.iterations}",
+            f"residual\t{self.residual!r}",
             f"config_fingerprint\t{self.config_fingerprint}",
         ]
         for attr in sorted(self.per_attribute):
@@ -172,6 +174,7 @@ class AccuracyReport:
             "micro": self.micro,
             "converged": self.converged,
             "iterations": self.iterations,
+            "residual": self.residual,
             "config_fingerprint": self.config_fingerprint,
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -186,6 +189,7 @@ def _score(
     fingerprint: str,
     converged: Optional[bool] = None,
     iterations: Optional[int] = None,
+    residual: Optional[float] = None,
 ) -> AccuracyReport:
     per_attribute: dict[str, float] = {}
     counts: dict[str, int] = {}
@@ -212,6 +216,7 @@ def _score(
         config_fingerprint=fingerprint,
         converged=converged,
         iterations=iterations,
+        residual=residual,
     )
 
 
@@ -439,6 +444,7 @@ def infer(
         fingerprint=fingerprint,
         converged=bp.converged,
         iterations=bp.iterations,
+        residual=bp.residuals[-1],
     )
     return RunResult(report, predictions, beliefs, built, bp)
 

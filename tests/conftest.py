@@ -3,7 +3,6 @@ from pathlib import Path
 
 import pytest
 
-from physrel.core import Attribute, RelationValue
 from physrel.harness import DataPaths
 from physrel.lexstats import FrameItem, KnowledgeDataset, PairItem
 from physrel.synthetic import generate_world

@@ -11,8 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from physrel.builder import BuildConfig, train_models
-from physrel.core import Attribute, ObjectPairNode, RelationValue
+from physrel.builder import BuildConfig
+from physrel.core import Attribute, ObjectPairNode
 from physrel.factorgraph import BPConfig, FactorGraph, exact_marginals, run_bp
 from physrel.harness import (
     DataPaths,

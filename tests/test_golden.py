@@ -1,9 +1,11 @@
 """Golden guard: run_task on the synthetic world reproduces pinned outputs.
 
-Pins, per task spec at default configs: the sha256 of the graph dump, the
+Pins, per task spec at the default build config and ``BPConfig(damping=0.5)``
+(the BP config the file was recorded with): the sha256 of the graph dump, the
 per-kind factor counts, the BP iteration count and every marginal (within
-1e-12). Regenerate ``golden_run_task.json`` only for a change that is meant
-to alter these outputs:
+1e-12). The default, undamped BP config must reach the same fixed point.
+Regenerate ``golden_run_task.json`` only for a change that is meant to alter
+these outputs:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -18,7 +20,7 @@ import pytest
 
 from physrel.builder import BuildConfig
 from physrel.factorgraph import BPConfig
-from physrel.harness import TaskSpec, run_task
+from physrel.harness import TaskSpec, infer, prepare, run_task
 
 GOLDEN = Path(__file__).with_name("golden_run_task.json")
 SPECS = (TaskSpec("frames", "5", "dev"), TaskSpec("objects", "20", "test"))
@@ -29,7 +31,7 @@ def spec_name(spec: TaskSpec) -> str:
 
 
 def snapshot(spec: TaskSpec, paths) -> dict:
-    result = run_task(spec, BuildConfig(), BPConfig(), paths)
+    result = run_task(spec, BuildConfig(), BPConfig(damping=0.5), paths)
     return {
         "graph_sha256": hashlib.sha256(result.graph_dump().encode("utf-8")).hexdigest(),
         "report": dict(sorted(result.build.report.items())),
@@ -48,6 +50,17 @@ def test_run_task_matches_golden(world, spec):
     marginals, expected = np.array(got["marginals"]), np.array(golden["marginals"])
     assert marginals.shape == expected.shape
     assert np.abs(marginals - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=spec_name)
+def test_default_bp_reaches_the_golden_fixed_point(world, spec):
+    expected = np.array(json.loads(GOLDEN.read_text(encoding="utf-8"))[spec_name(spec)]["marginals"])
+    prepared = prepare(spec, world.paths)
+    damped = infer(prepared, BuildConfig(), BPConfig(damping=0.5))
+    default = infer(prepared, BuildConfig(), BPConfig())
+    assert default.bp.converged
+    assert default.report.per_attribute == damped.report.per_attribute
+    assert np.abs(default.bp.marginals - expected).max() <= 1e-5
 
 
 if __name__ == "__main__":

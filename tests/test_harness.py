@@ -17,6 +17,7 @@ from physrel.harness import (
     baseline_random,
     decide,
     build_graph,
+    infer,
     prepare,
     run_ablation,
     run_task,
@@ -193,6 +194,22 @@ def test_run_task_report_fields(world):
     assert report.converged is not None and report.iterations >= 1
     assert len(report.config_fingerprint) == 16
     assert len(result.predictions) == sum(report.counts.values())
+
+
+def test_report_residual_is_the_last_bp_residual(world):
+    prepared = prepare(TaskSpec(task="objects", cross_seed_fraction="20", eval_split="test"), world.paths)
+    stopped = set()
+    for bp_cfg in (BPConfig(), BPConfig(max_iterations=2)):
+        result = infer(prepared, BuildConfig(), bp_cfg)
+        report = result.report
+        assert report.residual == result.bp.residuals[-1]
+        assert (report.residual < bp_cfg.convergence_eps) == report.converged
+        assert f"residual\t{report.residual!r}\n" in report.to_tsv()
+        assert json.loads(report.to_json())["residual"] == report.residual
+        stopped.add(report.converged)
+    assert stopped == {True, False}
+    baseline = baseline_majority(prepared.dataset, prepared.spec)
+    assert baseline.residual is None and "residual\tNone\n" in baseline.to_tsv()
 
 
 def test_run_task_pair_belief_orientation(world):
@@ -391,6 +408,22 @@ def test_cli_build_and_train_match_the_library(world, tmp_path):
         saved = load_model(tmp_path / "train" / f"maxent_{attribute.value}_{node_class}.txt")
         assert np.array_equal(saved.weights, model.weights)
         assert np.array_equal(saved.bias, model.bias)
+
+
+def test_cli_bp_defaults_come_from_bp_config(world, tmp_path, capsys):
+    import argparse
+
+    from physrel.cli import _add_common, _bp_cfg, main
+
+    parser = argparse.ArgumentParser()
+    _add_common(parser)
+    assert _bp_cfg(parser.parse_args(["--data-dir", "d"])) == BPConfig()
+
+    out = tmp_path / "infer"
+    assert main(["infer", "--data-dir", str(world.paths.frames_5.parent), "--out-dir", str(out), "--task", "objects"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    expected = f"converged={report['converged']} iterations={report['iterations']} residual={report['residual']!r}"
+    assert capsys.readouterr().out.strip() == expected
 
 
 def test_cli_error_exits_nonzero(tmp_path):

@@ -8,7 +8,6 @@ from physrel.core import Attribute, RelationValue
 from physrel.lexstats import (
     CooccurrenceStats,
     EmbeddingStore,
-    KnowledgeDataset,
     LabelAccessError,
     cosine,
     load_cooccurrence,
