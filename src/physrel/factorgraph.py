@@ -3,7 +3,7 @@
 Variables all share the domain (GT, EQ, LT). Factors are unary or binary with
 strictly positive tables, stored as arrays; binary factors share a bank of
 distinct 3x3 tables. Inference runs a synchronous (flooding) schedule,
-undamped by default (damping is optional); products of incoming messages are
+undamped unless configured otherwise; products of incoming messages are
 accumulated in the log domain so high-degree variables cannot underflow.
 
 A full-enumeration oracle (:func:`exact_marginals`) is provided for small
@@ -28,8 +28,8 @@ BP_BLOCK = 16384
 class BPConfig:
     """Knobs for loopy BP on the synchronous (flooding) schedule.
 
-    Undamped by default: at paper scale it converges in fewer iterations than
-    damping 0.5 (which mostly stops at the cap); see ROADMAP item 4.
+    Undamped by default: on the paper-scale synthetic world it converges in
+    about half the iterations damping 0.5 needs, which mostly stop at the cap.
     """
 
     max_iterations: int = 100
