@@ -1,7 +1,10 @@
 """Assemble the per-attribute (optionally cross-attribute) factor graph.
 
-Node set: one variable per usable dataset item per requested attribute.
-Factor families, each behind its own kind tag so ablations can switch them:
+Node set: one variable per usable dataset item per requested attribute,
+numbered once by :func:`make_nodes`. Each family then appends its factors to
+the graph in one bulk call; the graph is the only record of them, and the
+build report is counted from it. Factor families, each behind its own kind
+tag so ablations can switch them:
 
 * ``seed``    unary, gold-label row of the soft-1 matrix, seed split only
 * ``emb``     unary, classifier probabilities, every node
@@ -13,19 +16,20 @@ Factor families, each behind its own kind tag so ablations can switch them:
 * ``attrsim`` binary, same frame across attributes that agree on seed labels
 
 All binary factors use the fixed soft-1 agreement matrix; a row-flipped copy
-encodes the expectation that two variables take opposite values.
+encodes the expectation that two variables take opposite values. No family
+emits two factors with the same kind and unordered scope, so none is
+deduplicated.
 """
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, fields
 from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ATTRIBUTES, FRAME_TYPE_ROLES, Attribute, NodeRef, RelationValue, flip
+from .core import ATTRIBUTES, FRAME_TYPE_ROLES, Attribute, RelationValue, flip
 from .factorgraph import FactorGraph
 from .lexstats import CooccurrenceStats, Embeddings, KnowledgeDataset, pmi, similar_pairs
 from .maxent import MaxentModel, TrainConfig, featurize_frame, featurize_object_pair, predict_proba, train
@@ -77,7 +81,7 @@ class BuildConfig:
         unknown = set(self.enabled_factor_kinds) - set(FACTOR_KINDS)
         if unknown:
             raise ValueError(f"unknown factor kinds {sorted(unknown)}")
-        for name in ("verb_sim_threshold", "obj_sim_threshold", "pmi_threshold"):
+        for name in ("verb_sim_threshold", "obj_sim_threshold", "pmi_threshold", "attr_agreement_threshold"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
@@ -85,20 +89,8 @@ class BuildConfig:
         return kind in self.enabled_factor_kinds
 
     def to_text(self) -> str:
-        kinds = ",".join(sorted(self.enabled_factor_kinds))
-        lines = [
-            f"verb_sim_threshold={self.verb_sim_threshold!r}",
-            f"obj_sim_threshold={self.obj_sim_threshold!r}",
-            f"pmi_threshold={self.pmi_threshold!r}",
-            f"attr_agreement_threshold={self.attr_agreement_threshold!r}",
-            f"min_shared_seed_frames={self.min_shared_seed_frames}",
-            f"enabled_factor_kinds={kinds}",
-            f"seed_frames={self.seed_frames}",
-            f"seed_objects={self.seed_objects}",
-            f"emb_frames={self.emb_frames}",
-            f"emb_objects={self.emb_objects}",
-        ]
-        return "\n".join(lines) + "\n"
+        """One ``key=value`` line per field, in declaration order."""
+        return "".join(f"{f.name}={_format_value(getattr(self, f.name))}\n" for f in fields(self))
 
     def to_file(self, path) -> None:
         with open(path, "w", encoding="utf-8") as handle:
@@ -106,31 +98,45 @@ class BuildConfig:
 
     @classmethod
     def from_file(cls, path) -> "BuildConfig":
-        values: dict[str, str] = {}
+        """Parse :meth:`to_text` output; any field may be left out. Raises
+        ValueError naming the file, and the line of a malformed one."""
+        field_types = {f.name: type(f.default) for f in fields(cls)}
+        kwargs: dict = {}
         with open(path, encoding="utf-8") as handle:
             for lineno, line in enumerate(handle, 1):
                 if not line.strip() or line.startswith("#"):
                     continue
-                if "=" not in line:
-                    raise ValueError(f"{path}: line {lineno}: expected key=value")
-                key, _, value = line.partition("=")
-                values[key.strip()] = value.strip()
-        kwargs: dict = {}
-        for key, value in values.items():
-            if key in ("verb_sim_threshold", "obj_sim_threshold", "pmi_threshold", "attr_agreement_threshold"):
-                kwargs[key] = float(value)
-            elif key == "min_shared_seed_frames":
-                kwargs[key] = int(value)
-            elif key == "enabled_factor_kinds":
-                kwargs[key] = frozenset(k for k in value.split(",") if k)
-            elif key in ("seed_frames", "seed_objects", "emb_frames", "emb_objects"):
-                kwargs[key] = value.lower() == "true"
-            else:
-                raise ValueError(f"{path}: unknown config key {key!r}")
-        return cls(**kwargs)
+                key, sep, value = (part.strip() for part in line.partition("="))
+                try:
+                    if not sep:
+                        raise ValueError("expected key=value")
+                    if key not in field_types:
+                        raise ValueError(f"unknown config key {key!r}")
+                    kwargs[key] = _parse_value(field_types[key], value)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def fingerprint(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
+
+
+def _format_value(value) -> str:
+    return ",".join(sorted(value)) if isinstance(value, frozenset) else repr(value)
+
+
+def _parse_value(field_type: type, text: str):
+    """The ``field_type`` value (a field default's type) that ``text`` spells."""
+    if field_type is bool:
+        if text.lower() not in ("true", "false"):
+            raise ValueError(f"expected true or false, got {text!r}")
+        return text.lower() == "true"
+    if field_type is frozenset:
+        return frozenset(k for k in text.split(",") if k)
+    return field_type(text)
 
 
 # -- trained classifier bundle --
@@ -208,67 +214,48 @@ class Build:
     attributes: tuple[Attribute, ...]
     frame_items: dict[tuple, object]  # item key -> FrameItem, in key order
     pair_items: dict[tuple, object]
-    report: dict[str, int] = field(default_factory=dict)
-    _keys: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
+    # (items, attributes) variable ids of the frame and of the pair items, in
+    # key order and attribute column order; -1 where the graph has no node.
+    item_vars: tuple[np.ndarray, np.ndarray]
 
-    @cached_property
-    def item_vars(self) -> tuple[np.ndarray, np.ndarray]:
-        """(items, attributes) variable ids of the frame and of the pair
-        items, in key order; -1 where the graph has no node."""
-        out = []
-        for items in (self.frame_items.values(), self.pair_items.values()):
-            nodes = [it.node(a) for it in items for a in self.attributes]
-            out.append(self.graph.variables(nodes).reshape(len(items), len(self.attributes)))
-        return tuple(out)
+    @property
+    def report(self) -> dict[str, int]:
+        """Factor count per kind, for the kinds the graph has."""
+        counts = np.bincount(self.graph.columns()[0], minlength=len(self.graph.kinds))
+        return {kind: int(n) for kind, n in zip(self.graph.kinds, counts) if n}
 
-    def add(self, chunks: Sequence[np.ndarray], rows: Sequence = ()) -> np.ndarray:
-        """Add :func:`factor_rows` chunks in order, unary table ids indexing
-        ``rows``; skip each factor whose kind and unordered scope an earlier
-        one has. Returns which factors were added."""
-        kind, a, b, table = np.concatenate([np.zeros((0, 4), np.int64), *chunks]).T
-        lo, hi = np.where(b == -1, a, np.minimum(a, b)), np.where(b == -1, -1, np.maximum(a, b))
-        key = (kind << 58) | (lo << 29) | (hi + 1)  # variable ids fit in 29 bits
-        keep = np.zeros(len(key), dtype=bool)
-        keep[np.unique(key, return_index=True)[1]] = True
-        keep &= ~np.isin(key, self._keys)
-        self._keys = np.concatenate([self._keys, key[keep]])
-        scopes = np.column_stack([a, b])[keep]
-        self.graph.add_factors(FACTOR_KINDS, kind[keep], scopes, table[keep], rows, BINARY_TABLES)
-        added = kind[keep]
-        for code in added[np.sort(np.unique(added, return_index=True)[1])]:  # kinds in first-added order
-            self.report[FACTOR_KINDS[code]] = self.report.get(FACTOR_KINDS[code], 0) + int((added == code).sum())
-        return keep
+    def add(self, chunks: Sequence[np.ndarray], rows: Sequence = ()) -> None:
+        """Add :func:`factor_rows` chunks in order, unary table ids indexing ``rows``."""
+        factors = np.concatenate([np.zeros((0, 4), np.int64), *chunks])
+        self.graph.add_factors(FACTOR_KINDS, factors[:, 0], factors[:, 1:3], factors[:, 3], rows, BINARY_TABLES)
 
     def report_tsv(self) -> str:
+        report = self.report
         lines = [f"variables\t{self.graph.n_variables}"]
         for kind in FACTOR_KINDS:
-            lines.append(f"{kind}\t{self.report.get(kind, 0)}")
+            lines.append(f"{kind}\t{report.get(kind, 0)}")
         return "\n".join(lines) + "\n"
 
 
-def _resolve_attributes(attributes) -> tuple[Attribute, ...]:
-    if attributes is None or attributes == "all":
-        return ATTRIBUTES
-    if isinstance(attributes, Attribute):
-        return (attributes,)
-    return tuple(attributes)
-
-
 def make_nodes(dataset: KnowledgeDataset, attributes=None) -> Build:
-    """One variable per usable (item, attribute); deterministic id order."""
-    attrs = _resolve_attributes(attributes)
+    """One variable per usable (item, attribute), all attributes by default.
+
+    Ids run attribute by attribute in ``ATTRIBUTES`` order, whatever the
+    order of ``attributes``; within an attribute, its frames and then its
+    pairs, each in dataset key order.
+    """
+    attrs = ATTRIBUTES if attributes is None else tuple(attributes)
     graph = FactorGraph()
-    nodes: list[NodeRef] = []
-    for attribute in attrs:
-        for it in dataset.frames:
-            if dataset.has_label(it, attribute):
-                nodes.append(it.node(attribute))
-        for it in dataset.pairs:
-            if dataset.has_label(it, attribute):
-                nodes.append(it.node(attribute))
-    for node in sorted(nodes, key=lambda n: n.sort_key):
-        graph.add_variable(node)
-    return Build(graph, attrs, {it.key: it for it in dataset.frames}, {it.key: it for it in dataset.pairs})
+    item_vars = tuple(np.full((len(items), len(attrs)), -1, np.int64) for items in (dataset.frames, dataset.pairs))
+    for attribute in ATTRIBUTES:
+        if attribute not in attrs:
+            continue
+        column = attrs.index(attribute)
+        for items, variables in zip((dataset.frames, dataset.pairs), item_vars):
+            for row, it in enumerate(items):
+                if dataset.has_label(it, attribute):
+                    variables[row, column] = graph.add_variable(it.node(attribute))
+    return Build(graph, attrs, {it.key: it for it in dataset.frames}, {it.key: it for it in dataset.pairs}, item_vars)
 
 
 def add_seed_and_emb_factors(
@@ -282,15 +269,14 @@ def add_seed_and_emb_factors(
         rows.append(table)
 
     with dataset.audit_label_access({"seed"}):
-        for attribute in build.attributes:
-            for items, seeded, embedded, proba in (
-                (dataset.frames, cfg.seed_frames, cfg.emb_frames, "frame_proba"),
-                (dataset.pairs, cfg.seed_objects, cfg.emb_objects, "pair_proba"),
+        for column, attribute in enumerate(build.attributes):
+            for items, variables, seeded, embedded, proba in (
+                (dataset.frames, build.item_vars[0], cfg.seed_frames, cfg.emb_frames, "frame_proba"),
+                (dataset.pairs, build.item_vars[1], cfg.seed_objects, cfg.emb_objects, "pair_proba"),
             ):
-                for it in items:
-                    if not dataset.has_label(it, attribute):
+                for it, var in zip(items, variables[:, column].tolist()):
+                    if var < 0:
                         continue
-                    var = build.graph.variable(it.node(attribute))
                     if cfg.enabled("seed") and seeded and it.split == "seed":
                         unary("seed", var, seed_table(dataset.gold(it, attribute)))
                     if cfg.enabled("emb") and embedded:

@@ -98,8 +98,7 @@ def cmd_infer(args) -> int:
     out = Path(args.out_dir)
     (out / "graph.txt").write_text(result.graph_dump(), encoding="utf-8")
     lines = ["node\tp_gt\tp_eq\tp_lt"]
-    for node in sorted(result.beliefs, key=lambda n: n.sort_key):
-        p = result.beliefs[node]
+    for node, p in result.beliefs.items():
         lines.append(f"{node.key}\t{p[0]:.6f}\t{p[1]:.6f}\t{p[2]:.6f}")
     (out / "marginals.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     report = result.report

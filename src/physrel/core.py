@@ -26,10 +26,6 @@ class Attribute(enum.Enum):
     def __str__(self) -> str:
         return self.value
 
-    @property
-    def index(self) -> int:
-        return _ATTRIBUTE_ORDER[self]
-
     @classmethod
     def from_token(cls, token: str) -> "Attribute":
         try:
@@ -37,8 +33,6 @@ class Attribute(enum.Enum):
         except ValueError:
             raise ValueError(f"unknown attribute token {token!r}") from None
 
-
-_ATTRIBUTE_ORDER = {a: i for i, a in enumerate(Attribute)}
 
 ATTRIBUTES = tuple(Attribute)
 
@@ -127,10 +121,6 @@ class ObjectPairNode:
     def key(self) -> str:
         return f"pair:{self.attribute}:{self.x}|{self.y}"
 
-    @property
-    def sort_key(self) -> tuple:
-        return (self.attribute.index, 1, self.x, self.y)
-
     def __str__(self) -> str:
         return self.key
 
@@ -153,10 +143,6 @@ class FrameNode:
     @property
     def key(self) -> str:
         return f"frame:{self.attribute}:{self.frame_key}"
-
-    @property
-    def sort_key(self) -> tuple:
-        return (self.attribute.index, 0, self.verb, self.frame_type, self.preposition or "")
 
     def __str__(self) -> str:
         return self.key

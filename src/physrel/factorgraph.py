@@ -94,10 +94,6 @@ class FactorGraph:
     def variable(self, node: Hashable) -> int:
         return self._var_of[node]
 
-    def variables(self, nodes: Sequence[Hashable]) -> np.ndarray:
-        """Variable ids of ``nodes``; -1 for a node without a variable."""
-        return np.array([self._var_of.get(node, -1) for node in nodes], dtype=np.int64)
-
     def has_variable(self, node: Hashable) -> bool:
         return node in self._var_of
 
@@ -211,7 +207,9 @@ def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
 
     Messages are value-major ``(3, 2B)`` arrays: column e < B is slot 0 of
     binary factor e and column B + e its slot 1, factors ordered by bank table.
-    After the per-variable totals, an iteration updates BP_BLOCK factors at a time.
+    After the per-variable totals, an iteration updates BP_BLOCK factors at a
+    time; each run of them that shares a bank table is marginalized against
+    that one 3x3 table.
     """
     n = graph.n_variables
     if n == 0:
@@ -226,10 +224,13 @@ def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
     if b == 0:
         return BPResult(_normalize_rows_log(base.T), True, 1, [0.0])
     edge_var = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    # Per block, the factors' shared table, or else each one's along a last axis.
-    bank = np.stack(graph.bank)
-    blocks = [(lo, min(lo + BP_BLOCK, b)) for lo in range(0, b, BP_BLOCK)]
-    tables = [bank[tids[lo]] if tids[lo] == tids[hi - 1] else bank[tids[lo:hi]].transpose(1, 2, 0) for lo, hi in blocks]
+    # Blocks of at most BP_BLOCK factors, each cut into runs that share a bank table.
+    starts = np.flatnonzero(np.diff(tids, prepend=-1))
+    blocks = []
+    for lo in range(0, b, BP_BLOCK):
+        hi = min(lo + BP_BLOCK, b)
+        cuts = [lo, *starts[(starts > lo) & (starts < hi)].tolist(), hi]
+        blocks.append((lo, hi, [(s - lo, e - lo, graph.bank[tids[s]]) for s, e in zip(cuts, cuts[1:])]))
 
     f2v = np.full((N_VALUES, 2 * b), 1.0 / N_VALUES)
     v2f, log_f2v = f2v.copy(), np.log(f2v)
@@ -251,7 +252,7 @@ def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
     for _ in range(config.max_iterations):
         totals = base + _sum_by_variable(edge_var, log_f2v, n)
         delta = 0.0
-        for (lo, hi), t in zip(blocks, tables):
+        for lo, hi, runs in blocks:
             raw, k = new[:, : hi - lo], hi - lo
             slot0, slot1 = slice(lo, hi), slice(b + lo, b + hi)
             for cols in (slot0, slot1):
@@ -264,9 +265,10 @@ def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
                 delta = max(delta, update(v2f, cols, np.exp(raw, out=raw)))
             # Factor -> variable: marginalize the table against the message
             # arriving at the opposite slot.
-            axes = "xy" if t.ndim == 2 else "xye"
             for cols, opposite, to in ((slot0, slot1, "ye->xe"), (slot1, slot0, "xe->ye")):
-                delta = max(delta, update(f2v, cols, np.einsum(f"{axes},{to}", t, v2f[:, opposite], out=raw)))
+                for s, e, table in runs:
+                    np.einsum(f"xy,{to}", table, v2f[:, opposite][:, s:e], out=raw[:, s:e])
+                delta = max(delta, update(f2v, cols, raw))
                 np.log(f2v[:, cols], out=log_f2v[:, cols])
         residuals.append(float(delta))
         if delta < config.convergence_eps:
@@ -330,6 +332,7 @@ def dump_graph(graph: FactorGraph) -> str:
 def load_graph(text: str) -> FactorGraph:
     """Parse :func:`dump_graph` output, adding every factor in one bulk call.
 
+    Each record's id must be its position among the records of its type.
     Malformed input raises ValueError naming its line.
     """
     graph = FactorGraph()
@@ -340,11 +343,12 @@ def load_graph(text: str) -> FactorGraph:
         parts = line.split("\t")
         if not line.strip() or line.startswith("#"):
             continue
-        if parts[0] == "var" and len(parts) == 3 and not graph.has_variable(parts[2]):
+        is_var = parts[0] == "var" and len(parts) == 3 and parts[1] == str(graph.n_variables)
+        if is_var and not graph.has_variable(parts[2]):
             graph.add_variable(parts[2])
             continue
         try:
-            if parts[0] != "factor" or len(parts) != 5:
+            if parts[0] != "factor" or len(parts) != 5 or parts[1] != str(len(factors)):
                 raise ValueError
             scope = [int(v) for v in parts[3].split(",")]
             if parts[4] not in tables:

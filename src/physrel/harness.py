@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
@@ -164,20 +164,7 @@ class AccuracyReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        payload = {
-            "algorithm": self.algorithm,
-            "task": self.task,
-            "eval_split": self.eval_split,
-            "per_attribute": self.per_attribute,
-            "counts": self.counts,
-            "overall": self.overall,
-            "micro": self.micro,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "config_fingerprint": self.config_fingerprint,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
 
 def _score(
@@ -350,7 +337,7 @@ class Prediction:
 class RunResult:
     report: AccuracyReport
     predictions: list[Prediction]
-    beliefs: dict[NodeRef, np.ndarray]
+    beliefs: dict[NodeRef, np.ndarray]  # in variable id order
     build: Build
     bp: BPResult
 

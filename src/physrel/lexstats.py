@@ -71,7 +71,8 @@ class EmbeddingStore:
 
 
 def load_embeddings(path, expected_dim: int) -> EmbeddingStore:
-    """Parse a plain-text embedding file, validating every row's arity."""
+    """Parse a plain-text embedding file, validating every row's arity and
+    that its values are finite."""
     store = EmbeddingStore(expected_dim)
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, 1):
@@ -87,6 +88,8 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingStore:
                 vec = np.array([float(x) for x in parts[1:]])
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: non-numeric value") from None
+            if not np.isfinite(vec).all():
+                raise ValueError(f"{path}: line {lineno}: non-finite value")
             if word in store._vectors:
                 logger.warning("%s: line %d: duplicate word %r kept first occurrence", path, lineno, word)
                 continue

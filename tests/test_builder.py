@@ -1,4 +1,6 @@
 """Graph assembly: the soft-1 constant, orientation handling, factor gating."""
+import re
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from physrel.builder import (
     add_selectional_preference_factors,
     add_similarity_factors,
     build,
-    factor_rows,
     flipped_table,
     frames_link,
     make_nodes,
@@ -87,6 +88,23 @@ def test_make_nodes_covers_usable_items_only():
     assert b.graph.n_variables == 5
     assert b.graph.has_variable(FrameNode("throw", "dobj", None, WEIGHT))
     assert not b.graph.has_variable(FrameNode("carry", "dobj", None, WEIGHT))
+
+
+def test_make_nodes_numbers_attributes_in_canonical_order():
+    ds = two_split_dataset()
+    expected = [
+        "frame:size:carry:dobj:-",
+        "frame:size:throw:dobj:-",
+        "pair:size:ant|zebra",
+        "pair:size:car|house",
+        "frame:weight:throw:dobj:-",
+    ]
+    for attributes in ((SIZE, WEIGHT), (WEIGHT, SIZE)):
+        b = make_nodes(ds, attributes)
+        assert [str(b.graph.node_of(v)) for v in range(b.graph.n_variables)] == expected
+    # Columns follow the order asked for: weight, then size.
+    assert b.item_vars[0].tolist() == [[-1, 0], [4, 1]]
+    assert b.item_vars[1].tolist() == [[-1, 2], [-1, 3]]
 
 
 def test_seed_only_build_gives_uniform_dev_marginals():
@@ -479,14 +497,33 @@ def test_build_deterministic_dump(world):
     assert d1 == d2
 
 
-def test_duplicate_factors_do_not_stack():
-    ds = selpref_dataset()
-    b = make_nodes(ds, (SIZE,))
-    f_var = b.graph.variable(FrameNode("threw", "dobj", None, SIZE))
-    p_var = b.graph.variable(ObjectPairNode("basketball", "person", SIZE))
-    assert b.add([factor_rows("selpref", [f_var, p_var], [p_var, f_var])]).tolist() == [True, False]
-    assert b.add([factor_rows("selpref", [p_var], [f_var])]).tolist() == [False]
-    assert b.graph.n_factors == 1 and b.report == {"selpref": 1}
+# Similarity thresholds below every cosine and gates that pass every
+# co-occurrence and attribute pair: each family emits all it can.
+PERMISSIVE = BuildConfig(
+    verb_sim_threshold=-1.0,
+    obj_sim_threshold=-1.0,
+    pmi_threshold=-100.0,
+    attr_agreement_threshold=0.0,
+    min_shared_seed_frames=0,
+)
+
+
+@pytest.mark.parametrize("cfg", [BuildConfig(), PERMISSIVE], ids=["default", "permissive"])
+@pytest.mark.parametrize("task", ["frames", "objects"])
+def test_no_two_factors_share_kind_and_scope(world, task, cfg):
+    # The builder adds what each family emits without deduplicating, so
+    # every family must emit each (kind, unordered scope) at most once.
+    from physrel.harness import TaskSpec, assemble_task_dataset, load_world
+
+    spec = TaskSpec(task=task, cross_seed_fraction="20", eval_split="dev")
+    ds = assemble_task_dataset(world.paths, spec).restrict({"seed", "dev"}, {"seed", "dev"})
+    emb, stats = load_world(world.paths)
+    b = build(None, ds, emb, stats, train_models(ds, emb), cfg)
+    kind, scope, _, _ = b.graph.columns()
+    if cfg == PERMISSIVE:
+        assert set(b.report) == set(FACTOR_KINDS)  # every family takes part
+    rows = np.column_stack([kind, scope.min(axis=1), scope.max(axis=1)])
+    assert len(np.unique(rows, axis=0)) == len(rows) == b.graph.n_factors
 
 
 def test_build_config_file_round_trip(tmp_path):
@@ -508,3 +545,33 @@ def test_build_config_validation():
         BuildConfig(enabled_factor_kinds=frozenset({"seed", "mystery"}))
     with pytest.raises(ValueError):
         BuildConfig(pmi_threshold=float("nan"))
+    with pytest.raises(ValueError, match="attr_agreement_threshold"):
+        BuildConfig(attr_agreement_threshold=float("nan"))
+
+
+def test_build_config_text_is_pinned():
+    # The text feeds every report's config fingerprint.
+    assert BuildConfig().to_text() == (
+        "verb_sim_threshold=0.55\nobj_sim_threshold=0.7\npmi_threshold=0.0\n"
+        "attr_agreement_threshold=0.95\nmin_shared_seed_frames=10\n"
+        "enabled_factor_kinds=attrsim,emb,framesim,objsim,seed,selpref,verbsim\n"
+        "seed_frames=True\nseed_objects=True\nemb_frames=True\nemb_objects=True\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [
+        ("seed_frames=Flase", r"line 2: expected true or false"),
+        ("verb_sim_threshold=abc", r"line 2: could not convert"),
+        ("min_shared_seed_frames=2.5", r"line 2: invalid literal"),
+        ("mystery=1", r"line 2: unknown config key"),
+        ("pmi_threshold", r"line 2: expected key=value"),
+        ("attr_agreement_threshold=nan", r"attr_agreement_threshold must be finite"),
+    ],
+)
+def test_build_config_file_names_the_bad_line(tmp_path, bad_line, message):
+    path = tmp_path / "build.cfg"
+    path.write_text("# tuned\n" + bad_line + "\nemb_objects=false\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: ") + message):
+        BuildConfig.from_file(path)

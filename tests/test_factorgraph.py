@@ -418,6 +418,9 @@ def test_load_rejects_malformed_lines():
         load_graph("var\t0\n")
     with pytest.raises(ValueError):
         load_graph("thing\t0\tx\n")
+    # Ids that are not positions would bind scopes to the wrong variables.
+    with pytest.raises(ValueError, match="^line 1: "):
+        load_graph("var\t5\ta\nvar\t9\tb\nfactor\t42\tk\t0,1\t" + " ".join(["1"] * 9) + "\n")
 
 
 @pytest.mark.parametrize(
@@ -433,6 +436,10 @@ def test_load_rejects_malformed_lines():
         "factor\t2\tk\t1\t0.5 x 0.5",  # non-numeric value
         "factor\t2\tk\t1",  # missing column
         "var\t2\ta",  # duplicate variable
+        "var\t3\tc",  # variable id past its position
+        "var\t1\tc",  # variable id already taken
+        "factor\t4\tk\t1\t1 1 1",  # factor id past its position
+        "factor\t0\tk\t1\t1 1 1",  # factor id already taken
     ],
 )
 def test_load_names_the_malformed_line(bad_line):

@@ -47,6 +47,14 @@ def test_load_embeddings_rejects_non_numeric(tmp_path):
         load_embeddings(path, 3)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_embeddings_rejects_non_finite(tmp_path, value):
+    path = tmp_path / "emb.txt"
+    path.write_text(f"ant 1.0 2.0 3.0\nzebra 0.5 {value} 4.0\n")
+    with pytest.raises(ValueError, match=f"^{path}: line 2: non-finite"):
+        load_embeddings(path, 3)
+
+
 def test_load_embeddings_exact_float_round_trip(tmp_path):
     # Byte-level oracle: floats written to the file come back exactly.
     values = [0.123456789012345, -7.25e-3, 1e10]
