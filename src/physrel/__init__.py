@@ -11,7 +11,6 @@ from .core import (
     FrameNode,
     ObjectPairNode,
     RelationValue,
-    canonicalize,
     flip,
     flip_belief,
 )
@@ -34,7 +33,6 @@ from .lexstats import (
     EmbeddingStore,
     Embeddings,
     KnowledgeDataset,
-    cosine,
     load_cooccurrence,
     load_dataset,
     load_embeddings,
@@ -68,8 +66,6 @@ __all__ = [
     "baseline_majority",
     "baseline_random",
     "build",
-    "canonicalize",
-    "cosine",
     "decide",
     "dump_graph",
     "exact_marginals",

@@ -22,7 +22,6 @@ deduplicated.
 """
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, fields
 from itertools import combinations
 from typing import Optional, Sequence
@@ -92,15 +91,10 @@ class BuildConfig:
         """One ``key=value`` line per field, in declaration order."""
         return "".join(f"{f.name}={_format_value(getattr(self, f.name))}\n" for f in fields(self))
 
-    def to_file(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_text())
-
     @classmethod
     def from_file(cls, path) -> "BuildConfig":
         """Parse :meth:`to_text` output; any field may be left out. Raises
         ValueError naming the file, and the line of a malformed one."""
-        field_types = {f.name: type(f.default) for f in fields(cls)}
         kwargs: dict = {}
         with open(path, encoding="utf-8") as handle:
             for lineno, line in enumerate(handle, 1):
@@ -110,9 +104,7 @@ class BuildConfig:
                 try:
                     if not sep:
                         raise ValueError("expected key=value")
-                    if key not in field_types:
-                        raise ValueError(f"unknown config key {key!r}")
-                    kwargs[key] = _parse_value(field_types[key], value)
+                    kwargs[key] = cls.parse_field(key, value)
                 except ValueError as exc:
                     raise ValueError(f"{path}: line {lineno}: {exc}") from None
         try:
@@ -120,23 +112,24 @@ class BuildConfig:
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
-    def fingerprint(self) -> str:
-        return hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
+    @classmethod
+    def parse_field(cls, key: str, text: str):
+        """The value of field ``key`` that ``text`` spells, in :meth:`to_text`'s
+        form: ``true``/``false`` in any case, comma-separated factor kinds."""
+        field_type = next((type(f.default) for f in fields(cls) if f.name == key), None)
+        if field_type is None:
+            raise ValueError(f"unknown config key {key!r}")
+        if field_type is bool:
+            if text.lower() not in ("true", "false"):
+                raise ValueError(f"expected true or false, got {text!r}")
+            return text.lower() == "true"
+        if field_type is frozenset:
+            return frozenset(k for k in text.split(",") if k)
+        return field_type(text)
 
 
 def _format_value(value) -> str:
     return ",".join(sorted(value)) if isinstance(value, frozenset) else repr(value)
-
-
-def _parse_value(field_type: type, text: str):
-    """The ``field_type`` value (a field default's type) that ``text`` spells."""
-    if field_type is bool:
-        if text.lower() not in ("true", "false"):
-            raise ValueError(f"expected true or false, got {text!r}")
-        return text.lower() == "true"
-    if field_type is frozenset:
-        return frozenset(k for k in text.split(",") if k)
-    return field_type(text)
 
 
 # -- trained classifier bundle --

@@ -12,11 +12,15 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Mapping
 
 from .builder import BuildConfig, FACTOR_KINDS
+from .core import TOKEN_OF_RELATION
 from .factorgraph import BPConfig, dump_graph
 from .harness import (
+    AccuracyReport,
     DataPaths,
+    RunResult,
     SWITCHES,
     TaskSpec,
     assemble_task_dataset,
@@ -28,7 +32,6 @@ from .harness import (
     run_ablation,
     run_task,
     tune_thresholds,
-    write_run,
 )
 from .maxent import TrainConfig, save_model
 
@@ -69,14 +72,40 @@ def _train_cfg(args) -> TrainConfig:
     return TrainConfig(rng_seed=args.rng_seed)
 
 
+def write_outputs(out_dir, files: Mapping[str, str]) -> Path:
+    """Create ``out_dir`` and write each file name's text into it as UTF-8.
+    Every file the package writes goes through here."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text, encoding="utf-8")
+    return out
+
+
+def _report_files(report: AccuracyReport) -> dict[str, str]:
+    return {"report.tsv": report.to_tsv(), "report.json": report.to_json()}
+
+
+def _run_files(result: RunResult) -> dict[str, str]:
+    """The report files of a model run, its build report and its predictions."""
+    lines = ["node\tgold\tpredicted\tp_gt\tp_eq\tp_lt"]
+    for pred in result.predictions:
+        p = pred.belief
+        lines.append(
+            f"{pred.node.key}\t{TOKEN_OF_RELATION[pred.gold]}\t{TOKEN_OF_RELATION[pred.predicted]}"
+            f"\t{p[0]:.6f}\t{p[1]:.6f}\t{p[2]:.6f}"
+        )
+    return {
+        **_report_files(result.report),
+        "build_report.tsv": result.build.report_tsv(),
+        "predictions.tsv": "\n".join(lines) + "\n",
+    }
+
+
 def cmd_train(args) -> int:
     models = prepare(_spec(args), DataPaths.from_dir(args.data_dir), _train_cfg(args)).models
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for (attribute, node_class), model in sorted(
-        models.models.items(), key=lambda kv: (kv[0][0].value, kv[0][1])
-    ):
-        save_model(model, out / f"maxent_{attribute.value}_{node_class}.txt")
+    files = {f"maxent_{a.value}_{node_class}.txt": save_model(m) for (a, node_class), m in models.models.items()}
+    out = write_outputs(args.out_dir, files)
     print(f"wrote {len(models.models)} models to {out}")
     return 0
 
@@ -84,23 +113,21 @@ def cmd_train(args) -> int:
 def cmd_build(args) -> int:
     cfg = _build_cfg(args)
     result = build_graph(prepare(_spec(args), DataPaths.from_dir(args.data_dir), _train_cfg(args)), cfg)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "graph.txt").write_text(dump_graph(result.graph), encoding="utf-8")
-    (out / "build_report.tsv").write_text(result.report_tsv(), encoding="utf-8")
-    print(result.report_tsv(), end="")
+    report = result.report_tsv()
+    # The graph text is made last: a small allocation made after it would
+    # pin the heap above it and raise the peak RSS of what follows.
+    write_outputs(args.out_dir, {"build_report.tsv": report, "graph.txt": dump_graph(result.graph)})
+    print(report, end="")
     return 0
 
 
 def cmd_infer(args) -> int:
     result = run_task(_spec(args), _build_cfg(args), _bp_cfg(args), DataPaths.from_dir(args.data_dir), _train_cfg(args))
-    write_run(result, args.out_dir)
-    out = Path(args.out_dir)
-    (out / "graph.txt").write_text(result.graph_dump(), encoding="utf-8")
     lines = ["node\tp_gt\tp_eq\tp_lt"]
     for node, p in result.beliefs.items():
         lines.append(f"{node.key}\t{p[0]:.6f}\t{p[1]:.6f}\t{p[2]:.6f}")
-    (out / "marginals.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    files = {**_run_files(result), "marginals.tsv": "\n".join(lines) + "\n"}
+    write_outputs(args.out_dir, {**files, "graph.txt": dump_graph(result.build.graph)})
     report = result.report
     print(f"converged={report.converged} iterations={report.iterations} residual={report.residual!r}")
     return 0
@@ -111,8 +138,7 @@ def cmd_eval(args) -> int:
     spec = _spec(args)
     if args.algorithm == "model":
         result = run_task(spec, _build_cfg(args), _bp_cfg(args), paths, _train_cfg(args))
-        write_run(result, args.out_dir)
-        report = result.report
+        report, files = result.report, _run_files(result)
         if not result.bp.converged:
             print(
                 f"warning: BP did not converge (iterations={report.iterations} residual={report.residual!r});"
@@ -129,10 +155,8 @@ def cmd_eval(args) -> int:
         else:
             prepared = prepare(spec, paths, _train_cfg(args))
             report = baseline_emb_maxent(prepared.dataset, spec, prepared.models)
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.tsv").write_text(report.to_tsv(), encoding="utf-8")
-        (out / "report.json").write_text(report.to_json(), encoding="utf-8")
+        files = _report_files(report)
+    write_outputs(args.out_dir, files)
     print(report.to_tsv(), end="")
     return 0
 
@@ -146,29 +170,47 @@ def cmd_ablate(args) -> int:
         DataPaths.from_dir(args.data_dir),
         _train_cfg(args),
     )
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "ablation_full.tsv").write_text(result.full.to_tsv(), encoding="utf-8")
-    (out / "ablation_toggled.tsv").write_text(result.ablated.to_tsv(), encoding="utf-8")
     summary = {
         "component": result.component,
         "full_overall": result.full.overall,
         "toggled_overall": result.ablated.overall,
         "delta": result.delta,
     }
-    (out / "ablation.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    files = {
+        "ablation_full.tsv": result.full.to_tsv(),
+        "ablation_toggled.tsv": result.ablated.to_tsv(),
+        "ablation.json": json.dumps(summary, sort_keys=True, indent=2) + "\n",
+    }
+    write_outputs(args.out_dir, files)
     print(f"full={result.full.overall:.4f} toggled={result.ablated.overall:.4f} delta={result.delta:+.4f}")
     return 0
 
 
 def _grid_from_file(path) -> list[BuildConfig]:
-    overrides = json.loads(Path(path).read_text(encoding="utf-8"))
+    """The configs of a JSON list of ``{field: value}`` overrides. Each value
+    is parsed as :meth:`BuildConfig.from_file` parses it: a list of strings
+    as comma-joined factor kinds, any other value as its JSON text."""
+    try:
+        entries = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: expected a JSON list of config overrides")
     grid = []
-    for entry in overrides:
-        if "enabled_factor_kinds" in entry:
-            entry = dict(entry, enabled_factor_kinds=frozenset(entry["enabled_factor_kinds"]))
-        grid.append(replace(BuildConfig(), **entry))
+    for index, entry in enumerate(entries):
+        try:
+            if not isinstance(entry, dict):
+                raise ValueError("expected a JSON object")
+            grid.append(BuildConfig(**{key: BuildConfig.parse_field(key, _field_text(v)) for key, v in entry.items()}))
+        except ValueError as exc:
+            raise ValueError(f"{path}: entry {index}: {exc}") from None
     return grid
+
+
+def _field_text(value) -> str:
+    if isinstance(value, list) and all(isinstance(v, str) for v in value):
+        return ",".join(value)
+    return json.dumps(value)
 
 
 def _default_grid() -> list[BuildConfig]:
@@ -185,11 +227,8 @@ def cmd_tune(args) -> int:
     result = tune_thresholds(
         _spec(args), grid, DataPaths.from_dir(args.data_dir), _bp_cfg(args), _train_cfg(args)
     )
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    result.best.to_file(out / "best_config.cfg")
     table = "".join(f"# dev_overall={score:.6f}\n{text}\n" for text, score in result.table)
-    (out / "tune_table.txt").write_text(table, encoding="utf-8")
+    out = write_outputs(args.out_dir, {"best_config.cfg": result.best.to_text(), "tune_table.txt": table})
     print(f"best dev overall={result.best_score:.4f}; config written to {out / 'best_config.cfg'}")
     return 0
 

@@ -72,14 +72,6 @@ def flip_belief(p: np.ndarray) -> np.ndarray:
     return np.asarray(p)[FLIP_INDEX]
 
 
-def normalize_belief(p) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    total = p.sum()
-    if not np.isfinite(total) or total <= 0:
-        raise ValueError(f"cannot normalize belief with mass {total}")
-    return p / total
-
-
 # Registered frame relation types. Each type names the pair of argument roles
 # the relation is measured between; the tuple order fixes the one-hot layout
 # used by the frame feature function.
@@ -104,7 +96,7 @@ class ObjectPairNode:
     """Random variable for the relative attribute value of two objects.
 
     Ids are stored in lexicographic order (guaranteed by the constructor);
-    use :func:`canonicalize` to build one from evidence in arbitrary order.
+    :func:`ordered_pair` puts evidence in arbitrary order into that order.
     """
 
     x: str
@@ -158,15 +150,3 @@ def ordered_pair(x: str, y: str) -> tuple[str, str, bool]:
     if x <= y:
         return x, y, False
     return y, x, True
-
-
-def canonicalize(
-    x: str, y: str, r: RelationValue, attribute: Attribute
-) -> tuple[ObjectPairNode, RelationValue]:
-    """Store-once form of an observed pair relation.
-
-    Returns the canonical node together with the relation re-expressed for
-    the canonical orientation (flipped iff the ids were swapped).
-    """
-    lo, hi, swapped = ordered_pair(x, y)
-    return ObjectPairNode(lo, hi, attribute), (flip(r) if swapped else r)

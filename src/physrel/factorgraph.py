@@ -91,9 +91,6 @@ class FactorGraph:
         self._var_of[node] = vid
         return vid
 
-    def variable(self, node: Hashable) -> int:
-        return self._var_of[node]
-
     def has_variable(self, node: Hashable) -> bool:
         return node in self._var_of
 
@@ -171,10 +168,6 @@ class FactorGraph:
     def factors(self) -> list[Factor]:
         """Every factor in id order, assembled on demand (small graphs and tests)."""
         return [self.factor(fid) for fid in range(self._n_factors)]
-
-    @property
-    def n_factors(self) -> int:
-        return self._n_factors
 
 
 # -- full inference --

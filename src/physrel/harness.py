@@ -32,11 +32,10 @@ from .core import (
     NodeRef,
     ObjectPairNode,
     RelationValue,
-    TOKEN_OF_RELATION,
     flip_belief,
     ordered_pair,
 )
-from .factorgraph import BPConfig, BPResult, dump_graph, run_bp
+from .factorgraph import BPConfig, BPResult, run_bp
 from .lexstats import (
     CooccurrenceStats,
     Embeddings,
@@ -116,10 +115,10 @@ def load_world(paths: DataPaths) -> tuple[Embeddings, CooccurrenceStats]:
 
 def assemble_task_dataset(paths: DataPaths, spec: TaskSpec) -> KnowledgeDataset:
     """In-domain data at the 5% profile, cross-domain at the spec's profile."""
-    ds5 = load_dataset(paths.frames_5, paths.pairs_5, "5/45/50")
+    ds5 = load_dataset(paths.frames_5, paths.pairs_5)
     if spec.cross_seed_fraction == "5":
         return ds5
-    ds20 = load_dataset(paths.frames_20, paths.pairs_20, "20/30/50")
+    ds20 = load_dataset(paths.frames_20, paths.pairs_20)
     if spec.task == "frames":
         return combine(ds5, ds20)
     return combine(ds20, ds5)
@@ -348,9 +347,6 @@ class RunResult:
         p = self.beliefs[ObjectPairNode(lo, hi, attribute)]
         return flip_belief(p) if swapped else p
 
-    def graph_dump(self) -> str:
-        return dump_graph(self.build.graph)
-
 
 @dataclass
 class Prepared:
@@ -532,22 +528,3 @@ def tune_thresholds(
             best_cfg = cfg
             best_score = score
     return TuneResult(best_cfg, best_score, table)
-
-
-# -- report output --
-
-
-def write_run(result: RunResult, out_dir) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.tsv").write_text(result.report.to_tsv(), encoding="utf-8")
-    (out / "report.json").write_text(result.report.to_json(), encoding="utf-8")
-    (out / "build_report.tsv").write_text(result.build.report_tsv(), encoding="utf-8")
-    lines = ["node\tgold\tpredicted\tp_gt\tp_eq\tp_lt"]
-    for pred in result.predictions:
-        p = pred.belief
-        lines.append(
-            f"{pred.node.key}\t{TOKEN_OF_RELATION[pred.gold]}\t{TOKEN_OF_RELATION[pred.predicted]}"
-            f"\t{p[0]:.6f}\t{p[1]:.6f}\t{p[2]:.6f}"
-        )
-    (out / "predictions.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")

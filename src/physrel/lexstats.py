@@ -1,4 +1,4 @@
-"""Ingestion and statistics: embeddings, cosine, co-occurrence PMI, dataset.
+"""Ingestion and statistics: embeddings, embedding similarity, co-occurrence PMI, dataset.
 
 File formats (UTF-8, ``#``-prefixed comment lines ignored everywhere):
 
@@ -18,14 +18,12 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import TOKEN_OF_RELATION, Attribute, FrameNode, ObjectPairNode, RelationValue, flip, ordered_pair
+from .core import Attribute, FrameNode, ObjectPairNode, RelationValue, flip, ordered_pair
 from .core import relation_from_token
 
 logger = logging.getLogger(__name__)
 
 SPLITS = ("seed", "dev", "test")
-
-SPLIT_PROFILES = ("5/45/50", "20/30/50")
 
 # Items marked by a generic human token take the embedding of "person".
 HUMAN_TOKEN = "HUMAN"
@@ -59,15 +57,6 @@ class EmbeddingStore:
         if vec is None and word == HUMAN_TOKEN:
             return self._vectors.get(HUMAN_PROXY)
         return vec
-
-    def __contains__(self, word: str) -> bool:
-        return self.get(word) is not None
-
-    def __len__(self) -> int:
-        return len(self._vectors)
-
-    def words(self) -> list[str]:
-        return sorted(self._vectors)
 
 
 def load_embeddings(path, expected_dim: int) -> EmbeddingStore:
@@ -105,21 +94,8 @@ class Embeddings:
     objects: EmbeddingStore
 
 
-def cosine(u, v) -> float:
-    """Cosine similarity; 0.0 when either vector has zero norm."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(u @ v / (nu * nv))
-
-
 def similar_pairs(store: EmbeddingStore, words: Sequence[str], threshold: float) -> np.ndarray:
-    """(W, W) mask of the word pairs whose :func:`cosine` exceeds ``threshold``,
+    """(W, W) mask of the word pairs whose cosine similarity exceeds ``threshold``,
     as one product of row-normalized vectors; a word without a vector has none."""
     vectors = [store.get(w) for w in words]
     m = np.array([np.full(store.dim, np.nan) if v is None else v for v in vectors]).reshape(len(words), store.dim)
@@ -159,9 +135,6 @@ class CooccurrenceStats:
     def entries(self) -> list[tuple[str, tuple[str, str], int]]:
         """All (frame_key, pair, count) triples in deterministic order."""
         return sorted((fk, pair, c) for (fk, pair), c in self._joint.items())
-
-    def __len__(self) -> int:
-        return len(self._joint)
 
 
 def load_cooccurrence(path) -> CooccurrenceStats:
@@ -230,8 +203,7 @@ class KnowledgeDataset:
 
     Gold labels are reached only through :meth:`gold`, which honors the
     audit guard installed by :meth:`audit_label_access`; split membership
-    and which attributes are labeled are public. Frame and pair data may be
-    loaded at different split profiles (the cross-domain seed size).
+    and which attributes are labeled are public.
     """
 
     def __init__(
@@ -240,15 +212,11 @@ class KnowledgeDataset:
         pairs: Sequence[PairItem],
         frame_labels: Mapping[tuple, Mapping[Attribute, RelationValue]],
         pair_labels: Mapping[tuple, Mapping[Attribute, RelationValue]],
-        frame_profile: str = "5/45/50",
-        pair_profile: str = "5/45/50",
     ):
         self.frames = sorted(frames, key=lambda it: it.key)
         self.pairs = sorted(pairs, key=lambda it: it.key)
         self._frame_labels = {k: dict(v) for k, v in frame_labels.items()}
         self._pair_labels = {k: dict(v) for k, v in pair_labels.items()}
-        self.frame_profile = frame_profile
-        self.pair_profile = pair_profile
         self._allowed_splits: Optional[frozenset[str]] = None
         self._validate()
 
@@ -302,10 +270,6 @@ class KnowledgeDataset:
     def has_label(self, item, attribute: Attribute) -> bool:
         return attribute in self._labels_of(item)
 
-    def labeled_attributes(self, item) -> list[Attribute]:
-        labels = self._labels_of(item)
-        return [a for a in Attribute if a in labels]
-
     def _labels_of(self, item) -> Mapping[Attribute, RelationValue]:
         if isinstance(item, FrameItem):
             return self._frame_labels[item.key]
@@ -332,29 +296,7 @@ class KnowledgeDataset:
             pairs,
             {it.key: self._frame_labels[it.key] for it in frames},
             {it.key: self._pair_labels[it.key] for it in pairs},
-            self.frame_profile,
-            self.pair_profile,
         )
-
-    def split_counts(self) -> dict[str, dict[str, int]]:
-        counts = {"frames": {s: 0 for s in SPLITS}, "pairs": {s: 0 for s in SPLITS}}
-        for it in self.frames:
-            counts["frames"][it.split] += 1
-        for it in self.pairs:
-            counts["pairs"][it.split] += 1
-        return counts
-
-    def usable_counts(self) -> dict[str, dict[str, int]]:
-        """Per-attribute item counts (items carrying a label for the attribute)."""
-        frames = {a.value: 0 for a in Attribute}
-        pairs = {a.value: 0 for a in Attribute}
-        for it in self.frames:
-            for a in self.labeled_attributes(it):
-                frames[a.value] += 1
-        for it in self.pairs:
-            for a in self.labeled_attributes(it):
-                pairs[a.value] += 1
-        return {"frames": frames, "pairs": pairs}
 
 
 def _read_rows(path, n_columns: int) -> Iterator[tuple[int, list[str]]]:
@@ -368,11 +310,8 @@ def _read_rows(path, n_columns: int) -> Iterator[tuple[int, list[str]]]:
             yield lineno, parts
 
 
-def load_dataset(frame_file, pair_file, split_profile: str = "5/45/50") -> KnowledgeDataset:
-    """Load the canonical TSV pair of label files at one split profile."""
-    if split_profile not in SPLIT_PROFILES:
-        raise ValueError(f"unknown split profile {split_profile!r}")
-
+def load_dataset(frame_file, pair_file) -> KnowledgeDataset:
+    """Load the canonical TSV pair of label files."""
     frames: dict[tuple, FrameItem] = {}
     frame_labels: dict[tuple, dict[Attribute, RelationValue]] = {}
     for lineno, (verb, frame_type, prep, attr_tok, rel_tok, split) in _read_rows(frame_file, 6):
@@ -412,38 +351,11 @@ def load_dataset(frame_file, pair_file, split_profile: str = "5/45/50") -> Knowl
             pair_labels[key] = {}
         pair_labels[key][attribute] = relation
 
-    return KnowledgeDataset(
-        list(frames.values()),
-        list(pairs.values()),
-        frame_labels,
-        pair_labels,
-        frame_profile=split_profile,
-        pair_profile=split_profile,
-    )
-
-
-def save_dataset(dataset: KnowledgeDataset, frame_file, pair_file) -> None:
-    """Write the canonical TSV files back out (bit-exact round trip)."""
-    with open(frame_file, "w", encoding="utf-8") as handle:
-        for it in dataset.frames:
-            for a in dataset.labeled_attributes(it):
-                rel = TOKEN_OF_RELATION[dataset.gold(it, a)]
-                prep = it.preposition or "-"
-                handle.write(f"{it.verb}\t{it.frame_type}\t{prep}\t{a.value}\t{rel}\t{it.split}\n")
-    with open(pair_file, "w", encoding="utf-8") as handle:
-        for it in dataset.pairs:
-            for a in dataset.labeled_attributes(it):
-                rel = TOKEN_OF_RELATION[dataset.gold(it, a)]
-                handle.write(f"{it.x}\t{it.y}\t{a.value}\t{rel}\t{it.split}\n")
+    return KnowledgeDataset(list(frames.values()), list(pairs.values()), frame_labels, pair_labels)
 
 
 def combine(frame_dataset: KnowledgeDataset, pair_dataset: KnowledgeDataset) -> KnowledgeDataset:
     """Frames from one dataset plus pairs from another (mixed seed profiles)."""
     return KnowledgeDataset(
-        frame_dataset.frames,
-        pair_dataset.pairs,
-        frame_dataset._frame_labels,
-        pair_dataset._pair_labels,
-        frame_profile=frame_dataset.frame_profile,
-        pair_profile=pair_dataset.pair_profile,
+        frame_dataset.frames, pair_dataset.pairs, frame_dataset._frame_labels, pair_dataset._pair_labels
     )

@@ -134,39 +134,10 @@ def predict_proba(model: MaxentModel, x) -> np.ndarray:
     return exp / exp.sum()
 
 
-def training_loss(model: MaxentModel, examples, l2_lambda: float) -> float:
-    X = np.stack([np.asarray(x, dtype=float) for x, _ in examples])
-    y = np.array([int(r) for _, r in examples])
-    loss, _, _ = loss_and_grad(model.weights, model.bias, X, y, l2_lambda)
-    return loss
-
-
-def save_model(model: MaxentModel, path) -> None:
-    """Text format: header (attribute, node-class, dim), bias, one row per class."""
-    with open(path, "w", encoding="utf-8") as handle:
-        attr = model.attribute.value if model.attribute else "-"
-        cls = model.node_class or "-"
-        handle.write(f"{attr}\t{cls}\t{model.dim}\n")
-        handle.write("bias\t" + " ".join(repr(float(b)) for b in model.bias) + "\n")
-        for c in range(N_VALUES):
-            handle.write(f"w{c}\t" + " ".join(repr(float(w)) for w in model.weights[c]) + "\n")
-
-
-def load_model(path) -> MaxentModel:
-    with open(path, encoding="utf-8") as handle:
-        lines = [ln.rstrip("\n") for ln in handle if ln.strip()]
-    attr_tok, cls_tok, dim_tok = lines[0].split("\t")
-    dim = int(dim_tok)
-    attribute = None if attr_tok == "-" else Attribute.from_token(attr_tok)
-    node_class = None if cls_tok == "-" else cls_tok
-    tag, payload = lines[1].split("\t")
-    if tag != "bias":
-        raise ValueError(f"{path}: expected bias line, got {tag!r}")
-    bias = np.array([float(v) for v in payload.split()])
-    weights = np.empty((N_VALUES, dim))
-    for c in range(N_VALUES):
-        tag, payload = lines[2 + c].split("\t")
-        if tag != f"w{c}":
-            raise ValueError(f"{path}: expected w{c} line, got {tag!r}")
-        weights[c] = [float(v) for v in payload.split()]
-    return MaxentModel(weights, bias, attribute, node_class)
+def save_model(model: MaxentModel) -> str:
+    """The model's text form: header (attribute, node-class, dim), bias, one row per class."""
+    attr = model.attribute.value if model.attribute else "-"
+    cls = model.node_class or "-"
+    lines = [f"{attr}\t{cls}\t{model.dim}", "bias\t" + " ".join(repr(float(b)) for b in model.bias)]
+    lines += [f"w{c}\t" + " ".join(repr(float(w)) for w in model.weights[c]) for c in range(N_VALUES)]
+    return "\n".join(lines) + "\n"

@@ -15,7 +15,6 @@ moves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -53,8 +52,13 @@ def generate_world(
     eq_band: float = 0.012,
     drop_label_rate: float = 0.08,
 ) -> World:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    # Imported here so that importing the package leaves the CLI module
+    # unloaded: ``python -m physrel.cli`` would otherwise run it twice.
+    from .cli import write_outputs
+
+    def write(path, lines: list[str]) -> None:
+        write_outputs(out_dir, {path.name: "\n".join(lines) + "\n"})
+
     rng = np.random.default_rng(rng_seed)
 
     objects = [f"o{i:02d}" for i in range(n_objects)]
@@ -168,11 +172,11 @@ def generate_world(
                     rows.append(f"{x}\t{y}\t{attribute.value}\t{TOKEN_OF_RELATION[rel]}\t{split_of[pair]}")
         return rows
 
-    paths = DataPaths.from_dir(out)
-    Path(paths.frames_5).write_text("\n".join(frame_rows(verb_split5)) + "\n", encoding="utf-8")
-    Path(paths.frames_20).write_text("\n".join(frame_rows(verb_split20)) + "\n", encoding="utf-8")
-    Path(paths.pairs_5).write_text("\n".join(pair_rows(pair_split5)) + "\n", encoding="utf-8")
-    Path(paths.pairs_20).write_text("\n".join(pair_rows(pair_split20)) + "\n", encoding="utf-8")
+    paths = DataPaths.from_dir(out_dir)
+    write(paths.frames_5, frame_rows(verb_split5))
+    write(paths.frames_20, frame_rows(verb_split20))
+    write(paths.pairs_5, pair_rows(pair_split5))
+    write(paths.pairs_20, pair_rows(pair_split20))
 
     # -- embeddings. Object vectors carry the five scores in their leading
     # dimensions; verb vectors carry the implication sign. Cosine therefore
@@ -186,14 +190,14 @@ def generate_world(
     for extra in PREPOSITIONS + ("person",):
         vec = 0.3 * rng.normal(size=OBJECT_EMBEDDING_DIM)
         obj_lines.append(extra + " " + " ".join(f"{v:.6f}" for v in vec))
-    Path(paths.object_embeddings).write_text("\n".join(obj_lines) + "\n", encoding="utf-8")
+    write(paths.object_embeddings, obj_lines)
 
     verb_lines = []
     for i, verb in enumerate(verbs):
         sign = 1.0 if i < n_verbs // 2 else -1.0
         vec = np.concatenate([[3.0 * sign], 0.2 * rng.normal(size=VERB_EMBEDDING_DIM - 1)])
         verb_lines.append(verb + " " + " ".join(f"{v:.6f}" for v in vec))
-    Path(paths.verb_embeddings).write_text("\n".join(verb_lines) + "\n", encoding="utf-8")
+    write(paths.verb_embeddings, verb_lines)
 
     # -- co-occurrence. Evidence orientation follows the latent magnitude:
     # dominant-type frames see (larger, smaller) argument pairs, the other
@@ -217,6 +221,6 @@ def generate_world(
             cooc_lines.append(f"{fk}\t{arg1}\t{arg2}\t{count}")
             if rng.random() < 0.05:
                 cooc_lines.append(f"{fk}\t{arg2}\t{arg1}\t{max(1, count // 4)}")
-    Path(paths.cooccurrence).write_text("\n".join(cooc_lines) + "\n", encoding="utf-8")
+    write(paths.cooccurrence, cooc_lines)
 
     return World(paths, objects, verbs, scores, eq_band)

@@ -1,10 +1,12 @@
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from physrel.core import ATTRIBUTES, TOKEN_OF_RELATION
 from physrel.harness import DataPaths
-from physrel.lexstats import FrameItem, KnowledgeDataset, PairItem
+from physrel.lexstats import SPLITS, FrameItem, KnowledgeDataset, PairItem
 from physrel.synthetic import generate_world
 
 # Released-data reproduction tests look here; they skip when absent.
@@ -29,7 +31,7 @@ def world(tmp_path_factory):
     return generate_world(directory, rng_seed=0)
 
 
-def make_dataset(frames=(), pairs=(), frame_profile="5/45/50", pair_profile="5/45/50"):
+def make_dataset(frames=(), pairs=()):
     """Hand-built dataset: frames as (verb, type, prep, split, labels),
     pairs as (x, y, split, labels) with labels {Attribute: RelationValue}."""
     frame_items, frame_labels = [], {}
@@ -42,4 +44,53 @@ def make_dataset(frames=(), pairs=(), frame_profile="5/45/50", pair_profile="5/4
         item = PairItem(x, y, split)
         pair_items.append(item)
         pair_labels[item.key] = dict(labels)
-    return KnowledgeDataset(frame_items, pair_items, frame_labels, pair_labels, frame_profile, pair_profile)
+    return KnowledgeDataset(frame_items, pair_items, frame_labels, pair_labels)
+
+
+# -- reference helpers the tests compare the library against --
+
+
+def cosine(u, v) -> float:
+    """Scalar cosine similarity; 0.0 when either vector has zero norm."""
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return float(u @ v / (nu * nv))
+
+
+def variable(graph, node) -> int:
+    """The id of ``node``'s variable in ``graph``."""
+    return next(vid for vid in range(graph.n_variables) if graph.node_of(vid) == node)
+
+
+def save_dataset(dataset, frame_file, pair_file) -> None:
+    """Write a dataset in the canonical TSV form: items in key order, each
+    item's labels in attribute order, pairs in canonical orientation."""
+    def rows(items, columns) -> str:
+        return "".join(
+            "\t".join([*columns(it), a.value, TOKEN_OF_RELATION[dataset.gold(it, a)], it.split]) + "\n"
+            for it in items
+            for a in ATTRIBUTES
+            if dataset.has_label(it, a)
+        )
+
+    frame_text = rows(dataset.frames, lambda it: (it.verb, it.frame_type, it.preposition or "-"))
+    Path(frame_file).write_text(frame_text, encoding="utf-8")
+    Path(pair_file).write_text(rows(dataset.pairs, lambda it: (it.x, it.y)), encoding="utf-8")
+
+
+def split_counts(dataset) -> dict[str, dict[str, int]]:
+    """Item count per split, frames and pairs."""
+    return {
+        "frames": {s: len(dataset.frames_in(s)) for s in SPLITS},
+        "pairs": {s: len(dataset.pairs_in(s)) for s in SPLITS},
+    }
+
+
+def usable_counts(dataset) -> dict[str, dict[str, int]]:
+    """Per attribute, the items that carry a label for it."""
+    return {
+        name: {a.value: sum(dataset.has_label(it, a) for it in items) for a in ATTRIBUTES}
+        for name, items in (("frames", dataset.frames), ("pairs", dataset.pairs))
+    }

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from physrel.builder import BuildConfig
+from physrel.cli import main
 from physrel.core import Attribute, ObjectPairNode
 from physrel.factorgraph import BPConfig, FactorGraph, exact_marginals, run_bp
 from physrel.harness import (
@@ -23,11 +24,10 @@ from physrel.harness import (
     run_ablation,
     run_task,
     tune_thresholds,
-    write_run,
 )
 from physrel.lexstats import load_dataset
 from physrel.maxent import loss_and_grad
-from conftest import RELEASED_DATA_DIR, released_data_available
+from conftest import RELEASED_DATA_DIR, released_data_available, split_counts, usable_counts
 
 from test_maxent import finite_difference_grad
 
@@ -113,16 +113,16 @@ def test_criterion_3_gradient_check():
 @requires_released
 def test_criterion_4_data_contract():
     paths = DataPaths.from_dir(RELEASED_DATA_DIR)
-    ds5 = load_dataset(paths.frames_5, paths.pairs_5, "5/45/50")
-    counts5 = ds5.split_counts()
+    ds5 = load_dataset(paths.frames_5, paths.pairs_5)
+    counts5 = split_counts(ds5)
     assert counts5["frames"] == {"seed": 65, "dev": 333, "test": 415}
     assert counts5["pairs"] == {"seed": 183, "dev": 1645, "test": 1828}
     assert len(ds5.frames) == 813 and len(ds5.pairs) == 3656
-    usable = ds5.usable_counts()
+    usable = usable_counts(ds5)
     assert usable["frames"]["size"] == 615
     assert usable["pairs"]["size"] == 2552
-    ds20 = load_dataset(paths.frames_20, paths.pairs_20, "20/30/50")
-    counts20 = ds20.split_counts()
+    ds20 = load_dataset(paths.frames_20, paths.pairs_20)
+    counts20 = split_counts(ds20)
     assert counts20["frames"] == {"seed": 188, "dev": 210, "test": 415}
     assert counts20["pairs"] == {"seed": 733, "dev": 1096, "test": 1828}
     ok(4, "released data reproduces the published split and usable counts")
@@ -192,13 +192,12 @@ def test_criterion_6_fixture_oracle(world):
 
 
 def test_criterion_7_end_to_end_determinism(world, tmp_path):
-    spec = TaskSpec(task="objects", cross_seed_fraction="20", eval_split="test")
+    data = str(world.paths.frames_5.parent)
     outputs = []
     for run in range(2):
-        result = run_task(spec, BuildConfig(), BPConfig(), world.paths)
         out = tmp_path / f"run{run}"
-        write_run(result, out)
-        (out / "graph.txt").write_text(result.graph_dump(), encoding="utf-8")
+        argv = ["infer", "--data-dir", data, "--out-dir", str(out), "--task", "objects", "--cross", "20"]
+        assert main([*argv, "--eval-split", "test"]) == 0
         outputs.append(out)
     for name in ("graph.txt", "report.tsv", "report.json", "predictions.tsv", "build_report.tsv"):
         a = (outputs[0] / name).read_bytes()

@@ -1,10 +1,16 @@
-"""The CLI's output files: which files each subcommand writes, and that the
-files two subcommands share are written the same way by both."""
+"""The CLI: which files each subcommand writes, that the files two
+subcommands share are written the same way by both, and tuning grid files."""
 import json
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from physrel.cli import main
+import physrel
+from physrel.builder import BuildConfig
+from physrel.cli import _grid_from_file, main
 from physrel.core import ATTRIBUTES
 
 # One flag set for every model run, so their shared files must agree.
@@ -72,7 +78,62 @@ def test_files_shared_between_subcommands_agree(outputs):
 
 
 def test_marginals_follow_the_graph_variables_in_order(outputs):
-    graph_vars = [line.split("\t")[2] for line in read(outputs["infer"], "graph.txt").splitlines() if line.startswith("var\t")]
+    graph = read(outputs["infer"], "graph.txt").splitlines()
+    graph_vars = [line.split("\t")[2] for line in graph if line.startswith("var\t")]
     rows = read(outputs["infer"], "marginals.tsv").splitlines()
     assert rows[0] == "node\tp_gt\tp_eq\tp_lt"
     assert [row.split("\t")[0] for row in rows[1:]] == graph_vars
+
+
+def test_predictions_have_a_header_and_one_row_per_scored_relation(outputs):
+    rows = read(outputs["eval"], "predictions.tsv").splitlines()
+    assert rows[0] == "node\tgold\tpredicted\tp_gt\tp_eq\tp_lt"
+    assert len(rows) - 1 == sum(json.loads(read(outputs["eval"], "report.json"))["counts"].values())
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ([{}, {"seed_frames": "false", "min_shared_seed_frames": 2.5}], "entry 1: expected true or false"),
+        ([{"min_shared_seed_frames": 2.5}], "entry 0: invalid literal for int"),
+        ([{"obj_sim_threshold": "0.7"}], "entry 0: could not convert"),
+        ([{"mystery": 1}], "entry 0: unknown config key 'mystery'"),
+        ([{"enabled_factor_kinds": ["seed", "bogus"]}], "entry 0: unknown factor kinds"),
+        ([{"pmi_threshold": float("nan")}], "entry 0: pmi_threshold must be finite"),
+        ([["seed"]], "entry 0: expected a JSON object"),
+        ({"seed_frames": False}, "expected a JSON list"),
+        ("[{", "Expecting property name"),
+    ],
+)
+def test_grid_file_names_the_file_and_the_bad_entry(tmp_path, grid, message):
+    path = tmp_path / "grid.json"
+    path.write_text(grid if isinstance(grid, str) else json.dumps(grid), encoding="utf-8")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}")):
+        _grid_from_file(path)
+
+
+def test_grid_values_parse_as_in_config_files(tmp_path):
+    path = tmp_path / "grid.json"
+    entries = [
+        {"seed_frames": False, "emb_objects": True, "enabled_factor_kinds": ["seed", "emb"]},
+        {"min_shared_seed_frames": 3, "obj_sim_threshold": 1},
+        {},
+    ]
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    assert _grid_from_file(path) == [
+        BuildConfig(seed_frames=False, enabled_factor_kinds=frozenset({"seed", "emb"})),
+        BuildConfig(min_shared_seed_frames=3, obj_sim_threshold=1.0),
+        BuildConfig(),
+    ]
+
+
+def test_imports_leave_the_cli_and_scipy_unloaded():
+    # Importing the package must not load the CLI module, or ``python -m
+    # physrel.cli`` runs it twice; scipy is needed only by the tests.
+    code = (
+        f"import sys; sys.path.insert(0, {str(Path(physrel.__file__).parents[1])!r}); import physrel; "
+        "print('physrel.cli' in sys.modules); import physrel.cli; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out.split("\n")[:2] == ["False", "[]"]

@@ -8,11 +8,9 @@ from physrel.core import (
     FrameNode,
     ObjectPairNode,
     RelationValue,
-    canonicalize,
     flip,
     flip_belief,
     frame_type_index,
-    normalize_belief,
     ordered_pair,
     relation_from_token,
 )
@@ -45,6 +43,13 @@ def test_flip_values():
 def test_flip_is_involution():
     for r in RelationValue:
         assert flip(flip(r)) is r
+
+
+def canonicalize(x: str, y: str, r: RelationValue, attribute: Attribute) -> tuple[ObjectPairNode, RelationValue]:
+    """Store-once form of an observed pair relation, as the dataset loader
+    builds it: the canonical node, and the relation flipped iff the ids were."""
+    lo, hi, swapped = ordered_pair(x, y)
+    return ObjectPairNode(lo, hi, attribute), (flip(r) if swapped else r)
 
 
 def test_canonicalize_swaps_and_flips():
@@ -88,12 +93,6 @@ def test_flip_belief_permutes_gt_lt():
     p = np.array([0.6, 0.3, 0.1])
     assert np.array_equal(flip_belief(p), [0.1, 0.3, 0.6])
     assert np.array_equal(flip_belief(flip_belief(p)), p)
-
-
-def test_normalize_belief():
-    assert np.allclose(normalize_belief([2.0, 1.0, 1.0]), [0.5, 0.25, 0.25])
-    with pytest.raises(ValueError):
-        normalize_belief([0.0, 0.0, 0.0])
 
 
 def test_frame_node_keys():

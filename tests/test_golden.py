@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from physrel.builder import BuildConfig
-from physrel.factorgraph import BPConfig
+from physrel.factorgraph import BPConfig, dump_graph
 from physrel.harness import TaskSpec, infer, prepare, run_task
 
 GOLDEN = Path(__file__).with_name("golden_run_task.json")
@@ -33,7 +33,7 @@ def spec_name(spec: TaskSpec) -> str:
 def snapshot(spec: TaskSpec, paths) -> dict:
     result = run_task(spec, BuildConfig(), BPConfig(damping=0.5), paths)
     return {
-        "graph_sha256": hashlib.sha256(result.graph_dump().encode("utf-8")).hexdigest(),
+        "graph_sha256": hashlib.sha256(dump_graph(result.build.graph).encode("utf-8")).hexdigest(),
         "report": dict(sorted(result.build.report.items())),
         "iterations": result.bp.iterations,
         "marginals": result.bp.marginals.tolist(),

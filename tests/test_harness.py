@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from physrel.builder import BuildConfig, train_models
-from physrel.core import Attribute, ObjectPairNode, RelationValue
+from physrel.core import ATTRIBUTES, Attribute, ObjectPairNode, RelationValue
 from physrel import harness
-from physrel.factorgraph import BPConfig
+from physrel.factorgraph import BPConfig, dump_graph
 from physrel.harness import (
     DataPaths,
     TaskSpec,
@@ -23,11 +23,10 @@ from physrel.harness import (
     run_task,
     toggle_switch,
     tune_thresholds,
-    write_run,
 )
 from physrel.lexstats import EmbeddingStore, Embeddings, LabelAccessError
-from physrel.maxent import load_model
 from conftest import make_dataset
+from test_maxent import load_model
 
 SIZE, WEIGHT = Attribute.SIZE, Attribute.WEIGHT
 GT, EQ, LT = RelationValue.GT, RelationValue.EQ, RelationValue.LT
@@ -168,7 +167,7 @@ def test_run_task_seed_nodes_dominated_by_their_seeds(world):
     ds = assemble_task_dataset(world.paths, spec).restrict({"seed", "dev"}, {"seed", "dev"})
     checked = 0
     for item in ds.pairs_in("seed"):
-        for attribute in ds.labeled_attributes(item):
+        for attribute in (a for a in ATTRIBUTES if ds.has_label(item, a)):
             belief = result.beliefs[item.node(attribute)]
             assert decide(belief) is ds.gold(item, attribute)
             checked += 1
@@ -226,7 +225,7 @@ def test_audit_guard_trips_on_eval_label_read_during_build(world):
     spec = TaskSpec(task="objects", eval_split="dev")
     ds = assemble_task_dataset(world.paths, spec).restrict({"seed", "dev"}, {"seed", "dev"})
     dev_item = ds.pairs_in("dev")[0]
-    attribute = ds.labeled_attributes(dev_item)[0]
+    attribute = next(a for a in ATTRIBUTES if ds.has_label(dev_item, a))
     with ds.audit_label_access({"seed"}):
         with pytest.raises(LabelAccessError):
             ds.gold(dev_item, attribute)
@@ -338,18 +337,6 @@ def test_tune_and_ablation_train_classifiers_once(world, monkeypatch):
 # -- output files and CLI --
 
 
-def test_write_run_outputs(world, tmp_path):
-    spec = TaskSpec(task="objects", cross_seed_fraction="5", eval_split="dev")
-    result = run_task(spec, BuildConfig(), BPConfig(), world.paths)
-    write_run(result, tmp_path)
-    assert (tmp_path / "report.tsv").exists()
-    assert (tmp_path / "report.json").exists()
-    assert (tmp_path / "build_report.tsv").exists()
-    predictions = (tmp_path / "predictions.tsv").read_text().splitlines()
-    assert predictions[0].startswith("node\t")
-    assert len(predictions) == len(result.predictions) + 1
-
-
 def test_cli_subcommands(world, tmp_path):
     from physrel.cli import main
 
@@ -398,14 +385,14 @@ def test_cli_build_and_train_match_the_library(world, tmp_path):
     common = ["--data-dir", data, "--task", "objects"]
     assert main(["build", *common, "--out-dir", str(tmp_path / "build")]) == 0
     result = run_task(spec, BuildConfig(), BPConfig(), world.paths)
-    assert (tmp_path / "build" / "graph.txt").read_text(encoding="utf-8") == result.graph_dump()
+    assert (tmp_path / "build" / "graph.txt").read_text(encoding="utf-8") == dump_graph(result.build.graph)
     assert (tmp_path / "build" / "build_report.tsv").read_text(encoding="utf-8") == result.build.report_tsv()
 
     assert main(["train", *common, "--out-dir", str(tmp_path / "train")]) == 0
     models = prepare(spec, world.paths).models.models
     assert len(list((tmp_path / "train").iterdir())) == len(models)
     for (attribute, node_class), model in models.items():
-        saved = load_model(tmp_path / "train" / f"maxent_{attribute.value}_{node_class}.txt")
+        saved = load_model((tmp_path / "train" / f"maxent_{attribute.value}_{node_class}.txt").read_text())
         assert np.array_equal(saved.weights, model.weights)
         assert np.array_equal(saved.bias, model.bias)
 

@@ -1,4 +1,4 @@
-"""Ingestion layer: embeddings, cosine, PMI, dataset loading and guarding."""
+"""Ingestion layer: embeddings, cosine similarity, PMI, dataset loading and guarding."""
 import math
 
 import numpy as np
@@ -9,14 +9,13 @@ from physrel.lexstats import (
     CooccurrenceStats,
     EmbeddingStore,
     LabelAccessError,
-    cosine,
     load_cooccurrence,
     load_dataset,
     load_embeddings,
     pmi,
-    save_dataset,
+    similar_pairs,
 )
-from conftest import make_dataset
+from conftest import make_dataset, save_dataset, split_counts, usable_counts
 
 SIZE, WEIGHT = Attribute.SIZE, Attribute.WEIGHT
 GT, EQ, LT = RelationValue.GT, RelationValue.EQ, RelationValue.LT
@@ -29,7 +28,7 @@ def test_load_embeddings_two_rows(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("ant 1.0 2.0 3.0\nzebra 0.5 -1.25 4.0\n")
     store = load_embeddings(path, 3)
-    assert len(store) == 2
+    assert np.array_equal(store.get("ant"), [1.0, 2.0, 3.0])
     assert np.array_equal(store.get("zebra"), [0.5, -1.25, 4.0])
 
 
@@ -76,7 +75,9 @@ def test_duplicate_word_keeps_first(tmp_path, caplog):
 def test_comment_lines_ignored(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("# a comment\nant 1.0 2.0\n\n")
-    assert len(load_embeddings(path, 2)) == 1
+    store = load_embeddings(path, 2)
+    assert np.array_equal(store.get("ant"), [1.0, 2.0])
+    assert store.get("#") is None
 
 
 def test_human_token_aliases_person(tmp_path):
@@ -84,7 +85,6 @@ def test_human_token_aliases_person(tmp_path):
     path.write_text("person 1.0 2.0\n")
     store = load_embeddings(path, 2)
     assert np.array_equal(store.get("HUMAN"), store.get("person"))
-    assert "HUMAN" in store
 
 
 def test_store_rejects_wrong_dimension():
@@ -92,38 +92,45 @@ def test_store_rejects_wrong_dimension():
         EmbeddingStore(3, {"a": np.ones(2)})
 
 
-# -- cosine --
+# -- cosine similarity --
+
+
+def similar(u, v, threshold: float) -> bool:
+    """Whether :func:`similar_pairs` links two words with vectors u and v."""
+    store = EmbeddingStore(len(u), {"u": u, "v": v})
+    return bool(similar_pairs(store, ["u", "v"], threshold)[0, 1])
 
 
 def test_cosine_identical_vectors():
     v = np.array([0.2, -0.4, 1.0])
-    assert cosine(v, v) == pytest.approx(1.0)
+    assert similar(v, v, 1 - 1e-9) and not similar(v, v, 1 + 1e-9)
 
 
 def test_cosine_orthogonal_unit_vectors():
-    assert cosine([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
+    assert similar([1.0, 0.0], [0.0, 1.0], -1e-9)
+    assert not similar([1.0, 0.0], [0.0, 1.0], 1e-9)
 
 
 def test_cosine_hand_computed_value():
     # Oracle: sqrt(2)/2 by hand.
-    assert cosine([1.0, 0.0], [1.0, 1.0]) == pytest.approx(math.sqrt(2) / 2, abs=1e-5)
+    assert similar([1.0, 0.0], [1.0, 1.0], math.sqrt(2) / 2 - 1e-5)
+    assert not similar([1.0, 0.0], [1.0, 1.0], math.sqrt(2) / 2 + 1e-5)
 
 
 def test_cosine_zero_vector_defined_as_zero():
-    assert cosine([0.0, 0.0], [1.0, 2.0]) == 0.0
+    assert similar([0.0, 0.0], [1.0, 2.0], -1e-12)
+    assert not similar([0.0, 0.0], [1.0, 2.0], 0.0)
 
 
 def test_cosine_symmetry_and_bound():
     rng = np.random.default_rng(0)
-    for _ in range(50):
-        u, v = rng.normal(size=6), rng.normal(size=6)
-        assert cosine(u, v) == pytest.approx(cosine(v, u), abs=1e-15)
-        assert abs(cosine(u, v)) <= 1 + 1e-12
-
-
-def test_cosine_dimension_mismatch():
-    with pytest.raises(ValueError):
-        cosine([1.0], [1.0, 2.0])
+    words = [f"w{i}" for i in range(50)]
+    store = EmbeddingStore(6, {w: rng.normal(size=6) for w in words})
+    for threshold in np.linspace(-0.9, 0.9, 7):
+        mask = similar_pairs(store, words, threshold)
+        assert np.array_equal(mask, mask.T)
+    assert similar_pairs(store, words, -1 - 1e-12).all()
+    assert not similar_pairs(store, words, 1 + 1e-12).any()
 
 
 # -- PMI --
@@ -233,13 +240,13 @@ def write_files(tmp_path):
 
 def test_load_dataset_basic(tmp_path):
     frame_file, pair_file = write_files(tmp_path)
-    ds = load_dataset(frame_file, pair_file, "5/45/50")
-    assert ds.split_counts() == {
+    ds = load_dataset(frame_file, pair_file)
+    assert split_counts(ds) == {
         "frames": {"seed": 2, "dev": 1, "test": 1},
         "pairs": {"seed": 1, "dev": 0, "test": 1},
     }
-    assert ds.usable_counts()["frames"]["size"] == 4
-    assert ds.usable_counts()["pairs"]["weight"] == 2
+    assert usable_counts(ds)["frames"]["size"] == 4
+    assert usable_counts(ds)["pairs"]["weight"] == 2
 
 
 def test_load_dataset_canonicalizes_reversed_pair_rows(tmp_path):
@@ -275,12 +282,6 @@ def test_load_dataset_rejects_unknown_tokens(tmp_path):
         pair_file.write_text(row)
         with pytest.raises(ValueError, match=message):
             load_dataset(frame_file, pair_file)
-
-
-def test_load_dataset_rejects_unknown_profile(tmp_path):
-    frame_file, pair_file = write_files(tmp_path)
-    with pytest.raises(ValueError):
-        load_dataset(frame_file, pair_file, "10/40/50")
 
 
 def test_frames_partitioned_by_verb(tmp_path):
@@ -344,7 +345,6 @@ def test_restrict_filters_splits():
     sub = ds.restrict({"seed", "test"}, {"seed", "test"})
     assert [it.verb for it in sub.frames] == ["enter", "throw"]
     assert len(sub.pairs) == 1
-    assert sub.frame_profile == ds.frame_profile
 
 
 def test_has_label_is_public_but_gold_is_guarded():
@@ -352,6 +352,6 @@ def test_has_label_is_public_but_gold_is_guarded():
     item = ds.pairs[0]
     with ds.audit_label_access({"seed"}):
         assert ds.has_label(item, SIZE)
-        assert ds.labeled_attributes(item) == [SIZE]
+        assert [a for a in Attribute if ds.has_label(item, a)] == [SIZE]
         with pytest.raises(LabelAccessError):
             ds.gold(item, SIZE)

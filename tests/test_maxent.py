@@ -9,15 +9,34 @@ from physrel.maxent import (
     TrainConfig,
     featurize_frame,
     featurize_object_pair,
-    load_model,
     loss_and_grad,
     predict_proba,
     save_model,
     train,
-    training_loss,
 )
 
 GT, EQ, LT = RelationValue.GT, RelationValue.EQ, RelationValue.LT
+
+
+def training_loss(model: MaxentModel, examples, l2_lambda: float) -> float:
+    X = np.stack([np.asarray(x, dtype=float) for x, _ in examples])
+    y = np.array([int(r) for _, r in examples])
+    loss, _, _ = loss_and_grad(model.weights, model.bias, X, y, l2_lambda)
+    return loss
+
+
+def load_model(text: str) -> MaxentModel:
+    """Parse :func:`save_model` text."""
+    lines = text.splitlines()
+    attr_tok, cls_tok, dim_tok = lines[0].split("\t")
+    attribute = None if attr_tok == "-" else Attribute.from_token(attr_tok)
+    node_class = None if cls_tok == "-" else cls_tok
+    rows = {}
+    for line in lines[1:]:
+        tag, payload = line.split("\t")
+        rows[tag] = np.array([float(v) for v in payload.split()])
+    assert list(rows) == ["bias", "w0", "w1", "w2"] and rows["w0"].shape == (int(dim_tok),)
+    return MaxentModel(np.stack([rows["w0"], rows["w1"], rows["w2"]]), rows["bias"], attribute, node_class)
 
 
 def tiny_embeddings(rng=None):
@@ -213,12 +232,10 @@ def test_predict_proba_is_valid_belief():
         predict_proba(model, np.zeros(7))
 
 
-def test_model_save_load_round_trip(tmp_path):
+def test_model_save_load_round_trip():
     examples = separable_examples()
     model = train(examples, TrainConfig(), attribute=Attribute.SIZE, node_class="frame")
-    path = tmp_path / "model.txt"
-    save_model(model, path)
-    back = load_model(path)
+    back = load_model(save_model(model))
     assert back.attribute is Attribute.SIZE and back.node_class == "frame"
     x = np.array([0.3, -0.8])
     assert np.array_equal(predict_proba(model, x), predict_proba(back, x))

@@ -1,4 +1,5 @@
-"""Property tests of the text formats: graph dumps and label files."""
+"""Property tests of the text formats: graph dumps, label, embedding and co-occurrence files."""
+import re
 import string
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from physrel.core import ATTRIBUTES, FRAME_TYPES, TOKEN_OF_RELATION, RelationValue, flip
 from physrel.factorgraph import FactorGraph, dump_graph, load_graph
-from physrel.lexstats import SPLITS, load_dataset, save_dataset
+from physrel.lexstats import SPLITS, load_cooccurrence, load_dataset, load_embeddings
+from conftest import save_dataset
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -90,3 +92,94 @@ def test_load_dataset_ignores_row_order_and_pair_orientation(tmp_path_factory, r
     shuffled_pairs = data.draw(st.permutations(flipped))
     tmp_path = tmp_path_factory.mktemp("labels")
     assert saved(tmp_path, "shuffled", shuffled_frames, shuffled_pairs) == saved(tmp_path, "sorted", frame_rows, pair_rows)
+
+
+# -- embedding and co-occurrence files --
+
+# A small vocabulary, so that duplicate rows are common.
+VOCABULARY = ["ant", "bee", "cat", "dog"]
+vocabulary = st.sampled_from(VOCABULARY)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+DIM = 3
+# Lines every loader skips: comments and blank lines.
+skipped = st.sampled_from(["", "   ", "\t", "#", "# ant 1 2 3", "#\tant\tbee\t5"])
+
+
+def with_skipped_lines(data, lines: list[str]) -> list[str]:
+    """``lines`` in order, with comment and blank lines drawn in between."""
+    out = []
+    for line in lines + [None]:
+        out += data.draw(st.lists(skipped, max_size=2))
+        if line is not None:
+            out.append(line)
+    return out
+
+
+def embedding_line(word: str, vector) -> str:
+    return word + " " + " ".join(map(repr, vector))
+
+
+def cooccurrence_line(row) -> str:
+    return "\t".join(map(str, row))
+
+
+embedding_rows = st.lists(st.tuples(vocabulary, st.lists(finite, min_size=DIM, max_size=DIM)), max_size=8)
+cooccurrence_rows = st.lists(st.tuples(vocabulary, vocabulary, vocabulary, st.integers(1, 1000)), max_size=10)
+
+
+@PROPERTY_SETTINGS
+@given(embedding_rows, st.data())
+def test_load_embeddings_skips_comments_and_keeps_the_first_duplicate(tmp_path_factory, rows, data):
+    path = tmp_path_factory.mktemp("emb") / "emb.txt"
+    path.write_text("\n".join(with_skipped_lines(data, [embedding_line(w, v) for w, v in rows])) + "\n")
+    store = load_embeddings(path, DIM)
+    first: dict = {}
+    for word, vector in rows:
+        first.setdefault(word, vector)
+    for word in VOCABULARY + ["#"]:
+        if word in first:
+            assert np.array_equal(store.get(word), first[word])
+        else:
+            assert store.get(word) is None
+
+
+@PROPERTY_SETTINGS
+@given(cooccurrence_rows, st.data())
+def test_load_cooccurrence_skips_comments_and_sums_duplicates(tmp_path_factory, rows, data):
+    path = tmp_path_factory.mktemp("cooc") / "cooc.tsv"
+    path.write_text("\n".join(with_skipped_lines(data, [cooccurrence_line(r) for r in rows])) + "\n")
+    stats = load_cooccurrence(path)
+    sums: dict = {}
+    for frame_key, x, y, count in rows:
+        sums[(frame_key, (x, y))] = sums.get((frame_key, (x, y)), 0) + count
+    assert stats.entries() == sorted((frame_key, pair, n) for (frame_key, pair), n in sums.items())
+    assert stats.total == sum(sums.values())
+
+
+@PROPERTY_SETTINGS
+@given(embedding_rows, st.data())
+def test_load_embeddings_names_the_line_of_a_non_finite_value(tmp_path_factory, rows, data):
+    vector = data.draw(st.lists(finite, min_size=DIM, max_size=DIM))
+    vector[data.draw(st.integers(0, DIM - 1))] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    bad = embedding_line(data.draw(vocabulary), vector)
+    lines = with_skipped_lines(data, [embedding_line(w, v) for w, v in rows])
+    lines.insert(data.draw(st.integers(0, len(lines))), bad)
+    path = tmp_path_factory.mktemp("emb") / "emb.txt"
+    path.write_text("\n".join(lines) + "\n")
+    where = f"^{re.escape(str(path))}: line {lines.index(bad) + 1}: "
+    with pytest.raises(ValueError, match=where + "non-finite value"):
+        load_embeddings(path, DIM)
+
+
+@PROPERTY_SETTINGS
+@given(cooccurrence_rows, st.data())
+def test_load_cooccurrence_names_the_line_of_a_non_positive_count(tmp_path_factory, rows, data):
+    count = data.draw(st.integers(-1000, 0))
+    bad = cooccurrence_line((*data.draw(st.tuples(vocabulary, vocabulary, vocabulary)), count))
+    lines = with_skipped_lines(data, [cooccurrence_line(r) for r in rows])
+    lines.insert(data.draw(st.integers(0, len(lines))), bad)
+    path = tmp_path_factory.mktemp("cooc") / "cooc.tsv"
+    path.write_text("\n".join(lines) + "\n")
+    where = f"^{re.escape(str(path))}: line {lines.index(bad) + 1}: "
+    with pytest.raises(ValueError, match=where + f"count {count} is below 1"):
+        load_cooccurrence(path)
