@@ -114,9 +114,7 @@ def cmd_build(args) -> int:
     cfg = _build_cfg(args)
     result = build_graph(prepare(_spec(args), DataPaths.from_dir(args.data_dir), _train_cfg(args)), cfg)
     report = result.report_tsv()
-    # The graph text is made last: a small allocation made after it would
-    # pin the heap above it and raise the peak RSS of what follows.
-    write_outputs(args.out_dir, {"build_report.tsv": report, "graph.txt": dump_graph(result.graph)})
+    write_outputs(args.out_dir, {"graph.txt": dump_graph(result.graph), "build_report.tsv": report})
     print(report, end="")
     return 0
 

@@ -319,7 +319,8 @@ def dump_graph(graph: FactorGraph) -> str:
     for fid, (k, (a, b), t) in enumerate(columns):
         scope_text = f"{a}" if b == -1 else f"{a},{b}"
         lines.append(f"factor\t{fid}\t{graph.kinds[k]}\t{scope_text}\t{values[t]}")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a second copy of the joined text
+    return "\n".join(lines)
 
 
 def load_graph(text: str) -> FactorGraph:
