@@ -9,7 +9,7 @@ import numpy as np
 
 from physrel import TrainConfig, featurize_frame, featurize_object_pair, predict_proba, train
 from physrel.lexstats import EmbeddingStore, Embeddings
-from physrel.maxent import loss_and_grad
+from physrel.maxent import gradients
 
 np.set_printoptions(precision=4, suppress=True)
 rng = np.random.default_rng(0)
@@ -49,8 +49,10 @@ for i, w1 in enumerate(words):
         label = 0 if diff > 0.05 else (2 if diff < -0.05 else 1)
         examples.append((featurize_object_pair(w1, w2, emb), label))
 
-model = train(examples, TrainConfig(learning_rate=0.5, epochs=1000), node_class="object-pair")
-hits = sum(int(np.argmax(predict_proba(model, x))) == y for x, y in examples)
+X = np.stack([x for x, _ in examples])
+y = np.array([label for _, label in examples])
+model = train(X, y, TrainConfig(learning_rate=0.5, epochs=1000), node_class="object-pair")
+hits = int((np.argmax(predict_proba(model, X), axis=1) == y).sum())
 print(f"\ntraining accuracy: {hits}/{len(examples)}")
 
 print("belief for (ant, house):", predict_proba(model, featurize_object_pair("ant", "house", emb)))
@@ -59,16 +61,22 @@ print("belief for (car, cup):  ", predict_proba(model, featurize_object_pair("ca
 # ---------------------------------------------------------------------------
 # The analytic gradient agrees with central finite differences; the training
 # loop is plain full-batch gradient descent on a convex objective.
-X = np.stack([x for x, _ in examples])
-y = np.array([label for _, label in examples])
 weights = rng.normal(scale=0.1, size=(3, X.shape[1]))
 bias = rng.normal(scale=0.1, size=3)
-loss, grad_w, grad_b = loss_and_grad(weights, bias, X, y, l2_lambda=0.01)
+onehot = np.eye(3)[y]
+_, grad_w, grad_b = gradients(weights, bias, X, onehot, l2_lambda=0.01)
+
+
+def loss(w):
+    """Mean NLL + 0.005 * ||w||^2, the objective whose gradient ``gradients`` gives."""
+    probs, _, _ = gradients(w, bias, X, onehot, 0.01)
+    return -np.log(probs[np.arange(len(y)), y]).mean() + 0.005 * (w * w).sum()
+
 
 eps = 1e-5
 idx = (1, 3)
 plus, minus = weights.copy(), weights.copy()
 plus[idx] += eps
 minus[idx] -= eps
-fd = (loss_and_grad(plus, bias, X, y, 0.01)[0] - loss_and_grad(minus, bias, X, y, 0.01)[0]) / (2 * eps)
+fd = (loss(plus) - loss(minus)) / (2 * eps)
 print(f"\nanalytic dL/dw{idx} = {grad_w[idx]:.8f}, finite difference = {fd:.8f}")

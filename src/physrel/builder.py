@@ -22,15 +22,16 @@ deduplicated.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import time
+from dataclasses import dataclass, field, fields
 from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ATTRIBUTES, FRAME_TYPE_ROLES, Attribute, RelationValue, flip
+from .core import ATTRIBUTES, FRAME_TYPE_ROLES, N_VALUES, Attribute, RelationValue, flip
 from .factorgraph import FactorGraph
-from .lexstats import CooccurrenceStats, Embeddings, KnowledgeDataset, pmi, similar_pairs
+from .lexstats import KINDS, CooccurrenceStats, Embeddings, KnowledgeDataset, pmi, similar_pairs
 from .maxent import MaxentModel, TrainConfig, featurize_frame, featurize_object_pair, predict_proba, train
 
 # Fixed 3x3 agreement potential; rows/columns indexed (GT, EQ, LT).
@@ -135,6 +136,19 @@ def _format_value(value) -> str:
 # -- trained classifier bundle --
 
 
+# The classifier's node class for each dataset item class.
+NODE_CLASSES = {"frames": "frame", "pairs": "object-pair"}
+
+
+def featurize_items(kind: str, items: Sequence, emb: Embeddings) -> np.ndarray:
+    """(items, dim) feature matrix of dataset items of class ``kind``."""
+    if kind == "frames":
+        return featurize_frame(
+            [it.verb for it in items], [it.frame_type for it in items], [it.preposition for it in items], emb
+        )
+    return featurize_object_pair([it.x for it in items], [it.y for it in items], emb)
+
+
 @dataclass
 class TrainedModels:
     """Per-(attribute, node-class) classifiers plus the embeddings that
@@ -143,21 +157,13 @@ class TrainedModels:
     models: dict[tuple[Attribute, str], MaxentModel]
     embeddings: Embeddings
 
-    def model_for(self, attribute: Attribute, node_class: str) -> MaxentModel:
+    def proba(self, kind: str, features: np.ndarray, attribute: Attribute) -> np.ndarray:
+        """Class probabilities of each row of the feature matrix of ``kind`` items."""
         try:
-            return self.models[(attribute, node_class)]
+            model = self.models[(attribute, NODE_CLASSES[kind])]
         except KeyError:
-            raise ValueError(f"no trained model for ({attribute}, {node_class!r})") from None
-
-    def frame_proba(self, item, attribute: Attribute) -> np.ndarray:
-        model = self.model_for(attribute, "frame")
-        x = featurize_frame(item.verb, item.frame_type, item.preposition, self.embeddings)
-        return predict_proba(model, x)
-
-    def pair_proba(self, item, attribute: Attribute) -> np.ndarray:
-        model = self.model_for(attribute, "object-pair")
-        x = featurize_object_pair(item.x, item.y, self.embeddings)
-        return predict_proba(model, x)
+            raise ValueError(f"no trained model for ({attribute}, {NODE_CLASSES[kind]!r})") from None
+        return predict_proba(model, features)
 
 
 def train_models(
@@ -166,24 +172,21 @@ def train_models(
     cfg: TrainConfig = TrainConfig(),
     attributes: Sequence[Attribute] = ATTRIBUTES,
 ) -> TrainedModels:
-    """Train one classifier per (attribute, node-class) on seed items only."""
-    models: dict[tuple[Attribute, str], MaxentModel] = {}
+    """Train one classifier per (attribute, node-class) on seed items only,
+    each class's seed items featurized once."""
+    labeled = {}
     with dataset.audit_label_access({"seed"}):
-        for attribute in attributes:
-            frame_examples = [
-                (featurize_frame(it.verb, it.frame_type, it.preposition, embeddings), dataset.gold(it, attribute))
-                for it in dataset.frames_in("seed")
-                if dataset.has_label(it, attribute)
-            ]
-            pair_examples = [
-                (featurize_object_pair(it.x, it.y, embeddings), dataset.gold(it, attribute))
-                for it in dataset.pairs_in("seed")
-                if dataset.has_label(it, attribute)
-            ]
-            if frame_examples:
-                models[(attribute, "frame")] = train(frame_examples, cfg, attribute, "frame")
-            if pair_examples:
-                models[(attribute, "object-pair")] = train(pair_examples, cfg, attribute, "object-pair")
+        for kind in KINDS:
+            rows = dataset.rows_in(kind, "seed")
+            items = getattr(dataset, kind)
+            labeled[kind] = (featurize_items(kind, [items[r] for r in rows], embeddings), dataset.gold_rows(kind, rows))
+    models: dict[tuple[Attribute, str], MaxentModel] = {}
+    for attribute in attributes:
+        for kind, (features, gold) in labeled.items():
+            y = gold[:, ATTRIBUTES.index(attribute)]
+            if (y >= 0).any():
+                node_class = NODE_CLASSES[kind]
+                models[(attribute, node_class)] = train(features[y >= 0], y[y >= 0], cfg, attribute, node_class)
     return TrainedModels(models, embeddings)
 
 
@@ -205,11 +208,11 @@ def factor_rows(kind: str, a, b=-1, table=SOFT) -> np.ndarray:
 class Build:
     graph: FactorGraph
     attributes: tuple[Attribute, ...]
-    frame_items: dict[tuple, object]  # item key -> FrameItem, in key order
-    pair_items: dict[tuple, object]
+    dataset: KnowledgeDataset
     # (items, attributes) variable ids of the frame and of the pair items, in
     # key order and attribute column order; -1 where the graph has no node.
     item_vars: tuple[np.ndarray, np.ndarray]
+    timings: dict[str, float] = field(default_factory=dict)  # build stage -> seconds
 
     @property
     def report(self) -> dict[str, int]:
@@ -235,48 +238,58 @@ def make_nodes(dataset: KnowledgeDataset, attributes=None) -> Build:
 
     Ids run attribute by attribute in ``ATTRIBUTES`` order, whatever the
     order of ``attributes``; within an attribute, its frames and then its
-    pairs, each in dataset key order.
+    pairs, each in dataset key order: each block's ids start at the count of
+    labels in the blocks before it.
     """
     attrs = ATTRIBUTES if attributes is None else tuple(attributes)
     graph = FactorGraph()
-    item_vars = tuple(np.full((len(items), len(attrs)), -1, np.int64) for items in (dataset.frames, dataset.pairs))
-    for attribute in ATTRIBUTES:
-        if attribute not in attrs:
-            continue
-        column = attrs.index(attribute)
-        for items, variables in zip((dataset.frames, dataset.pairs), item_vars):
-            for row, it in enumerate(items):
-                if dataset.has_label(it, attribute):
-                    variables[row, column] = graph.add_variable(it.node(attribute))
-    return Build(graph, attrs, {it.key: it for it in dataset.frames}, {it.key: it for it in dataset.pairs}, item_vars)
+    masks = [dataset.labeled(kind)[:, [ATTRIBUTES.index(a) for a in attrs]] for kind in KINDS]
+    item_vars = tuple(np.full(mask.shape, -1, np.int64) for mask in masks)
+    for column in sorted(range(len(attrs)), key=lambda c: ATTRIBUTES.index(attrs[c])):
+        for kind, mask, variables in zip(KINDS, masks, item_vars):
+            rows = np.flatnonzero(mask[:, column])
+            variables[rows, column] = graph.n_variables + np.arange(len(rows))
+            items = getattr(dataset, kind)
+            for row in rows.tolist():
+                graph.add_variable(items[row].node(attrs[column]))
+    return Build(graph, attrs, dataset, item_vars)
 
 
 def add_seed_and_emb_factors(
     build: Build, dataset: KnowledgeDataset, models: Optional[TrainedModels], cfg: BuildConfig
 ) -> Build:
-    """Unary factors: soft-1 gold rows on seed nodes, classifier rows everywhere."""
-    factors, rows = [], []
+    """Unary factors: soft-1 gold rows on seed nodes, classifier rows everywhere.
 
-    def unary(kind: str, var: int, table) -> None:
-        factors.append((FACTOR_KINDS.index(kind), var, -1, len(rows)))
-        rows.append(table)
-
+    Factors run attribute by attribute, frames then pairs, in item order;
+    an item's seed factor comes before its emb factor.
+    """
+    seeded = [kind for kind, on in zip(KINDS, (cfg.seed_frames, cfg.seed_objects)) if on and cfg.enabled("seed")]
+    embedded = [kind for kind, on in zip(KINDS, (cfg.emb_frames, cfg.emb_objects)) if on and cfg.enabled("emb")]
+    if embedded and models is None:
+        raise ValueError("emb factors requested but no trained models supplied")
+    features = {kind: featurize_items(kind, getattr(dataset, kind), models.embeddings) for kind in embedded}
+    codes = np.array([FACTOR_KINDS.index("seed"), FACTOR_KINDS.index("emb")])
+    factors, tables = [], []
     with dataset.audit_label_access({"seed"}):
         for column, attribute in enumerate(build.attributes):
-            for items, variables, seeded, embedded, proba in (
-                (dataset.frames, build.item_vars[0], cfg.seed_frames, cfg.emb_frames, "frame_proba"),
-                (dataset.pairs, build.item_vars[1], cfg.seed_objects, cfg.emb_objects, "pair_proba"),
-            ):
-                for it, var in zip(items, variables[:, column].tolist()):
-                    if var < 0:
-                        continue
-                    if cfg.enabled("seed") and seeded and it.split == "seed":
-                        unary("seed", var, seed_table(dataset.gold(it, attribute)))
-                    if cfg.enabled("emb") and embedded:
-                        if models is None:
-                            raise ValueError("emb factors requested but no trained models supplied")
-                        unary("emb", var, getattr(models, proba)(it, attribute))
-    build.add([np.array(factors, dtype=np.int64).reshape(-1, 4)], rows)
+            for kind, variables in zip(KINDS, build.item_vars):
+                rows = np.flatnonzero(variables[:, column] >= 0)
+                # Per node, slot 0 is its seed factor and slot 1 its emb factor.
+                present = np.zeros((len(rows), 2), dtype=bool)
+                table = np.empty((len(rows), 2, N_VALUES))
+                if kind in seeded:
+                    present[:, 0] = np.isin(rows, dataset.rows_in(kind, "seed"))
+                    gold = dataset.gold_rows(kind, rows[present[:, 0]])[:, ATTRIBUTES.index(attribute)]
+                    table[present[:, 0], 0] = SOFT_ONE[gold]
+                if kind in embedded and len(rows):
+                    present[:, 1] = True
+                    table[:, 1] = models.proba(kind, features[kind][rows], attribute)
+                node, slot = np.nonzero(present)
+                factors.append(np.column_stack([codes[slot], variables[rows[node], column]]))
+                tables.append(table[present])
+    factors = np.concatenate([np.zeros((0, 2), np.int64), *factors])
+    rows = np.concatenate([np.zeros((0, N_VALUES)), *tables])
+    build.add([np.column_stack([factors, np.full(len(rows), -1), np.arange(len(rows))])], rows)
     return build
 
 
@@ -288,8 +301,8 @@ def add_selectional_preference_factors(build: Build, stats: CooccurrenceStats, c
     orientations of the same (frame, pair) evidence resolve to the larger
     joint count.
     """
-    frame_row = {it.frame_key: i for i, it in enumerate(build.frame_items.values())}
-    pair_row = {key: i for i, key in enumerate(build.pair_items)}
+    frame_row = {it.frame_key: i for i, it in enumerate(build.dataset.frames)}
+    pair_row = {it.key: i for i, it in enumerate(build.dataset.pairs)}
 
     chosen: dict[tuple[str, tuple[str, str]], tuple[int, tuple[str, str]]] = {}
     for frame_key, (p, q), count in stats.entries():
@@ -330,70 +343,57 @@ def frames_link(frame_type_a: str, frame_type_b: str) -> bool:
 def add_similarity_factors(build: Build, emb: Embeddings, cfg: BuildConfig) -> Build:
     """Verb-, frame-, and object-similarity factors.
 
-    Verb and object similarity are computed once, over every verb and object
-    of the build's items, and shared by all attributes.
+    Verb and object similarity, and which frames of a verb link, are computed
+    once over the build's items; each attribute then links the nodes it has.
+    Links follow item key order, so each family's factors are in that order.
     """
-    frames, pairs = list(build.frame_items.values()), list(build.pair_items.values())
-    verbs = sorted({it.verb for it in frames})
-    objects = sorted({o for it in pairs for o in (it.x, it.y)})
-    similar_verbs = (verbs, similar_pairs(emb.verbs, verbs, cfg.verb_sim_threshold))
-    similar_objects = (objects, similar_pairs(emb.objects, objects, cfg.obj_sim_threshold))
+    frames, pairs = build.dataset.frames, build.dataset.pairs
+    verbs, verb_of = _positions([it.verb for it in frames])
+    shapes, shape_of = _positions([(it.frame_type, it.preposition or "") for it in frames])
+    objects, object_of = _positions([o for it in pairs for o in (it.x, it.y)])
+    x_of, y_of = object_of[0::2], object_of[1::2]
+    rows_of_verb: dict[str, list[int]] = {}
+    for row, it in enumerate(frames):
+        rows_of_verb.setdefault(it.verb, []).append(row)
+    linked = []  # same-verb frame pairs whose shapes relate the same roles
+    for rows in rows_of_verb.values():
+        linked += [(i, j) for i, j in combinations(rows, 2) if frames_link(frames[i].frame_type, frames[j].frame_type)]
+    linked = np.array(linked, dtype=np.int64).reshape(-1, 2)
+    similar_verbs = np.nonzero(np.triu(similar_pairs(emb.verbs, verbs, cfg.verb_sim_threshold), 1))
+    similar_objects = np.nonzero(np.triu(similar_pairs(emb.objects, objects, cfg.obj_sim_threshold), 1))
 
     chunks = []
-    for column in range(len(build.attributes)):
-        # The attribute's frames and pairs that have a node, with its variable.
-        frame_vars, pair_vars = build.item_vars[0][:, column].tolist(), build.item_vars[1][:, column].tolist()
-        attr_frames = [(it, v) for it, v in zip(frames, frame_vars) if v >= 0]
-        attr_pairs = [(it, v) for it, v in zip(pairs, pair_vars) if v >= 0]
+    for frame_vars, pair_vars in zip(build.item_vars[0].T, build.item_vars[1].T):
         if cfg.enabled("framesim"):
-            chunks.append(_frame_factors(attr_frames))
+            a, b = frame_vars[linked].T
+            chunks.append(factor_rows("framesim", a[(a >= 0) & (b >= 0)], b[(a >= 0) & (b >= 0)]))
         if cfg.enabled("verbsim"):
-            chunks.append(_verb_factors(attr_frames, similar_verbs))
+            # For each similar verb pair (u, v), u before v: a link between their frames of one shape.
+            var_at = np.full((len(verbs), len(shapes)), -1, dtype=np.int64)
+            var_at[verb_of, shape_of] = frame_vars
+            u, v = similar_verbs
+            both = (var_at[u] >= 0) & (var_at[v] >= 0)
+            chunks.append(factor_rows("verbsim", var_at[u][both], var_at[v][both]))
         if cfg.enabled("objsim"):
-            chunks.append(_object_similarity_factors(attr_pairs, similar_objects))
+            chunks.append(_object_similarity_factors(x_of, y_of, pair_vars, len(objects), similar_objects))
     build.add(chunks, [seed_table(RelationValue.EQ)])
     return build
 
 
-def _among(similar: tuple[list[str], np.ndarray], words: list[str]) -> np.ndarray:
-    """The similarity mask of a sorted sub-list of the similarity's words."""
-    index = np.searchsorted(similar[0], words)
-    return similar[1][np.ix_(index, index)]
+def _positions(values: list) -> tuple[list, np.ndarray]:
+    """The sorted distinct values, and each value's index among them."""
+    distinct = sorted(set(values))
+    index = {v: i for i, v in enumerate(distinct)}
+    return distinct, np.array([index[v] for v in values], dtype=np.int64)
 
 
-def _frame_factors(frames) -> np.ndarray:
-    by_verb: dict[str, list[tuple[str, int]]] = {}
-    for it, var in frames:
-        by_verb.setdefault(it.verb, []).append((it.frame_type, var))
-    links = [(a, b) for v in sorted(by_verb) for (s, a), (t, b) in combinations(by_verb[v], 2) if frames_link(s, t)]
-    a, b = np.array(links, dtype=np.int64).reshape(-1, 2).T
-    return factor_rows("framesim", a, b)
-
-
-def _verb_factors(frames, similar) -> np.ndarray:
-    """For each similar verb pair (u, v), u before v, link the frames of u
-    and v that have the same shape, in u's frame order."""
-    verbs = sorted({it.verb for it, _ in frames})
-    shapes = sorted({(it.frame_type, it.preposition) for it, _ in frames}, key=lambda s: (s[0], s[1] or ""))
-    verb_pos, shape_pos = {v: i for i, v in enumerate(verbs)}, {s: i for i, s in enumerate(shapes)}
-    var_at = np.full((len(verbs), len(shapes)), -1, dtype=np.int64)
-    for it, var in frames:
-        var_at[verb_pos[it.verb], shape_pos[(it.frame_type, it.preposition)]] = var
-    u, v = np.nonzero(np.triu(_among(similar, verbs), 1))
-    both = (var_at[u] >= 0) & (var_at[v] >= 0)
-    return factor_rows("verbsim", var_at[u][both], var_at[v][both])
-
-
-def _object_similarity_factors(pairs, similar) -> np.ndarray:
+def _object_similarity_factors(x_of, y_of, variables, n_objects: int, similar) -> np.ndarray:
     """For each similar object pair (x, y), x before y: an EQ nudge (unary
     row 0) on the pair's own node, then a link between (x, z) and (y, z) for
     every shared comparator z in order, flipped when z sits between x and y."""
-    objects = sorted({o for it, _ in pairs for o in (it.x, it.y)})
-    pos = {o: i for i, o in enumerate(objects)}
-    var_of = np.full((len(objects), len(objects)), -1, dtype=np.int64)
-    for it, var in pairs:
-        var_of[pos[it.x], pos[it.y]] = var_of[pos[it.y], pos[it.x]] = var
-    x, y = np.nonzero(np.triu(_among(similar, objects), 1))
+    var_of = np.full((n_objects, n_objects), -1, dtype=np.int64)
+    var_of[x_of, y_of] = var_of[y_of, x_of] = variables
+    x, y = similar
     # Per similar pair, column 0 is the pair's own node and column 1 + z the comparator z.
     p, col = np.nonzero(np.column_stack([var_of[x, y] >= 0, (var_of[x] >= 0) & (var_of[y] >= 0)]))
     x, y, z, direct = x[p], y[p], col - 1, col == 0
@@ -405,21 +405,18 @@ def _object_similarity_factors(pairs, similar) -> np.ndarray:
 def add_attribute_factors(build: Build, dataset: KnowledgeDataset, cfg: BuildConfig) -> Build:
     """Cross-attribute frame coupling, gated on seed-label agreement."""
     attrs = build.attributes
-    chunks = []
     with dataset.audit_label_access({"seed"}):
-        for i in range(len(attrs)):
-            for j in range(i + 1, len(attrs)):
-                a, b = attrs[i], attrs[j]
-                seeds = dataset.frames_in("seed")
-                shared = [it for it in seeds if dataset.has_label(it, a) and dataset.has_label(it, b)]
-                if len(shared) < cfg.min_shared_seed_frames:
-                    continue
-                agree = sum(1 for it in shared if dataset.gold(it, a) == dataset.gold(it, b))
-                if agree / len(shared) < cfg.attr_agreement_threshold:
-                    continue
-                var_a, var_b = build.item_vars[0][:, i], build.item_vars[0][:, j]
-                both = (var_a >= 0) & (var_b >= 0)
-                chunks.append(factor_rows("attrsim", var_a[both], var_b[both]))
+        gold = dataset.gold_rows("frames", dataset.rows_in("frames", "seed"))[:, [ATTRIBUTES.index(a) for a in attrs]]
+    chunks = []
+    for i, j in combinations(range(len(attrs)), 2):
+        shared = (gold[:, i] >= 0) & (gold[:, j] >= 0)
+        if shared.sum() < cfg.min_shared_seed_frames:
+            continue
+        if int((gold[shared, i] == gold[shared, j]).sum()) / int(shared.sum()) < cfg.attr_agreement_threshold:
+            continue
+        var_a, var_b = build.item_vars[0][:, i], build.item_vars[0][:, j]
+        both = (var_a >= 0) & (var_b >= 0)
+        chunks.append(factor_rows("attrsim", var_a[both], var_b[both]))
     build.add(chunks)
     return build
 
@@ -432,18 +429,27 @@ def build(
     models: Optional[TrainedModels],
     cfg: BuildConfig = BuildConfig(),
 ) -> Build:
-    """Full graph assembly over the requested attribute(s)."""
+    """Full graph assembly over the requested attribute(s); the result's
+    ``timings`` holds the seconds each stage took."""
+    start = time.perf_counter()
     result = make_nodes(dataset, attributes)
+    result.timings["nodes"] = time.perf_counter() - start
     if cfg.enabled("seed") or cfg.enabled("emb"):
-        add_seed_and_emb_factors(result, dataset, models, cfg)
+        _timed(result, "seed_emb", add_seed_and_emb_factors, dataset, models, cfg)
     if cfg.enabled("selpref"):
         if stats is None:
             raise ValueError("selpref factors requested but no co-occurrence stats supplied")
-        add_selectional_preference_factors(result, stats, cfg)
+        _timed(result, "selpref", add_selectional_preference_factors, stats, cfg)
     if cfg.enabled("verbsim") or cfg.enabled("framesim") or cfg.enabled("objsim"):
         if emb is None:
             raise ValueError("similarity factors requested but no embeddings supplied")
-        add_similarity_factors(result, emb, cfg)
+        _timed(result, "similarity", add_similarity_factors, emb, cfg)
     if cfg.enabled("attrsim") and len(result.attributes) > 1:
-        add_attribute_factors(result, dataset, cfg)
+        _timed(result, "attrsim", add_attribute_factors, dataset, cfg)
     return result
+
+
+def _timed(result: Build, stage: str, add, *args) -> None:
+    start = time.perf_counter()
+    add(result, *args)
+    result.timings[stage] = time.perf_counter() - start

@@ -125,6 +125,7 @@ def cmd_infer(args) -> int:
     for node, p in result.beliefs.items():
         lines.append(f"{node.key}\t{p[0]:.6f}\t{p[1]:.6f}\t{p[2]:.6f}")
     files = {**_run_files(result), "marginals.tsv": "\n".join(lines) + "\n"}
+    files["timings.json"] = json.dumps(result.timings, indent=2) + "\n"
     write_outputs(args.out_dir, {**files, "graph.txt": dump_graph(result.build.graph)})
     report = result.report
     print(f"converged={report.converged} iterations={report.iterations} residual={report.residual!r}")

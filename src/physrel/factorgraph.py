@@ -84,11 +84,10 @@ class FactorGraph:
     # -- variables --
 
     def add_variable(self, node: Hashable) -> int:
-        if node in self._var_of:
-            raise ValueError(f"variable {node!r} already exists")
         vid = len(self._nodes)
+        if self._var_of.setdefault(node, vid) != vid:
+            raise ValueError(f"variable {node!r} already exists")
         self._nodes.append(node)
-        self._var_of[node] = vid
         return vid
 
     def has_variable(self, node: Hashable) -> bool:

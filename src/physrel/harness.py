@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+import time
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
@@ -24,6 +25,7 @@ from .builder import (
     FACTOR_KINDS,
     TrainedModels,
     build,
+    featurize_items,
     train_models,
 )
 from .core import (
@@ -37,10 +39,10 @@ from .core import (
 )
 from .factorgraph import BPConfig, BPResult, run_bp
 from .lexstats import (
+    KINDS,
     CooccurrenceStats,
     Embeddings,
     KnowledgeDataset,
-    combine,
     load_cooccurrence,
     load_dataset,
     load_embeddings,
@@ -114,17 +116,18 @@ def load_world(paths: DataPaths) -> tuple[Embeddings, CooccurrenceStats]:
 
 
 def assemble_task_dataset(paths: DataPaths, spec: TaskSpec) -> KnowledgeDataset:
-    """In-domain data at the 5% profile, cross-domain at the spec's profile."""
-    ds5 = load_dataset(paths.frames_5, paths.pairs_5)
-    if spec.cross_seed_fraction == "5":
-        return ds5
-    ds20 = load_dataset(paths.frames_20, paths.pairs_20)
-    if spec.task == "frames":
-        return combine(ds5, ds20)
-    return combine(ds20, ds5)
+    """In-domain data at the 5% profile, cross-domain at the spec's profile;
+    only the two label files the task uses are read."""
+    cross_20 = spec.cross_seed_fraction == "20"
+    frame_file = paths.frames_20 if cross_20 and spec.task == "objects" else paths.frames_5
+    pair_file = paths.pairs_20 if cross_20 and spec.task == "frames" else paths.pairs_5
+    return load_dataset(frame_file, pair_file)
 
 
 # -- decisions and reports --
+
+
+RELATIONS = tuple(RelationValue)  # by code
 
 
 def decide(marginal) -> RelationValue:
@@ -167,30 +170,30 @@ class AccuracyReport:
 
 
 def _score(
-    golds: dict[str, list[RelationValue]],
-    preds: dict[str, list[RelationValue]],
+    gold: np.ndarray,
+    preds: np.ndarray,
+    attributes=ATTRIBUTES,
     *,
     algorithm: str,
     spec: TaskSpec,
     fingerprint: str,
-    converged: Optional[bool] = None,
-    iterations: Optional[int] = None,
-    residual: Optional[float] = None,
+    bp: Optional[BPResult] = None,
 ) -> AccuracyReport:
+    """Per-attribute, macro (overall) and micro accuracy of predicted against
+    gold relation codes, both (items, len(ATTRIBUTES)) matrices, over the
+    entries that have a gold label."""
     per_attribute: dict[str, float] = {}
     counts: dict[str, int] = {}
     total = correct = 0
-    for attr in sorted(golds):
-        g, p = golds[attr], preds[attr]
-        counts[attr] = len(g)
-        if not g:
-            continue
-        hits = sum(1 for gi, pi in zip(g, p) if gi == pi)
-        per_attribute[attr] = hits / len(g)
-        total += len(g)
-        correct += hits
+    for attribute in sorted(attributes, key=str):
+        column = ATTRIBUTES.index(attribute)
+        labeled = gold[:, column] >= 0
+        counts[attribute.value] = n = int(labeled.sum())
+        if n:
+            hits = int((gold[labeled, column] == preds[labeled, column]).sum())
+            per_attribute[attribute.value] = hits / n
+            total, correct = total + n, correct + hits
     overall = float(np.mean([per_attribute[a] for a in per_attribute])) if per_attribute else 0.0
-    micro = correct / total if total else 0.0
     return AccuracyReport(
         algorithm=algorithm,
         task=spec.task,
@@ -198,27 +201,17 @@ def _score(
         per_attribute=per_attribute,
         counts=counts,
         overall=overall,
-        micro=micro,
+        micro=correct / total if total else 0.0,
         config_fingerprint=fingerprint,
-        converged=converged,
-        iterations=iterations,
-        residual=residual,
+        **({"converged": bp.converged, "iterations": bp.iterations, "residual": bp.residuals[-1]} if bp else {}),
     )
 
 
-def _eval_items(dataset: KnowledgeDataset, spec: TaskSpec):
-    if spec.task == "frames":
-        return dataset.frames_in(spec.eval_split)
-    return dataset.pairs_in(spec.eval_split)
-
-
-def _gold_by_attribute(dataset: KnowledgeDataset, items) -> dict[str, list[RelationValue]]:
-    golds: dict[str, list[RelationValue]] = {a.value: [] for a in ATTRIBUTES}
-    for attribute in ATTRIBUTES:
-        for it in items:
-            if dataset.has_label(it, attribute):
-                golds[attribute.value].append(dataset.gold(it, attribute))
-    return golds
+def _eval_labels(dataset: KnowledgeDataset, spec: TaskSpec) -> tuple[str, np.ndarray, np.ndarray]:
+    """The scored item class, the rows of its evaluation split and their gold label matrix."""
+    kind = "frames" if spec.task == "frames" else "pairs"
+    rows = dataset.rows_in(kind, spec.eval_split)
+    return kind, rows, dataset.gold_rows(kind, rows)
 
 
 def _fingerprint(*chunks: str) -> str:
@@ -232,26 +225,19 @@ def _fingerprint(*chunks: str) -> str:
 # -- baselines --
 
 
-def baseline_random(
-    dataset: KnowledgeDataset,
-    spec: TaskSpec,
-    rng_seed: int = 0,
-    resamples: int = 1,
-) -> AccuracyReport:
+def baseline_random(dataset: KnowledgeDataset, spec: TaskSpec, rng_seed: int = 0, resamples: int = 1) -> AccuracyReport:
     """Uniform choice among the three values; expected accuracy 1/3."""
-    items = _eval_items(dataset, spec)
-    golds = _gold_by_attribute(dataset, items)
+    if resamples < 1:
+        raise ValueError(f"resamples must be >= 1, got {resamples}")
+    _, _, gold = _eval_labels(dataset, spec)
     rng = np.random.default_rng(rng_seed)
-    per_attr_preds: dict[str, list[RelationValue]] = {}
     accs: dict[str, float] = {}
     counts: dict[str, int] = {}
-    for attr, g in golds.items():
-        counts[attr] = len(g)
-        if not g:
-            continue
-        g_arr = np.array([int(v) for v in g])
-        draws = rng.integers(0, 3, size=(resamples, len(g)))
-        accs[attr] = float((draws == g_arr).mean())
+    for column, attribute in enumerate(ATTRIBUTES):
+        g = gold[gold[:, column] >= 0, column]
+        counts[attribute.value] = len(g)
+        if len(g):
+            accs[attribute.value] = float((rng.integers(0, 3, size=(resamples, len(g))) == g).mean())
     overall = float(np.mean(list(accs.values()))) if accs else 0.0
     micro_num = sum(accs[a] * counts[a] for a in accs)
     micro_den = sum(counts[a] for a in accs)
@@ -269,56 +255,29 @@ def baseline_random(
 
 def baseline_majority(dataset: KnowledgeDataset, spec: TaskSpec) -> AccuracyReport:
     """Predict each attribute's most frequent in-domain seed label everywhere."""
-    seeds = dataset.frames_in("seed") if spec.task == "frames" else dataset.pairs_in("seed")
-    majority: dict[str, RelationValue] = {}
+    kind, _, gold = _eval_labels(dataset, spec)
     with dataset.audit_label_access({"seed"}):
-        for attribute in ATTRIBUTES:
-            tallies = [0, 0, 0]
-            for it in seeds:
-                if dataset.has_label(it, attribute):
-                    tallies[int(dataset.gold(it, attribute))] += 1
-            if sum(tallies) > 0:
-                majority[attribute.value] = RelationValue(int(np.argmax(tallies)))
-    items = _eval_items(dataset, spec)
-    golds = _gold_by_attribute(dataset, items)
-    for attr, g in golds.items():
-        if g and attr not in majority:
-            raise ValueError(f"empty seed split for attribute {attr}")
-    preds = {attr: [majority[attr]] * len(g) if g else [] for attr, g in golds.items()}
-    return _score(
-        golds,
-        preds,
-        algorithm="majority",
-        spec=spec,
-        fingerprint=_fingerprint(spec.to_text(), "majority"),
-    )
+        seed_gold = dataset.gold_rows(kind, dataset.rows_in(kind, "seed"))
+    preds = np.empty_like(gold)
+    for column, attribute in enumerate(ATTRIBUTES):
+        tallies = np.bincount(seed_gold[seed_gold[:, column] >= 0, column], minlength=3)
+        if tallies.sum() == 0 and (gold[:, column] >= 0).any():
+            raise ValueError(f"empty seed split for attribute {attribute.value}")
+        preds[:, column] = np.argmax(tallies)
+    return _score(gold, preds, algorithm="majority", spec=spec, fingerprint=_fingerprint(spec.to_text(), "majority"))
 
 
-def baseline_emb_maxent(
-    dataset: KnowledgeDataset,
-    spec: TaskSpec,
-    models: TrainedModels,
-) -> AccuracyReport:
+def baseline_emb_maxent(dataset: KnowledgeDataset, spec: TaskSpec, models: TrainedModels) -> AccuracyReport:
     """Classifier-only predictions for every evaluation item."""
-    items = _eval_items(dataset, spec)
-    golds = _gold_by_attribute(dataset, items)
-    preds: dict[str, list[RelationValue]] = {a.value: [] for a in ATTRIBUTES}
-    for attribute in ATTRIBUTES:
-        for it in items:
-            if not dataset.has_label(it, attribute):
-                continue
-            if spec.task == "frames":
-                proba = models.frame_proba(it, attribute)
-            else:
-                proba = models.pair_proba(it, attribute)
-            preds[attribute.value].append(decide(proba))
-    return _score(
-        golds,
-        preds,
-        algorithm="emb-maxent",
-        spec=spec,
-        fingerprint=_fingerprint(spec.to_text(), "emb-maxent"),
-    )
+    kind, rows, gold = _eval_labels(dataset, spec)
+    features = featurize_items(kind, [getattr(dataset, kind)[r] for r in rows], models.embeddings)
+    preds = np.empty_like(gold)
+    for column, attribute in enumerate(ATTRIBUTES):
+        labeled = gold[:, column] >= 0
+        if labeled.any():
+            preds[labeled, column] = np.argmax(models.proba(kind, features[labeled], attribute), axis=1)
+    fingerprint = _fingerprint(spec.to_text(), "emb-maxent")
+    return _score(gold, preds, algorithm="emb-maxent", spec=spec, fingerprint=fingerprint)
 
 
 # -- the full model --
@@ -339,6 +298,9 @@ class RunResult:
     beliefs: dict[NodeRef, np.ndarray]  # in variable id order
     build: Build
     bp: BPResult
+    # Seconds per stage: the prepared data's load and train, each build
+    # stage ("build.<stage>"), BP and scoring.
+    timings: dict[str, float]
 
     def pair_belief(self, x: str, y: str, attribute: Attribute) -> np.ndarray:
         """Belief over (x, y) in the asked orientation; GT/LT permuted when
@@ -352,25 +314,31 @@ class RunResult:
 class Prepared:
     """What every build config of one task shares: the graph dataset (seed
     plus evaluation split), embeddings, co-occurrence counts and the seed
-    classifiers, which are trained on first use."""
+    classifiers, which are trained on first use. ``timings`` holds the
+    seconds loading and training took."""
 
     spec: TaskSpec
     dataset: KnowledgeDataset
     emb: Embeddings
     stats: CooccurrenceStats
     train_cfg: TrainConfig
+    timings: dict[str, float] = field(default_factory=dict)
 
     @cached_property
     def models(self) -> TrainedModels:
-        return train_models(self.dataset, self.emb, self.train_cfg)
+        start = time.perf_counter()
+        models = train_models(self.dataset, self.emb, self.train_cfg)
+        self.timings["train"] = time.perf_counter() - start
+        return models
 
 
 def prepare(spec: TaskSpec, paths: DataPaths, train_cfg: TrainConfig = TrainConfig()) -> Prepared:
     """Load the task's data once, restricted to the seed and evaluation splits."""
+    start = time.perf_counter()
     splits = {"seed", spec.eval_split}
     dataset = assemble_task_dataset(paths, spec).restrict(frame_splits=splits, pair_splits=splits)
     emb, stats = load_world(paths)
-    return Prepared(spec, dataset, emb, stats, train_cfg)
+    return Prepared(spec, dataset, emb, stats, train_cfg, {"load": time.perf_counter() - start})
 
 
 def build_graph(prepared: Prepared, cfg: BuildConfig, attributes: Sequence[Attribute] = ATTRIBUTES) -> Build:
@@ -391,27 +359,23 @@ def infer(
     """Build the graph, run BP, score the evaluation split."""
     spec, train_cfg, graph_ds = prepared.spec, prepared.train_cfg, prepared.dataset
     built = build_graph(prepared, cfg, attributes)
+    start = time.perf_counter()
     bp = run_bp(built.graph, bp_cfg)
+    bp_s, start = time.perf_counter() - start, time.perf_counter()
 
-    beliefs: dict[NodeRef, np.ndarray] = {}
-    for vid in range(built.graph.n_variables):
-        beliefs[built.graph.node_of(vid)] = bp.marginals[vid]
-
-    items = _eval_items(graph_ds, spec)
-    golds: dict[str, list[RelationValue]] = {a.value: [] for a in attributes}
-    preds: dict[str, list[RelationValue]] = {a.value: [] for a in attributes}
-    predictions: list[Prediction] = []
-    for attribute in attributes:
-        for it in items:
-            if not graph_ds.has_label(it, attribute):
-                continue
-            node = it.node(attribute)
-            belief = beliefs[node]
-            predicted = decide(belief)
-            gold = graph_ds.gold(it, attribute)
-            golds[attribute.value].append(gold)
-            preds[attribute.value].append(predicted)
-            predictions.append(Prediction(node, gold, predicted, belief))
+    graph = built.graph
+    beliefs: dict[NodeRef, np.ndarray] = dict(zip(map(graph.node_of, range(graph.n_variables)), bp.marginals))
+    # Each evaluation item's variable and argmax relation (ties as in decide) per build attribute.
+    kind, rows, gold = _eval_labels(graph_ds, spec)
+    variables = built.item_vars[KINDS.index(kind)][rows]
+    columns = [ATTRIBUTES.index(a) for a in built.attributes]
+    preds = np.full_like(gold, -1)
+    preds[:, columns] = np.argmax(bp.marginals[variables], axis=2)  # -1 (no node) only where gold is -1
+    predictions = []
+    for column, c in enumerate(columns):
+        scored = gold[:, c] >= 0
+        for var, g, p in zip(variables[scored, column].tolist(), gold[scored, c].tolist(), preds[scored, c].tolist()):
+            predictions.append(Prediction(graph.node_of(var), RELATIONS[g], RELATIONS[p], bp.marginals[var]))
 
     fingerprint = _fingerprint(
         spec.to_text(),
@@ -419,17 +383,10 @@ def infer(
         f"bp={bp_cfg.max_iterations},{bp_cfg.convergence_eps!r},{bp_cfg.damping!r}",
         f"train={train_cfg.l2_lambda!r},{train_cfg.learning_rate!r},{train_cfg.epochs},{train_cfg.rng_seed}",
     )
-    report = _score(
-        golds,
-        preds,
-        algorithm="model",
-        spec=spec,
-        fingerprint=fingerprint,
-        converged=bp.converged,
-        iterations=bp.iterations,
-        residual=bp.residuals[-1],
-    )
-    return RunResult(report, predictions, beliefs, built, bp)
+    report = _score(gold, preds, built.attributes, algorithm="model", spec=spec, fingerprint=fingerprint, bp=bp)
+    build_s = {f"build.{stage}": s for stage, s in built.timings.items()}
+    timings = {**prepared.timings, **build_s, "bp": bp_s, "score": time.perf_counter() - start}
+    return RunResult(report, predictions, beliefs, built, bp, timings)
 
 
 def run_task(

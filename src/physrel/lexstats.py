@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import Attribute, FrameNode, ObjectPairNode, RelationValue, flip, ordered_pair
+from .core import ATTRIBUTES, RELATION_TOKENS, Attribute, FrameNode, ObjectPairNode, RelationValue, ordered_pair
 from .core import relation_from_token
 
 logger = logging.getLogger(__name__)
@@ -198,57 +198,45 @@ class PairItem:
         return ObjectPairNode(self.x, self.y, attribute)
 
 
+# Item classes, each stored as its own columns; builder.Build.item_vars follows this order.
+KINDS = ("frames", "pairs")
+SPLIT_CODE = {split: code for code, split in enumerate(SPLITS)}
+_ATTRIBUTE_COLUMN = {a.value: column for column, a in enumerate(ATTRIBUTES)}
+_RELATION_CODE = {token: int(r) for token, r in RELATION_TOKENS.items()}
+
+
 class KnowledgeDataset:
     """Labeled frames and object pairs with per-attribute gold relations.
 
-    Gold labels are reached only through :meth:`gold`, which honors the
-    audit guard installed by :meth:`audit_label_access`; split membership
-    and which attributes are labeled are public.
+    Each item class of :data:`KINDS` is stored as columns: its items in key
+    order, an int8 split code per item (an index into :data:`SPLITS`) and an
+    ``(items, len(ATTRIBUTES))`` int8 label matrix holding a RelationValue per
+    attribute column and -1 where the item is unlabeled. Gold labels are read
+    only through :meth:`gold_rows` (and :meth:`gold`), which honor the audit
+    guard installed by :meth:`audit_label_access`; items, splits and which
+    attributes are labeled are public.
     """
 
-    def __init__(
-        self,
-        frames: Sequence[FrameItem],
-        pairs: Sequence[PairItem],
-        frame_labels: Mapping[tuple, Mapping[Attribute, RelationValue]],
-        pair_labels: Mapping[tuple, Mapping[Attribute, RelationValue]],
-    ):
-        self.frames = sorted(frames, key=lambda it: it.key)
-        self.pairs = sorted(pairs, key=lambda it: it.key)
-        self._frame_labels = {k: dict(v) for k, v in frame_labels.items()}
-        self._pair_labels = {k: dict(v) for k, v in pair_labels.items()}
+    def __init__(self, frames: Sequence[FrameItem], frame_labels, pairs: Sequence[PairItem], pair_labels):
+        """Items of each class in any order, each with its label-matrix row."""
+        self._columns: dict[str, tuple[list, np.ndarray, np.ndarray]] = {}
+        for kind, items, labels in (("frames", frames, frame_labels), ("pairs", pairs, pair_labels)):
+            keys = [it.key for it in items]
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            items, keys = [items[i] for i in order], [keys[i] for i in order]
+            labels = np.asarray(labels, dtype=np.int8).reshape(len(keys), len(ATTRIBUTES))[order]
+            splits = np.array([SPLIT_CODE.get(it.split, -1) for it in items], dtype=np.int8)
+            _check_items(kind[:-1], items, keys, splits, labels)
+            self._columns[kind] = (items, splits, labels)
+        self.frames, self.pairs = self._columns["frames"][0], self._columns["pairs"][0]
+        self._rows: dict[str, dict[tuple, int]] = {}  # per class, item key -> row, built on first use
         self._allowed_splits: Optional[frozenset[str]] = None
-        self._validate()
-
-    def _validate(self) -> None:
-        seen = set()
-        by_verb: dict[str, str] = {}
-        for it in self.frames:
-            if it.split not in SPLITS:
-                raise ValueError(f"unknown split {it.split!r} for frame {it.key}")
-            if it.key in seen:
-                raise ValueError(f"duplicate frame {it.key}")
-            seen.add(it.key)
-            if it.verb in by_verb and by_verb[it.verb] != it.split:
-                raise ValueError(f"frames of verb {it.verb!r} span multiple splits")
-            by_verb[it.verb] = it.split
-            if it.key not in self._frame_labels or not self._frame_labels[it.key]:
-                raise ValueError(f"frame {it.key} has no labels")
-        seen = set()
-        for it in self.pairs:
-            if it.split not in SPLITS:
-                raise ValueError(f"unknown split {it.split!r} for pair {it.key}")
-            if it.key in seen:
-                raise ValueError(f"duplicate pair {it.key}")
-            seen.add(it.key)
-            if it.key not in self._pair_labels or not self._pair_labels[it.key]:
-                raise ValueError(f"pair {it.key} has no labels")
 
     # -- label access --
 
     @contextmanager
     def audit_label_access(self, allowed_splits: Iterable[str]):
-        """Restrict gold() to the given splits inside the context."""
+        """Restrict gold_rows() and gold() to the given splits inside the context."""
         previous = self._allowed_splits
         self._allowed_splits = frozenset(allowed_splits)
         try:
@@ -256,47 +244,85 @@ class KnowledgeDataset:
         finally:
             self._allowed_splits = previous
 
+    def gold_rows(self, kind: str, rows) -> np.ndarray:
+        """Label-matrix rows ``rows`` of class ``kind`` (attribute columns, -1
+        where unlabeled). Raises LabelAccessError naming the first row whose
+        split is outside the audited set."""
+        items, splits, labels = self._columns[kind]
+        rows = np.asarray(rows, dtype=np.intp)
+        if self._allowed_splits is not None:
+            bad = ~np.isin(splits[rows], [SPLIT_CODE[s] for s in self._allowed_splits if s in SPLIT_CODE])
+            if bad.any():
+                item = items[rows[np.argmax(bad)]]
+                raise LabelAccessError(
+                    f"gold label of {item.split!r} item {item.key} read while only "
+                    f"{sorted(self._allowed_splits)} are allowed"
+                )
+        return labels[rows]
+
+    def labeled(self, kind: str) -> np.ndarray:
+        """(items, attributes) mask of the labels the items of class ``kind`` carry."""
+        return self._columns[kind][2] >= 0
+
+    def rows_in(self, kind: str, *splits: str) -> np.ndarray:
+        """Rows of the items of class ``kind`` in the given splits, in key order."""
+        codes = [SPLIT_CODE[s] for s in splits if s in SPLIT_CODE]
+        return np.flatnonzero(np.isin(self._columns[kind][1], codes))
+
     def gold(self, item, attribute: Attribute) -> RelationValue:
-        if self._allowed_splits is not None and item.split not in self._allowed_splits:
-            raise LabelAccessError(
-                f"gold label of {item.split!r} item {item.key} read while only "
-                f"{sorted(self._allowed_splits)} are allowed"
-            )
-        labels = self._labels_of(item)
-        if attribute not in labels:
+        kind, row = self._locate(item)
+        code = int(self.gold_rows(kind, [row])[0, ATTRIBUTES.index(attribute)])
+        if code < 0:
             raise KeyError(f"item {item.key} has no label for {attribute}")
-        return labels[attribute]
+        return RelationValue(code)
 
     def has_label(self, item, attribute: Attribute) -> bool:
-        return attribute in self._labels_of(item)
+        kind, row = self._locate(item)
+        return bool(self._columns[kind][2][row, ATTRIBUTES.index(attribute)] >= 0)
 
-    def _labels_of(self, item) -> Mapping[Attribute, RelationValue]:
+    def _locate(self, item) -> tuple[str, int]:
         if isinstance(item, FrameItem):
-            return self._frame_labels[item.key]
-        if isinstance(item, PairItem):
-            return self._pair_labels[item.key]
-        raise TypeError(f"not a dataset item: {item!r}")
+            kind = "frames"
+        elif isinstance(item, PairItem):
+            kind = "pairs"
+        else:
+            raise TypeError(f"not a dataset item: {item!r}")
+        if kind not in self._rows:
+            self._rows[kind] = {it.key: row for row, it in enumerate(self._columns[kind][0])}
+        return kind, self._rows[kind][item.key]
 
-    # -- views and summaries --
+    # -- views --
 
     def frames_in(self, *splits: str) -> list[FrameItem]:
-        return [it for it in self.frames if it.split in splits]
+        return [self.frames[row] for row in self.rows_in("frames", *splits)]
 
     def pairs_in(self, *splits: str) -> list[PairItem]:
-        return [it for it in self.pairs if it.split in splits]
+        return [self.pairs[row] for row in self.rows_in("pairs", *splits)]
 
     def restrict(self, frame_splits: Iterable[str], pair_splits: Iterable[str]) -> "KnowledgeDataset":
         """Dataset view containing only items of the given splits."""
-        frame_splits = set(frame_splits)
-        pair_splits = set(pair_splits)
-        frames = [it for it in self.frames if it.split in frame_splits]
-        pairs = [it for it in self.pairs if it.split in pair_splits]
-        return KnowledgeDataset(
-            frames,
-            pairs,
-            {it.key: self._frame_labels[it.key] for it in frames},
-            {it.key: self._pair_labels[it.key] for it in pairs},
-        )
+        parts = []
+        for kind, splits in (("frames", frame_splits), ("pairs", pair_splits)):
+            items, _, labels = self._columns[kind]
+            rows = self.rows_in(kind, *splits)
+            parts += [[items[row] for row in rows], labels[rows]]
+        return KnowledgeDataset(*parts)
+
+
+def _check_items(name: str, items: list, keys: list, splits: np.ndarray, labels: np.ndarray) -> None:
+    """Items in key order must have a known split, a distinct key and a label;
+    a verb's frames must all share one split."""
+    for row in np.flatnonzero(splits < 0):
+        raise ValueError(f"unknown split {items[row].split!r} for {name} {keys[row]}")
+    for key, previous in zip(keys[1:], keys):
+        if key == previous:
+            raise ValueError(f"duplicate {name} {key}")
+    for row in np.flatnonzero((labels < 0).all(axis=1)):
+        raise ValueError(f"{name} {keys[row]} has no labels")
+    verb_split: dict[str, str] = {}
+    for it in items if name == "frame" else ():
+        if verb_split.setdefault(it.verb, it.split) != it.split:
+            raise ValueError(f"frames of verb {it.verb!r} span multiple splits")
 
 
 def _read_rows(path, n_columns: int) -> Iterator[tuple[int, list[str]]]:
@@ -311,51 +337,45 @@ def _read_rows(path, n_columns: int) -> Iterator[tuple[int, list[str]]]:
 
 
 def load_dataset(frame_file, pair_file) -> KnowledgeDataset:
-    """Load the canonical TSV pair of label files."""
-    frames: dict[tuple, FrameItem] = {}
-    frame_labels: dict[tuple, dict[Attribute, RelationValue]] = {}
-    for lineno, (verb, frame_type, prep, attr_tok, rel_tok, split) in _read_rows(frame_file, 6):
-        prep_val = None if prep == "-" else prep
-        attribute = Attribute.from_token(attr_tok)
-        relation = relation_from_token(rel_tok)
-        if split not in SPLITS:
-            raise ValueError(f"{frame_file}: line {lineno}: unknown split {split!r}")
-        item = FrameItem(verb, frame_type, prep_val, split)
-        if item.key in frames:
-            if frames[item.key].split != split:
-                raise ValueError(f"{frame_file}: line {lineno}: frame {item.key} has conflicting splits")
-            if attribute in frame_labels[item.key]:
-                raise ValueError(f"{frame_file}: line {lineno}: duplicate label for {item.key} / {attribute}")
-        else:
-            frames[item.key] = item
-            frame_labels[item.key] = {}
-        frame_labels[item.key][attribute] = relation
-
-    pairs: dict[tuple, PairItem] = {}
-    pair_labels: dict[tuple, dict[Attribute, RelationValue]] = {}
-    for lineno, (x, y, attr_tok, rel_tok, split) in _read_rows(pair_file, 5):
-        attribute = Attribute.from_token(attr_tok)
-        relation = relation_from_token(rel_tok)
-        if split not in SPLITS:
-            raise ValueError(f"{pair_file}: line {lineno}: unknown split {split!r}")
-        lo, hi, swapped = ordered_pair(x, y)
-        relation = flip(relation) if swapped else relation
-        key = (lo, hi)
-        if key in pairs:
-            if pairs[key].split != split:
-                raise ValueError(f"{pair_file}: line {lineno}: pair {key} has conflicting splits")
-            if attribute in pair_labels[key]:
-                raise ValueError(f"{pair_file}: line {lineno}: duplicate label for {key} / {attribute}")
-        else:
-            pairs[key] = PairItem(lo, hi, split)
-            pair_labels[key] = {}
-        pair_labels[key][attribute] = relation
-
-    return KnowledgeDataset(list(frames.values()), list(pairs.values()), frame_labels, pair_labels)
+    """Load the canonical TSV pair of label files. Any malformed row raises
+    ValueError naming its file and line."""
+    return KnowledgeDataset(*_load_labels(frame_file, "frame"), *_load_labels(pair_file, "pair"))
 
 
-def combine(frame_dataset: KnowledgeDataset, pair_dataset: KnowledgeDataset) -> KnowledgeDataset:
-    """Frames from one dataset plus pairs from another (mixed seed profiles)."""
-    return KnowledgeDataset(
-        frame_dataset.frames, pair_dataset.pairs, frame_dataset._frame_labels, pair_dataset._pair_labels
-    )
+def _load_labels(path, name: str) -> tuple[list, list]:
+    """The items of one label file ("frame" or "pair" rows) in first-seen
+    order, and a label row per item. Reversed pair rows are flipped into the
+    canonical order."""
+    row_of: dict[tuple, int] = {}
+    verb_split: dict[str, str] = {}
+    items, labels = [], []
+    for lineno, (*key_columns, attr_tok, rel_tok, split) in _read_rows(path, 6 if name == "frame" else 5):
+        try:
+            column = _ATTRIBUTE_COLUMN.get(attr_tok)
+            if column is None:
+                column = ATTRIBUTES.index(Attribute.from_token(attr_tok))
+            relation = _RELATION_CODE.get(rel_tok)
+            if relation is None:
+                relation = int(relation_from_token(rel_tok))
+            if split not in SPLIT_CODE:
+                raise ValueError(f"unknown split {split!r}")
+            if name == "frame":
+                verb, frame_type, prep = key_columns
+                key, swapped = (verb, frame_type, "" if prep == "-" else prep), False
+            else:
+                lo, hi, swapped = ordered_pair(*key_columns)
+                key = (lo, hi)
+            row = row_of.setdefault(key, len(items))
+            if row == len(items):
+                items.append(FrameItem(*key[:2], key[2] or None, split) if name == "frame" else PairItem(*key, split))
+                labels.append([-1] * len(ATTRIBUTES))
+            elif items[row].split != split:
+                raise ValueError(f"{name} {key} has conflicting splits")
+            if name == "frame" and verb_split.setdefault(key[0], split) != split:
+                raise ValueError(f"frames of verb {key[0]!r} span multiple splits")
+            if labels[row][column] >= 0:
+                raise ValueError(f"duplicate label for {key} / {ATTRIBUTES[column]}")
+            labels[row][column] = 2 - relation if swapped else relation  # flip: GT <-> LT
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    return items, labels

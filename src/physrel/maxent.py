@@ -10,12 +10,13 @@ random ones.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Attribute, FRAME_TYPES, N_VALUES, RelationValue, frame_type_index
+from .core import Attribute, FRAME_TYPES, N_VALUES, frame_type_index
 from .lexstats import Embeddings
 
 logger = logging.getLogger(__name__)
@@ -51,87 +52,95 @@ class MaxentModel:
         return self.weights.shape[1]
 
 
-def featurize_object_pair(p: str, q: str, emb: Embeddings) -> np.ndarray:
-    """Concatenation of the two object vectors; zeros for OOV words."""
-    return np.concatenate([_lookup(emb.objects, p), _lookup(emb.objects, q)])
+def featurize_object_pair(p, q, emb: Embeddings) -> np.ndarray:
+    """Concatenation of the two object vectors; zeros for OOV words. Given
+    equal-length sequences of words instead of two words, one row per pair."""
+    single = isinstance(p, str)
+    xs, ys = ([p], [q]) if single else (list(p), list(q))
+    vectors = _lookup(emb.objects, xs + ys, "object")
+    features = np.concatenate([vectors[: len(xs)], vectors[len(xs) :]], axis=1)
+    return features[0] if single else features
 
 
-def featurize_frame(verb: str, frame_type: str, preposition: Optional[str], emb: Embeddings) -> np.ndarray:
-    """Frame-type one-hot + verb vector + preposition vector (or zeros)."""
-    one_hot = np.zeros(len(FRAME_TYPES))
-    one_hot[frame_type_index(frame_type)] = 1.0
-    if preposition is None:
-        prep_vec = np.zeros(emb.objects.dim)
-    else:
-        prep_vec = _lookup(emb.objects, preposition)
-    return np.concatenate([one_hot, _lookup(emb.verbs, verb), prep_vec])
+def featurize_frame(verb, frame_type, preposition, emb: Embeddings) -> np.ndarray:
+    """Frame-type one-hot + verb vector + preposition vector (zeros when None).
+    Given equal-length sequences instead of one frame's fields, one row per frame."""
+    single = isinstance(verb, str)
+    verbs, types, preps = ([verb], [frame_type], [preposition]) if single else (verb, frame_type, preposition)
+    one_hot = np.eye(len(FRAME_TYPES))[[frame_type_index(t) for t in types]]
+    vectors = [one_hot, _lookup(emb.verbs, verbs, "verb"), _lookup(emb.objects, preps, "object")]
+    features = np.concatenate(vectors, axis=1)
+    return features[0] if single else features
 
 
-def _lookup(store, word: str) -> np.ndarray:
-    vec = store.get(word)
-    if vec is None:
-        logger.warning("no embedding for %r; substituting zeros", word)
-        return np.zeros(store.dim)
-    return vec
+def _lookup(store, words: Sequence[Optional[str]], name: str) -> np.ndarray:
+    """(len(words), dim) vectors of the words; zeros for None and for words
+    the store lacks, which one warning lists with their lookup counts."""
+    vectors = {word: store.get(word) for word in dict.fromkeys(words) if word is not None}
+    missing = Counter(word for word in words if word is not None and vectors[word] is None)
+    if missing:
+        listed = ", ".join(f"{word!r} x{n}" for word, n in missing.items())
+        logger.warning("no %s embedding for %s; substituting zeros", name, listed)
+    zeros = np.zeros(store.dim)
+    rows = [zeros if word is None or vectors[word] is None else vectors[word] for word in words]
+    return np.array(rows).reshape(len(words), store.dim)
 
 
-def loss_and_grad(
-    weights: np.ndarray,
-    bias: np.ndarray,
-    X: np.ndarray,
-    y: np.ndarray,
-    l2_lambda: float,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean NLL + 0.5*lambda*||W||^2 (bias unregularized) and its gradients."""
+def gradients(weights: np.ndarray, bias: np.ndarray, X: np.ndarray, onehot: np.ndarray, l2_lambda: float):
+    """Class probabilities of the rows of X, and the gradients of the mean
+    NLL of the one-hot labels ``onehot`` + 0.5*lambda*||W||^2 (bias
+    unregularized) with respect to the weights and the bias."""
     n = X.shape[0]
     scores = X @ weights.T + bias
     scores -= scores.max(axis=1, keepdims=True)
     exp = np.exp(scores)
     probs = exp / exp.sum(axis=1, keepdims=True)
-    nll = -np.log(probs[np.arange(n), y]).mean()
-    loss = nll + 0.5 * l2_lambda * float((weights * weights).sum())
-    delta = probs.copy()
-    delta[np.arange(n), y] -= 1.0
+    delta = probs - onehot
     grad_w = delta.T @ X / n + l2_lambda * weights
-    grad_b = delta.mean(axis=0)
-    return float(loss), grad_w, grad_b
+    grad_b = np.add.reduce(delta, axis=0) / n
+    return probs, grad_w, grad_b
 
 
 def train(
-    examples: Sequence[tuple[np.ndarray, RelationValue]],
+    X,
+    y,
     cfg: TrainConfig = TrainConfig(),
     attribute: Optional[Attribute] = None,
     node_class: Optional[str] = None,
 ) -> MaxentModel:
-    """Minimize the regularized NLL by full-batch gradient descent."""
-    if not examples:
+    """Minimize the regularized NLL of the labels ``y`` (RelationValue codes)
+    of the rows of the (n, dim) feature matrix ``X`` by full-batch gradient
+    descent. Each step computes only the gradients, never the loss."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=np.int64)
+    if X.ndim != 2 or y.shape != X.shape[:1]:
+        raise ValueError(f"features of shape {X.shape} do not fit labels of shape {y.shape}")
+    if not len(X):
         raise ValueError("empty training set")
-    vectors = [np.asarray(x, dtype=float) for x, _ in examples]
-    dims = {v.shape for v in vectors}
-    if len(dims) != 1 or vectors[0].ndim != 1:
-        raise ValueError(f"feature vectors must all be 1-d of equal length, got shapes {sorted(dims)}")
-    X = np.stack(vectors)
-    y = np.array([int(r) for _, r in examples])
-    dim = X.shape[1]
     rng = np.random.default_rng(cfg.rng_seed)
-    weights = rng.normal(scale=0.01, size=(N_VALUES, dim))
+    weights = rng.normal(scale=0.01, size=(N_VALUES, X.shape[1]))
     bias = np.zeros(N_VALUES)
+    onehot = np.eye(N_VALUES)[y]
     for _ in range(cfg.epochs):
-        _, grad_w, grad_b = loss_and_grad(weights, bias, X, y, cfg.l2_lambda)
+        _, grad_w, grad_b = gradients(weights, bias, X, onehot, cfg.l2_lambda)
         weights -= cfg.learning_rate * grad_w
         bias -= cfg.learning_rate * grad_b
     return MaxentModel(weights, bias, attribute, node_class)
 
 
 def predict_proba(model: MaxentModel, x) -> np.ndarray:
-    """Softmax class probabilities; a valid belief."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.dim,):
-        raise ValueError(f"feature length {x.shape} does not match model dim {model.dim}")
-    scores = model.weights @ x + model.bias
-    scores -= scores.max()
+    """Softmax class probabilities: a valid belief per row of an (n, dim)
+    feature matrix, or the one belief of a (dim,) feature vector."""
+    X = np.asarray(x, dtype=float)
+    if X.ndim not in (1, 2) or X.shape[-1] != model.dim:
+        raise ValueError(f"feature shape {X.shape} does not match model dim {model.dim}")
+    # One matrix-vector product per row gives every row the bits a one-row
+    # product gives; X @ W.T can differ from it in the last place.
+    scores = np.matmul(model.weights, X.reshape(-1, model.dim)[:, :, None])[:, :, 0] + model.bias
+    scores -= scores.max(axis=1, keepdims=True)
     exp = np.exp(scores)
-    return exp / exp.sum()
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    return probs.reshape(X.shape[:-1] + (N_VALUES,))
 
 
 def save_model(model: MaxentModel) -> str:

@@ -7,6 +7,7 @@ import pytest
 from physrel.core import ATTRIBUTES, TOKEN_OF_RELATION
 from physrel.harness import DataPaths
 from physrel.lexstats import SPLITS, FrameItem, KnowledgeDataset, PairItem
+from physrel.maxent import gradients
 from physrel.synthetic import generate_world
 
 # Released-data reproduction tests look here; they skip when absent.
@@ -34,17 +35,14 @@ def world(tmp_path_factory):
 def make_dataset(frames=(), pairs=()):
     """Hand-built dataset: frames as (verb, type, prep, split, labels),
     pairs as (x, y, split, labels) with labels {Attribute: RelationValue}."""
-    frame_items, frame_labels = [], {}
-    for verb, ftype, prep, split, labels in frames:
-        item = FrameItem(verb, ftype, prep, split)
-        frame_items.append(item)
-        frame_labels[item.key] = dict(labels)
-    pair_items, pair_labels = [], {}
-    for x, y, split, labels in pairs:
-        item = PairItem(x, y, split)
-        pair_items.append(item)
-        pair_labels[item.key] = dict(labels)
-    return KnowledgeDataset(frame_items, pair_items, frame_labels, pair_labels)
+    def label_row(labels) -> list[int]:
+        return [int(labels[a]) if a in labels else -1 for a in ATTRIBUTES]
+
+    frame_items = [FrameItem(verb, ftype, prep, split) for verb, ftype, prep, split, _ in frames]
+    pair_items = [PairItem(x, y, split) for x, y, split, _ in pairs]
+    frame_labels = [label_row(f[-1]) for f in frames]
+    pair_labels = [label_row(p[-1]) for p in pairs]
+    return KnowledgeDataset(frame_items, frame_labels, pair_items, pair_labels)
 
 
 # -- reference helpers the tests compare the library against --
@@ -57,6 +55,14 @@ def cosine(u, v) -> float:
     if nu == 0.0 or nv == 0.0:
         return 0.0
     return float(u @ v / (nu * nv))
+
+
+def loss_and_grad(weights, bias, X, y, l2_lambda: float):
+    """Mean NLL of the labels y + 0.5*lambda*||W||^2 (bias unregularized),
+    and the gradients maxent.gradients gives for it."""
+    probs, grad_w, grad_b = gradients(weights, bias, X, np.eye(3)[y], l2_lambda)
+    nll = -np.log(probs[np.arange(X.shape[0]), y]).mean()
+    return float(nll + 0.5 * l2_lambda * float((weights * weights).sum())), grad_w, grad_b
 
 
 def variable(graph, node) -> int:

@@ -26,8 +26,7 @@ from physrel.harness import (
     tune_thresholds,
 )
 from physrel.lexstats import load_dataset
-from physrel.maxent import loss_and_grad
-from conftest import RELEASED_DATA_DIR, released_data_available, split_counts, usable_counts
+from conftest import RELEASED_DATA_DIR, loss_and_grad, released_data_available, split_counts, usable_counts
 
 from test_maxent import finite_difference_grad
 

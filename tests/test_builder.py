@@ -9,10 +9,12 @@ from physrel.builder import (
     Build,
     BuildConfig,
     FACTOR_KINDS,
+    NODE_CLASSES,
     add_attribute_factors,
     add_selectional_preference_factors,
     add_similarity_factors,
     build,
+    featurize_items,
     flipped_table,
     frames_link,
     make_nodes,
@@ -22,6 +24,7 @@ from physrel.builder import (
 from physrel.core import Attribute, FrameNode, ObjectPairNode, RelationValue
 from physrel.factorgraph import BPConfig, dump_graph, run_bp
 from physrel.lexstats import CooccurrenceStats, EmbeddingStore, Embeddings, similar_pairs
+from physrel.maxent import predict_proba
 from conftest import cosine, make_dataset, variable
 
 SIZE, WEIGHT, SPEED = Attribute.SIZE, Attribute.WEIGHT, Attribute.SPEED
@@ -461,6 +464,29 @@ def test_only_attrsim_crosses_attributes(world):
         attrs = {b.graph.node_of(v).attribute for v in f.scope}
         if len(attrs) > 1:
             assert f.kind == "attrsim"
+
+
+def test_bulk_predict_proba_matches_one_row_calls(world):
+    # Classifier rows of the graph come from one call per model over a
+    # feature matrix; graph dumps write them with repr, so each row must
+    # carry the bits of a one-row call and of the plain one-row softmax.
+    from physrel.harness import TaskSpec, assemble_task_dataset, load_world
+
+    spec = TaskSpec(task="objects", cross_seed_fraction="20", eval_split="dev")
+    ds = assemble_task_dataset(world.paths, spec).restrict({"seed", "dev"}, {"seed", "dev"})
+    emb, _ = load_world(world.paths)
+    models = train_models(ds, emb)
+    assert len(models.models) == 10
+    for (attribute, node_class), model in models.models.items():
+        kind = next(k for k, c in NODE_CLASSES.items() if c == node_class)
+        features = featurize_items(kind, getattr(ds, kind), emb)
+        bulk = predict_proba(model, features)
+        assert bulk.shape == (len(features), 3)
+        for x, row in zip(features, bulk):
+            scores = model.weights @ x + model.bias
+            exp = np.exp(scores - scores.max())
+            assert np.array_equal(row, predict_proba(model, x))
+            assert np.array_equal(row, exp / exp.sum())
 
 
 # -- build orchestration --

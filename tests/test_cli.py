@@ -34,7 +34,7 @@ RUN = REPORT | {"build_report.tsv", "predictions.tsv"}
 FILES = {
     "train": {f"maxent_{a.value}_{c}.txt" for a in ATTRIBUTES for c in ("frame", "object-pair")},
     "build": {"graph.txt", "build_report.tsv"},
-    "infer": RUN | {"graph.txt", "marginals.tsv"},
+    "infer": RUN | {"graph.txt", "marginals.tsv", "timings.json"},
     "eval": RUN,
     "eval-random": REPORT,
     "eval-majority": REPORT,

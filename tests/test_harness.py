@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from physrel.builder import BuildConfig, train_models
+from physrel.builder import BuildConfig, add_attribute_factors, add_seed_and_emb_factors, make_nodes, train_models
 from physrel.core import ATTRIBUTES, Attribute, ObjectPairNode, RelationValue
 from physrel import harness
 from physrel.factorgraph import BPConfig, dump_graph
@@ -18,6 +18,7 @@ from physrel.harness import (
     decide,
     build_graph,
     infer,
+    load_world,
     prepare,
     run_ablation,
     run_task,
@@ -229,6 +230,76 @@ def test_audit_guard_trips_on_eval_label_read_during_build(world):
     with ds.audit_label_access({"seed"}):
         with pytest.raises(LabelAccessError):
             ds.gold(dev_item, attribute)
+
+
+def test_every_bulk_label_read_is_audited(world, monkeypatch):
+    # Make "seed" name every row: each read that the builder, the trainer or
+    # the majority baseline makes under the seed-only guard must then trip it.
+    spec = TaskSpec(task="objects", cross_seed_fraction="20", eval_split="dev")
+    ds = assemble_task_dataset(world.paths, spec).restrict({"seed", "dev"}, {"seed", "dev"})
+    emb, _ = load_world(world.paths)
+    models = train_models(ds, emb)
+    b = make_nodes(ds)
+    monkeypatch.setattr(ds, "rows_in", lambda kind, *splits: np.arange(len(getattr(ds, kind))))
+    reads = {
+        "training": lambda: train_models(ds, emb),
+        "seed factors": lambda: add_seed_and_emb_factors(b, ds, models, BuildConfig()),
+        "attrsim": lambda: add_attribute_factors(b, ds, BuildConfig()),
+        "majority baseline": lambda: baseline_majority(ds, spec),
+    }
+    for name, read in reads.items():
+        with pytest.raises(LabelAccessError, match="'dev' item"):
+            read()
+    with ds.audit_label_access({"seed"}):
+        with pytest.raises(LabelAccessError):
+            ds.gold_rows("pairs", np.arange(len(ds.pairs)))
+
+
+@pytest.mark.parametrize("resamples", [0, -1])
+def test_baseline_random_rejects_resamples_below_one(world, tmp_path, capsys, resamples):
+    from physrel.cli import main
+
+    ds = majority_dataset()
+    with pytest.raises(ValueError, match=f"resamples must be >= 1, got {resamples}"):
+        baseline_random(ds, TaskSpec(task="objects", eval_split="dev"), resamples=resamples)
+    argv = ["eval", "--algorithm", "random", "--resamples", str(resamples), "--task", "objects"]
+    assert main([*argv, "--data-dir", str(world.paths.frames_5.parent), "--out-dir", str(tmp_path)]) == 1
+    assert f"resamples must be >= 1, got {resamples}" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_run_result_times_every_stage(world):
+    spec = TaskSpec(task="objects", cross_seed_fraction="20", eval_split="dev")
+    result = run_task(spec, BuildConfig(), BPConfig(), world.paths)
+    stages = ["nodes", "seed_emb", "selpref", "similarity", "attrsim"]
+    assert list(result.timings) == ["load", "train", *(f"build.{s}" for s in stages), "bp", "score"]
+    assert all(s >= 0.0 for s in result.timings.values())
+    untrained = run_task(spec, BuildConfig(enabled_factor_kinds=frozenset({"seed"})), BPConfig(), world.paths)
+    assert list(untrained.timings) == ["load", "build.nodes", "build.seed_emb", "bp", "score"]
+
+
+def test_missing_object_vectors_warn_once_per_featurized_batch(world, tmp_path, caplog):
+    # Three objects lose their vectors: training and the graph's classifier
+    # factors each featurize their pairs in one batch, and each batch warns once.
+    removed = ["o00", "o01", "o02"]
+    for path in world.paths.frames_5.parent.iterdir():
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        if path.name == "embeddings_objects.txt":
+            assert sum(line.split(" ", 1)[0] in removed for line in lines) == len(removed)
+            lines = [line for line in lines if line.split(" ", 1)[0] not in removed]
+        (tmp_path / path.name).write_text("".join(lines), encoding="utf-8")
+    spec = TaskSpec(task="objects", cross_seed_fraction="20", eval_split="dev")
+    with caplog.at_level("WARNING", logger="physrel.maxent"):
+        prepared = prepare(spec, DataPaths.from_dir(tmp_path))
+        infer(prepared, BuildConfig(), BPConfig())
+    warnings = [r.getMessage() for r in caplog.records if "embedding" in r.getMessage()]
+    assert len(warnings) == 2
+    # Each batch lists each word once with its lookup count; the second holds every pair of the graph.
+    for pairs, warning in zip((prepared.dataset.pairs_in("seed"), prepared.dataset.pairs), warnings):
+        occurrences = [it.x for it in pairs] + [it.y for it in pairs]
+        listed = ", ".join(f"'{o}' x{occurrences.count(o)}" for o in dict.fromkeys(occurrences) if o in removed)
+        assert warning == f"no object embedding for {listed}; substituting zeros"
+    assert all(f"'{o}'" in warnings[1] for o in removed)
 
 
 # -- ablations --

@@ -9,19 +9,22 @@ from physrel.maxent import (
     TrainConfig,
     featurize_frame,
     featurize_object_pair,
-    loss_and_grad,
     predict_proba,
     save_model,
     train,
 )
+from conftest import loss_and_grad
 
 GT, EQ, LT = RelationValue.GT, RelationValue.EQ, RelationValue.LT
 
 
+def matrix(examples) -> tuple[np.ndarray, np.ndarray]:
+    """The feature matrix and label codes of (feature vector, relation) examples."""
+    return np.stack([np.asarray(x, dtype=float) for x, _ in examples]), np.array([int(r) for _, r in examples])
+
+
 def training_loss(model: MaxentModel, examples, l2_lambda: float) -> float:
-    X = np.stack([np.asarray(x, dtype=float) for x, _ in examples])
-    y = np.array([int(r) for _, r in examples])
-    loss, _, _ = loss_and_grad(model.weights, model.bias, X, y, l2_lambda)
+    loss, _, _ = loss_and_grad(model.weights, model.bias, *matrix(examples), l2_lambda)
     return loss
 
 
@@ -99,6 +102,29 @@ def test_frame_without_preposition_has_zero_tail():
     assert not x[-50:].any()
 
 
+def test_batch_features_are_the_one_row_features():
+    emb = tiny_embeddings()
+    pairs = [("person", "basketball"), ("ant", "wug"), ("zebra", "ant")]
+    batch = featurize_object_pair([p for p, _ in pairs], [q for _, q in pairs], emb)
+    assert np.array_equal(batch, np.stack([featurize_object_pair(p, q, emb) for p, q in pairs]))
+    frames = [("threw", "dobj", None), ("entered", "pobj", "ant"), ("blicked", "dobj_pobj", "wug")]
+    batch = featurize_frame(*(list(column) for column in zip(*frames)), emb)
+    assert np.array_equal(batch, np.stack([featurize_frame(*f, emb) for f in frames]))
+    assert featurize_object_pair([], [], emb).shape == (0, 100)
+
+
+def test_missing_words_warn_once_per_batch_and_store(caplog):
+    emb = tiny_embeddings()
+    with caplog.at_level("WARNING", logger="physrel.maxent"):
+        featurize_object_pair(["wug", "ant", "wug"], ["blicket", "wug", "zebra"], emb)
+        featurize_frame(["blicked", "threw"], ["dobj", "pobj"], [None, "dax"], emb)
+    assert [r.getMessage() for r in caplog.records] == [
+        "no object embedding for 'wug' x3, 'blicket' x1; substituting zeros",
+        "no verb embedding for 'blicked' x1; substituting zeros",
+        "no object embedding for 'dax' x1; substituting zeros",
+    ]
+
+
 def test_frames_same_verb_different_type_share_middle_block():
     emb = tiny_embeddings()
     a = featurize_frame("threw", "dobj", None, emb)
@@ -150,7 +176,7 @@ def separable_examples():
 
 def test_separable_set_reaches_full_training_accuracy():
     examples = separable_examples()
-    model = train(examples, TrainConfig(l2_lambda=0.0, learning_rate=0.5, epochs=400))
+    model = train(*matrix(examples), TrainConfig(l2_lambda=0.0, learning_rate=0.5, epochs=400))
     correct = sum(
         1 for x, label in examples if int(np.argmax(predict_proba(model, x))) == int(label)
     )
@@ -161,7 +187,7 @@ def test_zero_features_fit_empirical_frequencies():
     # Oracle: with all-zero features the optimum is bias-only, and the
     # softmax bias optimum reproduces the class frequencies exactly.
     examples = [(np.zeros(4), GT)] * 6 + [(np.zeros(4), EQ)] * 3 + [(np.zeros(4), LT)] * 1
-    model = train(examples, TrainConfig(l2_lambda=0.0, learning_rate=0.5, epochs=4000))
+    model = train(*matrix(examples), TrainConfig(l2_lambda=0.0, learning_rate=0.5, epochs=4000))
     proba = predict_proba(model, np.zeros(4))
     assert np.allclose(proba, [0.6, 0.3, 0.1], atol=1e-3)
 
@@ -172,7 +198,7 @@ def test_loss_monotone_under_small_learning_rate():
     examples = separable_examples()
     losses = []
     for epochs in range(1, 25):
-        model = train(examples, TrainConfig(l2_lambda=1e-3, learning_rate=0.05, epochs=epochs))
+        model = train(*matrix(examples), TrainConfig(l2_lambda=1e-3, learning_rate=0.05, epochs=epochs))
         losses.append(training_loss(model, examples, 1e-3))
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
@@ -180,8 +206,8 @@ def test_loss_monotone_under_small_learning_rate():
 def test_regularized_optimum_independent_of_seed():
     examples = separable_examples()
     base = dict(l2_lambda=0.1, learning_rate=0.5, epochs=4000)
-    m1 = train(examples, TrainConfig(rng_seed=1, **base))
-    m2 = train(examples, TrainConfig(rng_seed=2, **base))
+    m1 = train(*matrix(examples), TrainConfig(rng_seed=1, **base))
+    m2 = train(*matrix(examples), TrainConfig(rng_seed=2, **base))
     l1 = training_loss(m1, examples, 0.1)
     l2 = training_loss(m2, examples, 0.1)
     assert abs(l1 - l2) < 1e-6
@@ -189,16 +215,18 @@ def test_regularized_optimum_independent_of_seed():
 
 def test_train_is_deterministic_given_seed():
     examples = separable_examples()
-    m1 = train(examples, TrainConfig(rng_seed=5))
-    m2 = train(examples, TrainConfig(rng_seed=5))
+    m1 = train(*matrix(examples), TrainConfig(rng_seed=5))
+    m2 = train(*matrix(examples), TrainConfig(rng_seed=5))
     assert np.array_equal(m1.weights, m2.weights) and np.array_equal(m1.bias, m2.bias)
 
 
 def test_train_input_validation():
-    with pytest.raises(ValueError):
-        train([])
-    with pytest.raises(ValueError):
-        train([(np.zeros(3), GT), (np.zeros(4), LT)])
+    with pytest.raises(ValueError, match="empty"):
+        train(np.zeros((0, 3)), [])
+    with pytest.raises(ValueError, match="do not fit"):
+        train(np.zeros((2, 3)), [GT])
+    with pytest.raises(ValueError, match="do not fit"):
+        train(np.zeros(3), [GT])
 
 
 # -- prediction --
@@ -234,7 +262,7 @@ def test_predict_proba_is_valid_belief():
 
 def test_model_save_load_round_trip():
     examples = separable_examples()
-    model = train(examples, TrainConfig(), attribute=Attribute.SIZE, node_class="frame")
+    model = train(*matrix(examples), TrainConfig(), attribute=Attribute.SIZE, node_class="frame")
     back = load_model(save_model(model))
     assert back.attribute is Attribute.SIZE and back.node_class == "frame"
     x = np.array([0.3, -0.8])

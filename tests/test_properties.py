@@ -6,9 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from physrel.core import ATTRIBUTES, FRAME_TYPES, TOKEN_OF_RELATION, RelationValue, flip
+from physrel.core import (
+    ATTRIBUTES,
+    FRAME_TYPES,
+    TOKEN_OF_RELATION,
+    Attribute,
+    RelationValue,
+    flip,
+    ordered_pair,
+    relation_from_token,
+)
 from physrel.factorgraph import FactorGraph, dump_graph, load_graph
-from physrel.lexstats import SPLITS, load_cooccurrence, load_dataset, load_embeddings
+from physrel.lexstats import SPLITS, FrameItem, load_cooccurrence, load_dataset, load_embeddings
 from conftest import save_dataset
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
@@ -183,3 +192,112 @@ def test_load_cooccurrence_names_the_line_of_a_non_positive_count(tmp_path_facto
     where = f"^{re.escape(str(path))}: line {lines.index(bad) + 1}: "
     with pytest.raises(ValueError, match=where + f"count {count} is below 1"):
         load_cooccurrence(path)
+
+
+# -- label files against a dict-based reference parser --
+
+
+def reference_labels(frame_file, pair_file) -> dict:
+    """The row-at-a-time parse that the columnar loader replaced, as
+    {(class, key): (split, {attribute: relation})}. A malformed row raises
+    ValueError naming its file and line; checks run in row order."""
+    parsed: dict = {}
+    for path, n_columns, name in ((frame_file, 6, "frame"), (pair_file, 5, "pair")):
+        verb_split: dict = {}
+        with open(path, encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, 1):
+                if not line.strip() or line.startswith("#"):
+                    continue
+                parts = line.rstrip("\n").split("\t")
+                where = f"{path}: line {lineno}: "
+                if len(parts) != n_columns:
+                    raise ValueError(where + f"expected {n_columns} columns, got {len(parts)}")
+                *key_columns, attr_tok, rel_tok, split = parts
+                try:
+                    attribute = Attribute.from_token(attr_tok)
+                    relation = relation_from_token(rel_tok)
+                    if split not in SPLITS:
+                        raise ValueError(f"unknown split {split!r}")
+                    if name == "frame":
+                        verb, frame_type, prep = key_columns
+                        key = FrameItem(verb, frame_type, None if prep == "-" else prep, split).key
+                    else:
+                        lo, hi, swapped = ordered_pair(*key_columns)
+                        key, relation = (lo, hi), flip(relation) if swapped else relation
+                    item_split, labels = parsed.setdefault((name, key), (split, {}))
+                    if item_split != split:
+                        raise ValueError(f"{name} {key} has conflicting splits")
+                    if name == "frame" and verb_split.setdefault(key[0], split) != split:
+                        raise ValueError(f"frames of verb {key[0]!r} span multiple splits")
+                    if attribute in labels:
+                        raise ValueError(f"duplicate label for {key} / {attribute}")
+                    labels[attribute] = relation
+                except ValueError as exc:
+                    raise ValueError(where + str(exc)) from None
+    return parsed
+
+
+def loaded_labels(dataset) -> dict:
+    """``dataset`` in the form :func:`reference_labels` returns."""
+    return {
+        (name, it.key): (it.split, {a: dataset.gold(it, a) for a in ATTRIBUTES if dataset.has_label(it, a)})
+        for name, items in (("frame", dataset.frames), ("pair", dataset.pairs))
+        for it in items
+    }
+
+
+CORRUPTIONS = ("attribute", "relation", "split", "conflicting split", "verb split", "duplicate label", "column count")
+
+
+def corrupted(row: list[str], corruption: str) -> list[str]:
+    """A malformed copy of a label row (columns as written)."""
+    row = list(row)
+    if corruption == "attribute":
+        row[-3] = "mass"
+    elif corruption == "relation":
+        row[-2] = "~"
+    elif corruption == "split":
+        row[-1] = "train"
+    elif corruption in ("conflicting split", "verb split"):
+        row[-1] = SPLITS[(SPLITS.index(row[-1]) + 1) % len(SPLITS)]
+        if corruption == "verb split":
+            row[2] = "by"  # a frame shape no drawn row has
+    elif corruption == "column count":
+        row = row[:-1] if len(row) % 2 else row + ["extra"]
+    return row  # "duplicate label": the row itself, repeated
+
+
+@PROPERTY_SETTINGS
+@given(label_rows(), st.data())
+def test_load_dataset_matches_the_reference_parser(tmp_path_factory, rows, data):
+    frame_rows, pair_rows = rows
+    files = {
+        "frames": [[*r[:4], TOKEN_OF_RELATION[r[4]], r[5]] for r in frame_rows],
+        "pairs": [[*r[:3], TOKEN_OF_RELATION[r[3]], r[4]] for r in pair_rows],
+    }
+    corruption = data.draw(st.sampled_from((None,) + CORRUPTIONS))
+    if corruption is not None:
+        target = "frames" if corruption == "verb split" else data.draw(st.sampled_from(sorted(files)))
+        fallback = ["throw", "dobj", "-", "size", ">", "seed"] if target == "frames" else ["ant", "bee", "size", "<", "dev"]
+        source = data.draw(st.sampled_from(files[target])) if files[target] else fallback
+        if corruption in ("conflicting split", "verb split", "duplicate label") and not files[target]:
+            files[target].append(source)
+        files[target].insert(data.draw(st.integers(0, len(files[target]))), corrupted(source, corruption))
+    directory = tmp_path_factory.mktemp("labels")
+    paths = [directory / f"{name}.tsv" for name in ("frames", "pairs")]
+    for path, name in zip(paths, ("frames", "pairs")):
+        lines = with_skipped_lines(data, ["\t".join(row) for row in files[name]])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        expected = reference_labels(*paths)
+    except ValueError as exc:
+        assert corruption is not None
+        with pytest.raises(ValueError) as raised:
+            load_dataset(*paths)
+        assert str(raised.value) == str(exc)
+        return
+    assert corruption is None
+    dataset = load_dataset(*paths)
+    assert loaded_labels(dataset) == expected
+    for items in (dataset.frames, dataset.pairs):
+        assert [it.key for it in items] == sorted(it.key for it in items)
