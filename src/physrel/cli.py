@@ -44,6 +44,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eval-split", choices=("dev", "test"), default="dev")
     parser.add_argument("--config", help="BuildConfig key=value file")
     parser.add_argument("--rng-seed", type=int, default=0)
+
+
+def _add_bp(parser: argparse.ArgumentParser) -> None:
     bp = BPConfig()
     parser.add_argument("--bp-max-iterations", type=int, default=bp.max_iterations)
     parser.add_argument("--bp-eps", type=float, default=bp.convergence_eps)
@@ -133,10 +136,11 @@ def cmd_infer(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    bp_cfg = _bp_cfg(args)  # rejects bad --bp-* values whichever algorithm runs
     paths = DataPaths.from_dir(args.data_dir)
     spec = _spec(args)
     if args.algorithm == "model":
-        result = run_task(spec, _build_cfg(args), _bp_cfg(args), paths, _train_cfg(args))
+        result = run_task(spec, _build_cfg(args), bp_cfg, paths, _train_cfg(args))
         report, files = result.report, _run_files(result)
         if not result.bp.converged:
             print(
@@ -245,6 +249,8 @@ def main(argv=None) -> int:
 
     for p in (p_train, p_build, p_infer, p_eval, p_ablate, p_tune):
         _add_common(p)
+    for p in (p_infer, p_eval, p_ablate, p_tune):
+        _add_bp(p)
     p_eval.add_argument("--algorithm", choices=("model", "random", "majority", "emb-maxent"), default="model")
     p_eval.add_argument("--resamples", type=int, default=1, help="resample count for the random baseline")
     p_ablate.add_argument("--component", choices=SWITCHES + ("none",), required=True)

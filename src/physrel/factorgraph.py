@@ -3,8 +3,10 @@
 Variables all share the domain (GT, EQ, LT). Factors are unary or binary with
 strictly positive tables, stored as arrays; binary factors share a bank of
 distinct 3x3 tables. Inference runs a synchronous (flooding) schedule,
-undamped unless configured otherwise; products of incoming messages are
-accumulated in the log domain so high-degree variables cannot underflow.
+undamped unless configured otherwise. Each variable's product of incoming
+messages is kept as a sum of logs, so high-degree variables cannot
+underflow; the messages themselves stay probabilities, and a message is
+left out of that product by dividing by it, not by subtracting its log.
 
 A full-enumeration oracle (:func:`exact_marginals`) is provided for small
 graphs; sum-product marginals agree with it exactly on trees.
@@ -185,7 +187,7 @@ class BPResult:
 
 def _sum_by_variable(variables: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     """(3, n) per-variable sums of the (3, k) value-major ``values``."""
-    return np.stack([np.bincount(variables, weights=row, minlength=n) for row in values])
+    return np.stack([np.bincount(variables, weights=row, minlength=n) for row in values], dtype=float)
 
 
 def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
@@ -199,9 +201,14 @@ def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
 
     Messages are value-major ``(3, 2B)`` arrays: column e < B is slot 0 of
     binary factor e and column B + e its slot 1, factors ordered by bank table.
-    After the per-variable totals, an iteration updates BP_BLOCK factors at a
-    time; each run of them that shares a bank table is marginalized against
-    that one 3x3 table.
+    Each variable's total (its unary term plus the log of every incoming
+    message) stays in the log domain. An iteration exponentiates the totals
+    once, shifted so each variable's largest value is 1, then updates
+    BP_BLOCK factors at a time: a variable-to-factor message is the scaled
+    total divided by the edge's own incoming message, and each run of
+    factors that shares a bank table is marginalized against that one 3x3
+    table. The logs of the fresh factor-to-variable messages are summed into
+    the next iteration's totals block by block.
     """
     n = graph.n_variables
     if n == 0:
@@ -210,12 +217,12 @@ def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
     unary = scope[:, 1] == -1
     # Constant per-variable log contribution from unary factors.
     base = _sum_by_variable(scope[unary, 0], np.log(rows / rows.sum(axis=1, keepdims=True))[table[unary]].T, n)
-    order = np.argsort(table[~unary], kind="stable")
-    pairs, tids = scope[~unary][order], table[~unary][order]
-    b = len(pairs)
+    binary = np.flatnonzero(~unary)
+    binary = binary[np.argsort(table[binary], kind="stable")]
+    tids, b = table[binary], len(binary)
     if b == 0:
         return BPResult(_normalize_rows_log(base.T), True, 1, [0.0])
-    edge_var = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    edge_var = np.concatenate([scope[binary, 0], scope[binary, 1]])
     # Blocks of at most BP_BLOCK factors, each cut into runs that share a bank table.
     starts = np.flatnonzero(np.diff(tids, prepend=-1))
     blocks = []
@@ -223,9 +230,10 @@ def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
         hi = min(lo + BP_BLOCK, b)
         cuts = [lo, *starts[(starts > lo) & (starts < hi)].tolist(), hi]
         blocks.append((lo, hi, [(s - lo, e - lo, graph.bank[tids[s]]) for s, e in zip(cuts, cuts[1:])]))
+    del binary, tids, starts  # of the layout, only edge_var and the blocks outlive set-up
 
     f2v = np.full((N_VALUES, 2 * b), 1.0 / N_VALUES)
-    v2f, log_f2v = f2v.copy(), np.log(f2v)
+    v2f = f2v.copy()
     new, diff, row = np.empty((N_VALUES, BP_BLOCK)), np.empty((N_VALUES, BP_BLOCK)), np.empty(BP_BLOCK)
 
     def update(old: np.ndarray, cols: slice, raw: np.ndarray) -> float:
@@ -240,33 +248,33 @@ def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
         old[:, cols] = raw
         return max(diff[:, :k].max(), -diff[:, :k].min())
 
+    totals = base + np.log(1.0 / N_VALUES) * np.bincount(edge_var, minlength=n)
     residuals: list[float] = []
     for _ in range(config.max_iterations):
-        totals = base + _sum_by_variable(edge_var, log_f2v, n)
+        scaled = np.exp(totals - totals.max(axis=0))
+        totals = base.copy()
         delta = 0.0
         for lo, hi, runs in blocks:
             raw, k = new[:, : hi - lo], hi - lo
             slot0, slot1 = slice(lo, hi), slice(b + lo, b + hi)
             for cols in (slot0, slot1):
-                # Variable -> factor: per-variable log-sum of all incoming
-                # messages, minus the edge's own (max-subtraction normalization).
+                # Variable -> factor: the product of every message the
+                # variable receives, divided by the one this factor sent.
                 for value in range(N_VALUES):
-                    np.take(totals[value], edge_var[cols], out=raw[value])
-                raw -= log_f2v[:, cols]
-                raw -= np.maximum(np.maximum(raw[0], raw[1], out=row[:k]), raw[2], out=row[:k])
-                delta = max(delta, update(v2f, cols, np.exp(raw, out=raw)))
+                    np.take(scaled[value], edge_var[cols], out=raw[value])
+                raw /= f2v[:, cols]
+                delta = max(delta, update(v2f, cols, raw))
             # Factor -> variable: marginalize the table against the message
             # arriving at the opposite slot.
-            for cols, opposite, to in ((slot0, slot1, "ye->xe"), (slot1, slot0, "xe->ye")):
+            for cols, opposite, flip in ((slot0, slot1, False), (slot1, slot0, True)):
                 for s, e, table in runs:
-                    np.einsum(f"xy,{to}", table, v2f[:, opposite][:, s:e], out=raw[:, s:e])
+                    np.matmul(table.T if flip else table, v2f[:, opposite][:, s:e], out=raw[:, s:e])
                 delta = max(delta, update(f2v, cols, raw))
-                np.log(f2v[:, cols], out=log_f2v[:, cols])
+                totals += _sum_by_variable(edge_var[cols], np.log(f2v[:, cols], out=diff[:, :k]), n)
         residuals.append(float(delta))
         if delta < config.convergence_eps:
             break
 
-    totals = base + _sum_by_variable(edge_var, log_f2v, n)
     converged = residuals[-1] < config.convergence_eps
     return BPResult(_normalize_rows_log(totals.T), converged, len(residuals), residuals)
 

@@ -91,6 +91,20 @@ def test_predictions_have_a_header_and_one_row_per_scored_relation(outputs):
     assert len(rows) - 1 == sum(json.loads(read(outputs["eval"], "report.json"))["counts"].values())
 
 
+def test_bp_flags_are_rejected_where_bp_does_not_run(world, tmp_path, capsys):
+    data = str(world.paths.frames_5.parent)
+    with pytest.raises(SystemExit) as exited:
+        main(["build", "--data-dir", data, "--out-dir", str(tmp_path / "build"), "--bp-damping", "0.5"])
+    assert exited.value.code == 2
+    assert not (tmp_path / "build").exists()
+    # Baselines run no BP, but their BP flags are still checked before any work.
+    out = tmp_path / "eval"
+    argv = ["eval", "--algorithm", "majority", "--data-dir", data, "--out-dir", str(out), "--bp-damping", "5"]
+    assert main(argv) == 1
+    assert "damping must lie in [0, 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "grid, message",
     [

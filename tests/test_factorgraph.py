@@ -1,4 +1,6 @@
 """Factor graph and BP: message math, tree exactness, robustness."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -366,6 +368,43 @@ def test_log_domain_scale_no_nan_inf():
     result = run_bp(g, BPConfig(max_iterations=3, convergence_eps=1e-12))
     assert np.isfinite(result.marginals).all()
     assert np.abs(result.marginals.sum(axis=1) - 1.0).max() < 1e-9
+
+
+def test_tables_near_underflow_match_exact():
+    # Variable-to-factor messages divide the exponentiated totals by the
+    # edge's own message; tables down to 1e-300 must not turn that into 0/0.
+    rng = np.random.default_rng(37)
+    g = FactorGraph()
+    chain = [g.add_variable(i) for i in range(6)]
+    for a, b in zip(chain, chain[1:]):
+        g.add_factor([a, b], rng.permutation(np.logspace(0, -300, 9)).reshape(3, 3))
+    g.add_factor([chain[2]], [1e-300, 1.0, 1e-200])
+    result = run_bp(g, BPConfig(convergence_eps=1e-12))
+    assert np.isfinite(result.marginals).all()
+    assert np.abs(result.marginals - exact_marginals(g)).max() < 1e-9
+
+
+def test_bp_memory_peak_is_about_its_two_message_arrays():
+    # Only the (3, 2B) factor-to-variable and variable-to-factor messages are
+    # full size; totals are per variable and the rest is per block.
+    n, b = 20_000, 100_000
+    rng = np.random.default_rng(41)
+    g = FactorGraph()
+    for i in range(n):
+        g.add_variable(i)
+    first = rng.integers(0, n, b)
+    scopes = np.column_stack([first, (first + rng.integers(1, n, b)) % n])
+    g.add_factors(["sim"], np.zeros(b), scopes, rng.integers(0, 2, b), binary_tables=[SOFT_ONE, flipped_table(SOFT_ONE)])
+    g.add_factors(["seed"], np.zeros(n), np.column_stack([np.arange(n), np.full(n, -1)]), np.arange(n),
+                  unary_tables=rng.uniform(0.1, 1.0, (n, 3)))
+    g.columns()  # join the graph's chunks outside the measurement
+    tracemalloc.start()
+    try:
+        run_bp(g, BPConfig(max_iterations=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * (3 * 2 * b * 8)
 
 
 # -- exact enumeration oracle --

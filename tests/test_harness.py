@@ -471,11 +471,11 @@ def test_cli_build_and_train_match_the_library(world, tmp_path):
 def test_cli_bp_defaults_come_from_bp_config(world, tmp_path, capsys):
     import argparse
 
-    from physrel.cli import _add_common, _bp_cfg, main
+    from physrel.cli import _add_bp, _bp_cfg, main
 
     parser = argparse.ArgumentParser()
-    _add_common(parser)
-    assert _bp_cfg(parser.parse_args(["--data-dir", "d"])) == BPConfig()
+    _add_bp(parser)
+    assert _bp_cfg(parser.parse_args([])) == BPConfig()
 
     out = tmp_path / "infer"
     assert main(["infer", "--data-dir", str(world.paths.frames_5.parent), "--out-dir", str(out), "--task", "objects"]) == 0
