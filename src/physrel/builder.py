@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import ATTRIBUTES, FRAME_TYPE_ROLES, N_VALUES, Attribute, RelationValue, flip
 from .factorgraph import FactorGraph
-from .lexstats import KINDS, CooccurrenceStats, Embeddings, KnowledgeDataset, pmi, similar_pairs
+from .lexstats import KINDS, CooccurrenceStats, Embeddings, KnowledgeDataset, similar_pairs
 from .maxent import MaxentModel, TrainConfig, featurize_frame, featurize_object_pair, predict_proba, train
 
 # Fixed 3x3 agreement potential; rows/columns indexed (GT, EQ, LT).
@@ -299,26 +299,30 @@ def add_selectional_preference_factors(build: Build, stats: CooccurrenceStats, c
     The stored pair node is canonical; when the canonical order reverses the
     frame's argument order the row-flipped table is used. Conflicting
     orientations of the same (frame, pair) evidence resolve to the larger
-    joint count.
+    joint count, and on equal counts to the first in entry order. Links run
+    in (frame key, canonical pair) order.
     """
+    frame, x, y = stats.frame, stats.x, stats.y
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    # Per (frame, unordered pair), the entry with the largest count: the first
+    # of its slot in an order by count, descending, that keeps ties in entry order.
+    order = np.lexsort((-stats.count, hi, lo, frame))
+    order = order[x[order] != y[order]]
+    slot = np.column_stack([frame, lo, hi])[order]
+    first = np.ones(len(order), bool)
+    first[1:] = (slot[1:] != slot[:-1]).any(axis=1)
+    chosen = order[first]
+
     frame_row = {it.frame_key: i for i, it in enumerate(build.dataset.frames)}
-    pair_row = {it.key: i for i, it in enumerate(build.dataset.pairs)}
-
-    chosen: dict[tuple[str, tuple[str, str]], tuple[int, tuple[str, str]]] = {}
-    for frame_key, (p, q), count in stats.entries():
-        if p == q:
-            continue
-        lo, hi = (p, q) if p < q else (q, p)
-        slot = (frame_key, (lo, hi))
-        prev = chosen.get(slot)
-        if prev is None or count > prev[0]:
-            chosen[slot] = (count, (p, q))
-
-    links = []  # (frame row, pair row, table) per qualifying evidence
-    for (frame_key, (lo, hi)), (count, evidence) in sorted(chosen.items()):
-        if frame_key in frame_row and (lo, hi) in pair_row and pmi(stats, frame_key, evidence) > cfg.pmi_threshold:
-            links.append((frame_row[frame_key], pair_row[(lo, hi)], FLIPPED if evidence[0] != lo else SOFT))
-    frames, pairs, tables = np.array(links, dtype=np.int64).reshape(-1, 3).T
+    frames = np.fromiter(map(frame_row.get, stats.frames, repeat(-1)), np.int64, len(stats.frames))[frame[chosen]]
+    code = dict(zip(stats.objects, range(len(stats.objects))))
+    pair_row = {(code.get(it.x, -1), code.get(it.y, -1)): i for i, it in enumerate(build.dataset.pairs)}
+    slots = zip(lo[chosen].tolist(), hi[chosen].tolist())
+    pairs = np.fromiter(map(pair_row.get, slots, repeat(-1)), np.int64, len(chosen))
+    linked = (frames >= 0) & (pairs >= 0)
+    linked[linked] = stats.entry_pmi(chosen[linked]) > cfg.pmi_threshold
+    frames, pairs, evidence = frames[linked], pairs[linked], chosen[linked]
+    tables = np.where(x[evidence] == lo[evidence], SOFT, FLIPPED)
     # One factor per link and attribute where both nodes exist.
     frame_vars, pair_vars = build.item_vars[0][frames], build.item_vars[1][pairs]
     both = (frame_vars >= 0) & (pair_vars >= 0)

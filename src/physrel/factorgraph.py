@@ -14,7 +14,8 @@ graphs; sum-product marginals agree with it exactly on trees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from itertools import repeat
+from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
@@ -24,6 +25,9 @@ ENUMERATION_CAP = 12
 # Message columns run_bp updates together: a few (3, BP_BLOCK) float arrays
 # fit in a core's L2 cache, where a full pass over every edge would not.
 BP_BLOCK = 16384
+# Factor records dump_graph formats and load_graph parses at a time, which
+# bounds the Python objects each holds at once.
+TEXT_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -195,9 +199,12 @@ def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
     message changes by less than eps.
 
     Non-convergence is reported through the flag, not raised; marginals at
-    the final iteration are returned either way. Unary-factor messages are
-    constant (the normalized potential) and sent exactly from the start, so
-    damping only touches binary-factor messages.
+    the final iteration are returned either way. A belief that is not finite
+    (from a table whose entries span so many orders of magnitude that a
+    message underflows to 0) raises ValueError naming the first such
+    variable. Unary-factor messages are constant (the normalized potential)
+    and sent exactly from the start, so damping only touches binary-factor
+    messages.
 
     Messages are value-major ``(3, 2B)`` arrays: column e < B is slot 0 of
     binary factor e and column B + e its slot 1, factors ordered by bank table.
@@ -275,8 +282,14 @@ def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
         if delta < config.convergence_eps:
             break
 
+    marginals = _normalize_rows_log(totals.T)
+    for var in np.flatnonzero(~np.isfinite(marginals).all(axis=1))[:1].tolist():
+        raise ValueError(
+            f"belief of variable {var} ({graph.node_of(var)!r}) is not finite: "
+            "a table's range underflows the messages"
+        )
     converged = residuals[-1] < config.convergence_eps
-    return BPResult(_normalize_rows_log(totals.T), converged, len(residuals), residuals)
+    return BPResult(marginals, converged, len(residuals), residuals)
 
 
 def _normalize_rows_log(log_rows: np.ndarray) -> np.ndarray:
@@ -321,50 +334,139 @@ def dump_graph(graph: FactorGraph) -> str:
     """
     kind, scope, table, rows = graph.columns()
     values = [" ".join(map(repr, t)) for t in rows.tolist() + [t.ravel().tolist() for t in graph.bank]]
-    lines = [f"var\t{vid}\t{graph.node_of(vid)}" for vid in range(graph.n_variables)]
-    columns = zip(kind.tolist(), scope.tolist(), np.where(scope[:, 1] == -1, table, len(rows) + table).tolist())
-    for fid, (k, (a, b), t) in enumerate(columns):
-        scope_text = f"{a}" if b == -1 else f"{a},{b}"
-        lines.append(f"factor\t{fid}\t{graph.kinds[k]}\t{scope_text}\t{values[t]}")
-    lines.append("")  # the final newline, without a second copy of the joined text
-    return "\n".join(lines)
+    value_of = np.where(scope[:, 1] == -1, table, len(rows) + table)
+    # Each block of factor lines is joined on its own, so only one block's
+    # lines and columns are held as Python objects at a time.
+    blocks = ["".join(f"var\t{vid}\t{graph.node_of(vid)}\n" for vid in range(graph.n_variables))]
+    for lo in range(0, len(kind), TEXT_BLOCK):
+        hi = min(lo + TEXT_BLOCK, len(kind))
+        columns = zip(range(lo, hi), kind[lo:hi].tolist(), scope[lo:hi].tolist(), value_of[lo:hi].tolist())
+        blocks.append("".join(
+            f"factor\t{fid}\t{graph.kinds[k]}\t{a if b == -1 else f'{a},{b}'}\t{values[t]}\n"
+            for fid, k, (a, b), t in columns
+        ))
+    return "".join(blocks)
 
 
 def load_graph(text: str) -> FactorGraph:
     """Parse :func:`dump_graph` output, adding every factor in one bulk call.
 
-    Each record's id must be its position among the records of its type.
-    Malformed input raises ValueError naming its line.
+    Lines are split as ``str.splitlines`` splits them. Blank, whitespace-only
+    and ``#`` lines are skipped. A record is ``var<TAB>id<TAB>node`` or
+    ``factor<TAB>id<TAB>kind<TAB>scope<TAB>values``, and its id must be its
+    position among the records of its type. A scope is one or two
+    comma-separated variable ids, each as ``int()`` reads it, of variables
+    defined on earlier lines. Values are 3 (unary) or 9 (binary)
+    whitespace-separated ``float()`` texts, all positive. A node may appear
+    only once. Malformed input raises ValueError naming its first bad line.
     """
     graph = FactorGraph()
-    kinds: dict[str, int] = {}
-    tables: dict[str, tuple[int, int]] = {}  # value text -> (arity, id into rows or bank)
-    rows, bank, factors = [], [], []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        parts = line.split("\t")
-        if not line.strip() or line.startswith("#"):
-            continue
-        is_var = parts[0] == "var" and len(parts) == 3 and parts[1] == str(graph.n_variables)
-        if is_var and not graph.has_variable(parts[2]):
+    lines = text.splitlines()
+    parsed = _FactorColumns()
+    # Runs of consecutive factor records are parsed TEXT_BLOCK lines at a
+    # time; every other line is a variable, skipped, or malformed.
+    is_factor = np.fromiter(map(str.startswith, lines, repeat("factor\t")), bool, len(lines))
+    edges = np.flatnonzero(np.diff(is_factor, prepend=False, append=False)).tolist()
+    at = 0  # lines before ``at`` are parsed; the last (lo, hi) is an empty run after every line
+    for lo, hi in zip(edges[0::2] + [len(lines)], edges[1::2] + [len(lines)]):
+        for index in range(at, lo):
+            line = lines[index]
+            if not line.strip() or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            is_var = parts[0] == "var" and len(parts) == 3 and parts[1] == str(graph.n_variables)
+            if not is_var or graph.has_variable(parts[2]):
+                raise ValueError(f"line {index + 1}: malformed or duplicate record")
             graph.add_variable(parts[2])
-            continue
-        try:
-            if parts[0] != "factor" or len(parts) != 5 or parts[1] != str(len(factors)):
-                raise ValueError
-            scope = [int(v) for v in parts[3].split(",")]
-            if parts[4] not in tables:
-                values = [float(x) for x in parts[4].split()]
-                store = {N_VALUES: rows, N_VALUES * N_VALUES: bank}[len(values)]
-                if not all(x > 0 for x in values):
-                    raise ValueError
-                store.append(values)
-                tables[parts[4]] = (1 if store is rows else 2, len(store) - 1)
-            arity, table_id = tables[parts[4]]
-            if len(scope) != arity or min(scope) < 0 or max(scope) >= graph.n_variables:
-                raise ValueError
-        except (ValueError, KeyError):
-            raise ValueError(f"line {lineno}: malformed or duplicate record") from None
-        factors.append((kinds.setdefault(parts[2], len(kinds)), scope[0], scope[-1] if arity == 2 else -1, table_id))
-    columns = np.array(factors, dtype=np.int64).reshape(-1, 4)
-    graph.add_factors(list(kinds), columns[:, 0], columns[:, 1:3], columns[:, 3], rows, bank)
+        for start in range(lo, hi, TEXT_BLOCK):
+            bad = parsed.add(lines[start : min(start + TEXT_BLOCK, hi)], graph.n_variables)
+            if bad is not None:
+                raise ValueError(f"line {start + bad + 1}: malformed or duplicate record")
+        at = hi
+    del lines  # the largest thing left; free it before the bulk add copies the columns
+    factors = np.concatenate([np.zeros((0, 4), np.int64), *parsed.chunks])
+    graph.add_factors(list(parsed.kinds), factors[:, 0], factors[:, 1:3], factors[:, 3], parsed.rows, parsed.bank)
     return graph
+
+
+class _FactorColumns:
+    """The factor records :func:`load_graph` has read, as column chunks, and
+    what each distinct kind, value text and scope id parsed to."""
+
+    def __init__(self):
+        self.kinds: dict[str, int] = {}  # kind -> kind id, in first-seen order
+        self.rows: list[list[float]] = []  # unary tables
+        self.bank: list[list[float]] = []  # binary tables
+        # Value text -> 4 * (its index into rows or bank) + arity; 0 if malformed.
+        self.tables: dict[str, int] = {}
+        # Scope id text -> variable id, -1 if malformed; holds str(v) for
+        # every variable v defined so far, so only other texts go through int().
+        self.ids: dict[str, int] = {}
+        self.n_variables = 0
+        self.chunks: list[np.ndarray] = []  # (k, 4): kind id, scope a, scope b or -1, table id
+        self.n = 0
+
+    def add(self, lines: list[str], n_variables: int) -> Optional[int]:
+        """Append ``factor`` lines; return the index of the first malformed one, if any."""
+        tabs = list(map(str.count, lines, repeat("\t")))
+        k = len(lines) if tabs.count(4) == len(lines) else [t == 4 for t in tabs].index(False)
+        if k == 0:
+            return 0
+        # The columns of the first k lines, which all hold five fields.
+        fields = "\t".join(lines[:k]).split("\t")
+        ids, kinds, scopes, values = fields[1::5], fields[2::5], fields[3::5], fields[4::5]
+        del fields
+        expected = list(map(str, range(self.n, self.n + k)))
+        bad = np.zeros(k, bool) if ids == expected else np.not_equal(ids, expected)
+        new = range(self.n_variables, n_variables)
+        self.ids.update(zip(map(str, new), new))
+        self.n_variables = n_variables
+        code = _lookup(self.tables, values, self._table)
+        commas = np.fromiter(map(str.count, scopes, repeat(",")), np.int64, k)
+        variables = _lookup(self.ids, ",".join(scopes).split(","), _variable_id)
+        first = np.cumsum(commas + 1) - commas - 1  # the index of each line's first token
+        a, b = variables[first], variables[first + np.minimum(commas, 1)]
+        bad |= (code % 4 != commas + 1) | (np.minimum(a, b) < 0) | (np.maximum(a, b) >= n_variables)
+        if bad.any() or k < len(lines):
+            return int(np.argmax(bad)) if bad.any() else k
+        kind_ids = _lookup(self.kinds, kinds, lambda text: len(self.kinds))
+        self.chunks.append(np.column_stack([kind_ids, a, np.where(commas, b, -1), code // 4]))
+        self.n += k
+        return None
+
+    def _table(self, text: str) -> int:
+        """Store the table ``text`` spells; return its code (see ``tables``)."""
+        try:
+            values = list(map(float, text.split()))
+        except ValueError:
+            return 0
+        arity = _ARITY.get(len(values), 0)
+        if not arity or not all(map((0.0).__lt__, values)):  # nan is not positive either
+            return 0
+        store = self.rows if arity == 1 else self.bank
+        store.append(values)
+        return 4 * (len(store) - 1) + arity
+
+
+_ARITY = {N_VALUES: 1, N_VALUES * N_VALUES: 2}  # table values -> arity
+
+
+def _lookup(parsed: dict[str, int], texts: list[str], parse) -> np.ndarray:
+    """``parsed[text]`` for each text, an int of at least -1, after storing
+    ``parse(text)`` for each text not yet in ``parsed``, in first-seen order."""
+    values = np.fromiter(map(parsed.get, texts, repeat(-2)), np.int64, len(texts))
+    if (values == -2).any():
+        for text in dict.fromkeys(texts):
+            if text not in parsed:
+                parsed[text] = parse(text)
+        values = np.fromiter(map(parsed.__getitem__, texts), np.int64, len(texts))
+    return values
+
+
+def _variable_id(text: str) -> int:
+    """The variable id ``int(text)`` reads; -1 if it reads none, or one no graph can have."""
+    try:
+        value = int(text)
+    except ValueError:
+        return -1
+    return value if 0 <= value < 2**63 else -1

@@ -12,6 +12,7 @@ File formats (UTF-8, ``#``-prefixed comment lines ignored everywhere):
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -109,57 +110,122 @@ def similar_pairs(store: EmbeddingStore, words: Sequence[str], threshold: float)
 
 
 class CooccurrenceStats:
-    """Frame/pair joint counts with marginals derived by summation.
+    """Frame/pair joint counts, stored as columns, with marginals derived by summation.
 
-    Pairs are kept in frame-argument (evidence) order; orientation matters
-    and is resolved downstream against canonical pair storage.
+    ``frames`` and ``objects`` are the sorted distinct frame keys and object
+    names, so code order is string order. Each distinct (frame, x, y) is one
+    entry, entries sorted by those codes: ``frame``, ``x`` and ``y`` hold the
+    codes and ``count`` the summed counts. Pairs are kept in frame-argument
+    (evidence) order; orientation matters and is resolved downstream against
+    canonical pair storage.
     """
 
-    def __init__(self, joint: Mapping[tuple[str, tuple[str, str]], int]):
-        self._joint: dict[tuple[str, tuple[str, str]], int] = {}
-        self.frame_counts: dict[str, int] = {}
-        self.pair_counts: dict[tuple[str, str], int] = {}
-        self.total = 0
-        for (frame_key, pair), count in joint.items():
-            count = int(count)
-            if count < 0:
-                raise ValueError(f"negative count for ({frame_key}, {pair})")
-            self._joint[(frame_key, tuple(pair))] = count
-            self.frame_counts[frame_key] = self.frame_counts.get(frame_key, 0) + count
-            self.pair_counts[tuple(pair)] = self.pair_counts.get(tuple(pair), 0) + count
-            self.total += count
+    def __init__(self, frame_keys: Sequence[str], xs: Sequence[str], ys: Sequence[str], counts: Sequence[int]):
+        """One row per (frame_key, x, y, count) in any order; repeated
+        (frame_key, x, y) rows are summed. Every count must be at least 1,
+        and their sum below 2**63."""
+        for row, count in enumerate(counts):
+            if count < 1:
+                raise ValueError(f"count {count} for ({frame_keys[row]!r}, ({xs[row]!r}, {ys[row]!r})) is below 1")
+        total = sum(map(int, counts))
+        if total >= 2**63:
+            raise ValueError(f"counts sum to {total}, more than 64-bit integers hold")
+        counts = np.array(counts, dtype=np.int64).reshape(-1)
+        self.frames, frame = _codes(frame_keys)
+        self.objects, xy = _codes([*xs, *ys])
+        x, y = xy[: len(xs)], xy[len(xs) :]
+        order = np.lexsort((y, x, frame))
+        frame, x, y, counts = frame[order], x[order], y[order], counts[order]
+        first = np.flatnonzero(np.diff(frame, prepend=-1) | np.diff(x, prepend=-1) | np.diff(y, prepend=-1))
+        self.frame, self.x, self.y = frame[first], x[first], y[first]
+        self.count = np.add.reduceat(counts, first) if len(first) else counts
+        self.total = total
+        # Marginals: per frame code, and per entry the total of its (x, y).
+        self.frame_total = np.bincount(self.frame, self.count, len(self.frames)).astype(np.int64)
+        _, pair_of = np.unique(self.x * len(self.objects) + self.y, return_inverse=True)
+        self.pair_total = np.bincount(pair_of, self.count).astype(np.int64)[pair_of]
+
+    def row(self, frame_key: str, pair: tuple[str, str]) -> int:
+        """The entry of (frame_key, pair), or -1 if there is none."""
+        f, x, y = _code(self.frames, frame_key), _code(self.objects, pair[0]), _code(self.objects, pair[1])
+        rows = np.flatnonzero((self.frame == f) & (self.x == x) & (self.y == y))
+        return int(rows[0]) if len(rows) else -1
 
     def joint_count(self, frame_key: str, pair: tuple[str, str]) -> int:
-        return self._joint.get((frame_key, tuple(pair)), 0)
+        row = self.row(frame_key, pair)
+        return int(self.count[row]) if row >= 0 else 0
+
+    def entry_pmi(self, rows) -> np.ndarray:
+        """Natural-log PMI of the entries ``rows``; the counts multiply as floats."""
+        joint = self.count[rows] * float(self.total)
+        return np.log(joint / (self.frame_total[self.frame[rows]] * self.pair_total[rows].astype(float)))
 
     def entries(self) -> list[tuple[str, tuple[str, str], int]]:
-        """All (frame_key, pair, count) triples in deterministic order."""
-        return sorted((fk, pair, c) for (fk, pair), c in self._joint.items())
+        """All (frame_key, pair, count) triples in deterministic (sorted) order."""
+        frames, objects = [self.frames[f] for f in self.frame.tolist()], self.objects
+        pairs = [(objects[x], objects[y]) for x, y in zip(self.x.tolist(), self.y.tolist())]
+        return list(zip(frames, pairs, self.count.tolist()))
+
+
+def _codes(names: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct names, and each name's index among them."""
+    distinct = sorted(set(names))
+    index = {name: i for i, name in enumerate(distinct)}
+    return distinct, np.fromiter(map(index.__getitem__, names), np.int64, len(names))
+
+
+def _code(distinct: list[str], name: str) -> int:
+    """The index of ``name`` in the sorted list ``distinct``, or -1."""
+    i = bisect_left(distinct, name)
+    return i if i < len(distinct) and distinct[i] == name else -1
 
 
 def load_cooccurrence(path) -> CooccurrenceStats:
-    joint: dict[tuple[str, tuple[str, str]], int] = {}
-    for lineno, (frame_key, x, y, count) in _read_rows(path, 4):
-        try:
-            count = int(count)
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: non-integer count {count!r}") from None
-        if count < 1:
-            raise ValueError(f"{path}: line {lineno}: count {count} is below 1")
-        joint[(frame_key, (x, y))] = joint.get((frame_key, (x, y)), 0) + count
-    return CooccurrenceStats(joint)
+    """Parse a co-occurrence file into columns. Any malformed row raises
+    ValueError naming its file and line."""
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.read().split("\n")
+    numbers = [n for n, line in enumerate(lines, 1) if line.strip() and not line.startswith("#")]
+    rows = [lines[n - 1] for n in numbers]
+    widths = [row.count("\t") + 1 for row in rows]
+    k = len(rows) if widths.count(4) == len(rows) else [w == 4 for w in widths].index(False)
+    fields = "\t".join(rows[:k]).split("\t") if k else []
+    texts = fields[3::4]
+    parsed = {text: _count(text) for text in set(texts)}
+    counts = list(map(parsed.__getitem__, texts))
+    bad = [c is None or c < 1 for c in counts]
+    if True in bad or k < len(rows):
+        row = bad.index(True) if True in bad else k
+        if row == k:
+            problem = f"expected 4 columns, got {widths[row]}"
+        elif counts[row] is None:
+            problem = f"non-integer count {texts[row]!r}"
+        else:
+            problem = f"count {counts[row]} is below 1"
+        raise ValueError(f"{path}: line {numbers[row]}: {problem}")
+    try:
+        return CooccurrenceStats(fields[0::4], fields[1::4], fields[2::4], counts)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _count(text: str) -> Optional[int]:
+    try:
+        return int(text)
+    except ValueError:
+        return None
 
 
 def pmi(stats: CooccurrenceStats, frame_key: str, pair: tuple[str, str]) -> float:
     """Natural-log PMI; -inf when the joint count is zero."""
-    c_f = stats.frame_counts.get(frame_key, 0)
-    c_p = stats.pair_counts.get(tuple(pair), 0)
+    f = _code(stats.frames, frame_key)
+    x, y = _code(stats.objects, pair[0]), _code(stats.objects, pair[1])
+    c_f = int(stats.frame_total[f]) if f >= 0 else 0
+    c_p = int(stats.count[(stats.x == x) & (stats.y == y)].sum())
     if c_f <= 0 or c_p <= 0:
         raise ValueError(f"zero marginal count for ({frame_key!r}, {pair!r})")
-    c_fp = stats.joint_count(frame_key, pair)
-    if c_fp == 0:
-        return float("-inf")
-    return float(np.log(c_fp * stats.total / (c_f * c_p)))
+    row = stats.row(frame_key, pair)
+    return float(stats.entry_pmi([row])[0]) if row >= 0 else float("-inf")
 
 
 # -- labeled dataset --

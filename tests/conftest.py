@@ -6,7 +6,7 @@ import pytest
 
 from physrel.core import ATTRIBUTES, TOKEN_OF_RELATION
 from physrel.harness import DataPaths
-from physrel.lexstats import SPLITS, FrameItem, KnowledgeDataset, PairItem
+from physrel.lexstats import SPLITS, CooccurrenceStats, FrameItem, KnowledgeDataset, PairItem
 from physrel.maxent import gradients
 from physrel.synthetic import generate_world
 
@@ -30,6 +30,12 @@ def world(tmp_path_factory):
     """Deterministic synthetic world shared by the heavier tests."""
     directory = tmp_path_factory.mktemp("world")
     return generate_world(directory, rng_seed=0)
+
+
+def cooccurrence(joint: dict) -> CooccurrenceStats:
+    """Stats from {(frame_key, (x, y)): count}."""
+    rows = [(frame_key, x, y, count) for (frame_key, (x, y)), count in joint.items()]
+    return CooccurrenceStats(*([row[i] for row in rows] for i in range(4)))
 
 
 def make_dataset(frames=(), pairs=()):

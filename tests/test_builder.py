@@ -1,10 +1,14 @@
 """Graph assembly: the soft-1 constant, orientation handling, factor gating."""
 import re
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from physrel.builder import (
+    FLIPPED,
+    SOFT,
     SOFT_ONE,
     Build,
     BuildConfig,
@@ -14,6 +18,7 @@ from physrel.builder import (
     add_selectional_preference_factors,
     add_similarity_factors,
     build,
+    factor_rows,
     featurize_items,
     flipped_table,
     frames_link,
@@ -23,9 +28,9 @@ from physrel.builder import (
 )
 from physrel.core import Attribute, FrameNode, ObjectPairNode, RelationValue
 from physrel.factorgraph import BPConfig, dump_graph, run_bp
-from physrel.lexstats import CooccurrenceStats, EmbeddingStore, Embeddings, similar_pairs
+from physrel.lexstats import CooccurrenceStats, EmbeddingStore, Embeddings, pmi, similar_pairs
 from physrel.maxent import predict_proba
-from conftest import cosine, make_dataset, variable
+from conftest import cooccurrence, cosine, make_dataset, variable
 
 SIZE, WEIGHT, SPEED = Attribute.SIZE, Attribute.WEIGHT, Attribute.SPEED
 GT, EQ, LT = RelationValue.GT, RelationValue.EQ, RelationValue.LT
@@ -179,7 +184,7 @@ def test_selpref_flipped_when_canonical_order_reverses_evidence():
     ds = selpref_dataset()
     # Evidence "person threw basketball": frame order (person, basketball),
     # canonical storage (basketball, person) -> flipped table.
-    stats = CooccurrenceStats({("threw:dobj:-", ("person", "basketball")): 50})
+    stats = cooccurrence({("threw:dobj:-", ("person", "basketball")): 50})
     b = make_nodes(ds, (SIZE,))
     add_selectional_preference_factors(b, stats, BuildConfig(pmi_threshold=-1.0))
     assert kind_counts(b)["selpref"] == 1
@@ -192,7 +197,7 @@ def test_selpref_flipped_when_canonical_order_reverses_evidence():
 
 def test_selpref_plain_when_orientation_matches():
     ds = selpref_dataset()
-    stats = CooccurrenceStats({("threw:dobj:-", ("basketball", "person")): 50})
+    stats = cooccurrence({("threw:dobj:-", ("basketball", "person")): 50})
     b = make_nodes(ds, (SIZE,))
     add_selectional_preference_factors(b, stats, BuildConfig(pmi_threshold=-1.0))
     assert np.array_equal(b.graph.factor(0).table, SOFT_ONE)
@@ -200,7 +205,7 @@ def test_selpref_plain_when_orientation_matches():
 
 def test_selpref_gated_by_pmi_threshold():
     ds = selpref_dataset()
-    stats = CooccurrenceStats({("threw:dobj:-", ("person", "basketball")): 50})
+    stats = cooccurrence({("threw:dobj:-", ("person", "basketball")): 50})
     b = make_nodes(ds, (SIZE,))
     # A single entry has PMI exactly 0 (joint == marginals == total).
     add_selectional_preference_factors(b, stats, BuildConfig(pmi_threshold=0.5))
@@ -216,7 +221,7 @@ def test_selpref_single_qualifying_pair_from_mixed_stats():
             ("ant", "person", "dev", {SIZE: LT}),
         ],
     )
-    stats = CooccurrenceStats(
+    stats = cooccurrence(
         {
             ("threw:dobj:-", ("person", "basketball")): 99,
             ("threw:dobj:-", ("unknown", "word")): 1,  # pair not in dataset
@@ -230,7 +235,7 @@ def test_selpref_single_qualifying_pair_from_mixed_stats():
 
 def test_selpref_orientation_conflict_resolves_to_larger_count():
     ds = selpref_dataset()
-    stats = CooccurrenceStats(
+    stats = cooccurrence(
         {
             ("threw:dobj:-", ("person", "basketball")): 50,
             ("threw:dobj:-", ("basketball", "person")): 3,
@@ -240,6 +245,71 @@ def test_selpref_orientation_conflict_resolves_to_larger_count():
     add_selectional_preference_factors(b, stats, BuildConfig(pmi_threshold=-10.0))
     assert kind_counts(b)["selpref"] == 1
     assert np.array_equal(b.graph.factor(0).table, flipped_table(SOFT_ONE))
+
+
+def reference_selpref_links(build, stats, threshold: float) -> list[tuple]:
+    """The dict walk that the columnar selpref replaced: (frame row, pair row,
+    table, frame key, evidence pair, PMI) per link, PMI from exact integer sums."""
+    frame_counts, pair_counts, total = {}, {}, 0
+    for frame_key, pair, count in stats.entries():
+        frame_counts[frame_key] = frame_counts.get(frame_key, 0) + count
+        pair_counts[pair] = pair_counts.get(pair, 0) + count
+        total += count
+    frame_row = {it.frame_key: i for i, it in enumerate(build.dataset.frames)}
+    pair_row = {it.key: i for i, it in enumerate(build.dataset.pairs)}
+    chosen = {}
+    for frame_key, (p, q), count in stats.entries():
+        if p == q:
+            continue
+        lo, hi = (p, q) if p < q else (q, p)
+        prev = chosen.get((frame_key, (lo, hi)))
+        if prev is None or count > prev[0]:
+            chosen[(frame_key, (lo, hi))] = (count, (p, q))
+    links = []
+    for (frame_key, (lo, hi)), (count, evidence) in sorted(chosen.items()):
+        if frame_key in frame_row and (lo, hi) in pair_row:
+            value = float(np.log(count * total / (frame_counts[frame_key] * pair_counts[evidence])))
+            if value > threshold:
+                table = FLIPPED if evidence[0] != lo else SOFT
+                links.append((frame_row[frame_key], pair_row[(lo, hi)], table, frame_key, evidence, value))
+    return links
+
+
+selpref_words = st.sampled_from(["ant", "bee", "cat", "dog", "elk"])  # "elk" is in no dataset pair
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_selpref_matches_the_reference_walk(data):
+    labels = st.dictionaries(st.sampled_from([SIZE, WEIGHT]), st.sampled_from([GT, EQ, LT]), min_size=1)
+    verbs = data.draw(st.lists(st.sampled_from(["eat", "hit", "see"]), unique=True))  # "run" is in none
+    pairs = data.draw(st.lists(st.sampled_from(list(combinations(["ant", "bee", "cat", "dog"], 2))), unique=True))
+    ds = make_dataset(
+        frames=[(verb, "dobj", None, "seed", data.draw(labels)) for verb in verbs],
+        pairs=[(x, y, "dev", data.draw(labels)) for x, y in pairs],
+    )
+    # Small counts over few words, some rows mirrored: both orientations, ties and p == q are common.
+    rows = data.draw(st.lists(st.tuples(st.sampled_from(["eat", "hit", "run"]), selpref_words, selpref_words,
+                                        st.integers(1, 3)), min_size=1, max_size=25))
+    mirrored = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    rows += [(verb, y, x, count) for (verb, x, y, count), mirror in zip(rows, mirrored) if mirror]
+    stats = CooccurrenceStats([f"{v}:dobj:-" for v, *_ in rows], [r[1] for r in rows], [r[2] for r in rows],
+                              [r[3] for r in rows])
+    values = stats.entry_pmi(np.arange(len(stats.count)))
+    threshold = data.draw(st.sampled_from([-10.0, 0.0, *values.tolist()]))  # also exactly at some PMI
+    expected = make_nodes(ds, (SIZE, WEIGHT))
+    links = reference_selpref_links(expected, stats, threshold)
+    frames, pair_rows, tables = np.array([link[:3] for link in links], dtype=np.int64).reshape(-1, 3).T
+    frame_vars, pair_vars = expected.item_vars[0][frames], expected.item_vars[1][pair_rows]
+    both = (frame_vars >= 0) & (pair_vars >= 0)
+    table = np.broadcast_to(tables[:, None], both.shape)[both]
+    expected.add([factor_rows("selpref", frame_vars[both], pair_vars[both], table)])
+
+    cfg = BuildConfig(pmi_threshold=threshold)
+    actual = add_selectional_preference_factors(make_nodes(ds, (SIZE, WEIGHT)), stats, cfg)
+    assert dump_graph(actual.graph) == dump_graph(expected.graph)
+    for *_, frame_key, evidence, value in links:
+        assert pmi(stats, frame_key, evidence) == values[stats.row(frame_key, evidence)] == value
 
 
 # -- similarity factors --

@@ -384,6 +384,18 @@ def test_tables_near_underflow_match_exact():
     assert np.abs(result.marginals - exact_marginals(g)).max() < 1e-9
 
 
+def test_bp_names_the_first_variable_whose_belief_is_not_finite():
+    # Entries from 1e300 down to 1e-300: a normalized message underflows to
+    # exactly 0, its log is -inf and the totals turn into nan.
+    rng = np.random.default_rng(37)
+    g = FactorGraph()
+    chain = [g.add_variable(f"v{i}") for i in range(6)]
+    for a, b in zip(chain, chain[1:]):
+        g.add_factor([a, b], rng.permutation(np.logspace(300, -300, 9)).reshape(3, 3))
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"^belief of variable 0 \('v0'\) is not finite"):
+        run_bp(g, BPConfig())
+
+
 def test_bp_memory_peak_is_about_its_two_message_arrays():
     # Only the (3, 2B) factor-to-variable and variable-to-factor messages are
     # full size; totals are per variable and the rest is per block.

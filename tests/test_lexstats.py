@@ -1,12 +1,12 @@
 """Ingestion layer: embeddings, cosine similarity, PMI, dataset loading and guarding."""
 import math
+import re
 
 import numpy as np
 import pytest
 
 from physrel.core import Attribute, RelationValue
 from physrel.lexstats import (
-    CooccurrenceStats,
     EmbeddingStore,
     LabelAccessError,
     load_cooccurrence,
@@ -15,7 +15,7 @@ from physrel.lexstats import (
     pmi,
     similar_pairs,
 )
-from conftest import make_dataset, save_dataset, split_counts, usable_counts
+from conftest import cooccurrence, make_dataset, save_dataset, split_counts, usable_counts
 
 SIZE, WEIGHT = Attribute.SIZE, Attribute.WEIGHT
 GT, EQ, LT = RelationValue.GT, RelationValue.EQ, RelationValue.LT
@@ -137,7 +137,7 @@ def test_cosine_symmetry_and_bound():
 
 
 def toy_stats():
-    return CooccurrenceStats(
+    return cooccurrence(
         {
             ("f:dobj:-", ("a", "b")): 10,
             ("f:dobj:-", ("c", "d")): 90,
@@ -147,13 +147,13 @@ def toy_stats():
 
 
 def test_pmi_independence_is_zero():
-    stats = CooccurrenceStats({("f", ("a", "b")): 10, ("f", ("c", "d")): 90})
+    stats = cooccurrence({("f", ("a", "b")): 10, ("f", ("c", "d")): 90})
     # c(f,p)=10, c(f)=100, c(p)=10, N=100
     assert pmi(stats, "f", ("a", "b")) == pytest.approx(0.0)
 
 
 def test_pmi_direct_formula():
-    stats = CooccurrenceStats(
+    stats = cooccurrence(
         {
             ("f", ("a", "b")): 8,
             ("f", ("c", "d")): 2,
@@ -180,17 +180,17 @@ def test_pmi_zero_marginal_is_error():
 
 def test_pmi_scale_invariance():
     base = {("f", ("a", "b")): 7, ("f", ("c", "d")): 3, ("g", ("a", "b")): 5}
-    s1 = CooccurrenceStats(base)
-    s9 = CooccurrenceStats({k: 9 * v for k, v in base.items()})
+    s1 = cooccurrence(base)
+    s9 = cooccurrence({k: 9 * v for k, v in base.items()})
     assert pmi(s1, "f", ("a", "b")) == pytest.approx(pmi(s9, "f", ("a", "b")), abs=1e-9)
 
 
 def test_cooccurrence_marginals_dominate_joints():
     stats = toy_stats()
-    for frame_key, pair, count in stats.entries():
-        assert stats.frame_counts[frame_key] >= count
-        assert stats.pair_counts[pair] >= count
-        assert stats.total >= stats.frame_counts[frame_key]
+    assert (stats.frame_total[stats.frame] >= stats.count).all()
+    assert (stats.pair_total >= stats.count).all()
+    assert stats.total >= stats.frame_total.max()
+    assert stats.frame_total.sum() == stats.total
 
 
 def test_load_cooccurrence(tmp_path):
@@ -210,6 +210,32 @@ def test_load_cooccurrence_rejects_counts_below_one(tmp_path, count):
     path.write_text(f"# comment\nf:dobj:-\ta\tb\t10\n\ng:dobj:-\ta\tc\t{count}\n")
     with pytest.raises(ValueError, match=rf"cooc\.tsv: line 4: count {count} is below 1"):
         load_cooccurrence(path)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["f\ta\tb\t2", "f\ta\tb", "f\ta\tb\tx"], "line 2: expected 4 columns, got 3"),
+        (["f\ta\tb\tx", "f\ta\tb\t1\t1"], "line 1: non-integer count 'x'"),
+        (["f\ta\tb\t2", "# f\ta\tb", "f\ta\tb\t0", "f\ta\tb"], "line 3: count 0 is below 1"),
+        (["f\ta\tb\t" + str(2**62), "g\ta\tb\t" + str(2**62)], f"counts sum to {2**63}, more than 64-bit"),
+    ],
+)
+def test_load_cooccurrence_names_the_first_malformed_row(tmp_path, rows, message):
+    path = tmp_path / "cooc.tsv"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}")):
+        load_cooccurrence(path)
+
+
+def test_load_cooccurrence_sums_rows_into_sorted_columns(tmp_path):
+    path = tmp_path / "cooc.tsv"
+    path.write_text("g\tb\ta\t2\nf\tc\ta\t1\n\ng\tb\ta\t+3\nf\ta\tc\t 4\n")
+    stats = load_cooccurrence(path)
+    assert (stats.frames, stats.objects) == (["f", "g"], ["a", "b", "c"])
+    assert stats.entries() == [("f", ("a", "c"), 4), ("f", ("c", "a"), 1), ("g", ("b", "a"), 5)]
+    assert stats.frame_total.tolist() == [5, 5] and stats.pair_total.tolist() == [4, 1, 5]
+    assert stats.total == 10 and stats.joint_count("g", ("b", "a")) == 5 and stats.joint_count("g", ("a", "b")) == 0
 
 
 # -- dataset loading --

@@ -1,6 +1,7 @@
 """Property tests of the text formats: graph dumps, label, embedding and co-occurrence files."""
 import re
 import string
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from physrel.core import (
     ordered_pair,
     relation_from_token,
 )
+from physrel import factorgraph
 from physrel.factorgraph import FactorGraph, dump_graph, load_graph
 from physrel.lexstats import SPLITS, FrameItem, load_cooccurrence, load_dataset, load_embeddings
 from conftest import save_dataset
@@ -57,6 +59,122 @@ def test_load_rejects_any_changed_record_id(graph, data):
     lines[index] = f"{record}\t{new_id}\t{rest}"
     with pytest.raises(ValueError, match=f"^line {index + 1}: "):
         load_graph("\n".join(lines) + "\n")
+
+
+def reference_load_graph(text: str) -> FactorGraph:
+    """The line-at-a-time parse that the columnar :func:`load_graph` replaced."""
+    graph = FactorGraph()
+    kinds: dict = {}
+    tables: dict = {}  # value text -> (arity, id into rows or bank)
+    rows, bank, factors = [], [], []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        parts = line.split("\t")
+        if not line.strip() or line.startswith("#"):
+            continue
+        is_var = parts[0] == "var" and len(parts) == 3 and parts[1] == str(graph.n_variables)
+        if is_var and not graph.has_variable(parts[2]):
+            graph.add_variable(parts[2])
+            continue
+        try:
+            if parts[0] != "factor" or len(parts) != 5 or parts[1] != str(len(factors)):
+                raise ValueError
+            scope = [int(v) for v in parts[3].split(",")]
+            if parts[4] not in tables:
+                values = [float(x) for x in parts[4].split()]
+                store = {3: rows, 9: bank}[len(values)]
+                if not all(x > 0 for x in values):
+                    raise ValueError
+                store.append(values)
+                tables[parts[4]] = (1 if store is rows else 2, len(store) - 1)
+            arity, table_id = tables[parts[4]]
+            if len(scope) != arity or min(scope) < 0 or max(scope) >= graph.n_variables:
+                raise ValueError
+        except (ValueError, KeyError):
+            raise ValueError(f"line {lineno}: malformed or duplicate record") from None
+        factors.append((kinds.setdefault(parts[2], len(kinds)), scope[0], scope[-1] if arity == 2 else -1, table_id))
+    columns = np.array(factors, dtype=np.int64).reshape(-1, 4)
+    graph.add_factors(list(kinds), columns[:, 0], columns[:, 1:3], columns[:, 3], rows, bank)
+    return graph
+
+
+GRAPH_CORRUPTIONS = ("id", "extra tab", "missing tab", "scope", "value count", "value", "skipped", "late var",
+                     "duplicate line", "duplicate node", "line break")
+# Scope texts int() reads leniently or not at all.
+odd_scopes = st.sampled_from(
+    ["03", "+1", " 2", "1 ", "1_0", "0,-1", "-0", "0,0", "1,", ",1", "", "x", "\u0663", "0,1,0", "9" * 25]
+)
+odd_values = st.sampled_from(["0.0", "nan", "inf", "1e0", "-1", "1_0", "x", " 1", "+2.5"])
+
+
+def corrupted_dump(data, lines: list[str], corruption: str) -> list[str]:
+    """A copy of dump lines with one corruption; valid or not, both parsers must agree."""
+    lines = list(lines)
+    factor_at = [i for i, line in enumerate(lines) if line.startswith("factor\t")]
+    index = data.draw(st.integers(0, len(lines) - 1))
+    fields = lines[index].split("\t")
+    if corruption in ("scope", "value count", "value") and factor_at:
+        index = data.draw(st.sampled_from(factor_at))
+        fields = lines[index].split("\t")
+        values = fields[4].split()
+        if corruption == "scope":
+            parts = fields[3].split(",")
+            parts[data.draw(st.integers(0, len(parts) - 1))] = data.draw(odd_scopes)
+            fields[3] = ",".join(parts)
+        elif corruption == "value count":
+            fields[4] = " ".join(values[:3] if len(values) == 9 else values * 3)
+        else:
+            values[data.draw(st.integers(0, len(values) - 1))] = data.draw(odd_values)
+            fields[4] = " ".join(values)
+        lines[index] = "\t".join(fields)
+    elif corruption == "id":
+        fields[1] = str(data.draw(st.integers(0, 20)))
+        lines[index] = "\t".join(fields)
+    elif corruption in ("extra tab", "missing tab"):
+        line = lines[index]
+        tabs = [i for i, c in enumerate(line) if c == "\t"]
+        if corruption == "missing tab":
+            cut = data.draw(st.sampled_from(tabs))
+            lines[index] = line[:cut] + line[cut + 1 :]
+        else:
+            at = data.draw(st.integers(0, len(line)))
+            lines[index] = line[:at] + "\t" + line[at:]
+    elif corruption == "skipped":
+        lines.insert(data.draw(st.integers(0, len(lines))), data.draw(skipped))
+    elif corruption == "late var":
+        n = sum(line.startswith("var\t") for line in lines)
+        lines.insert(data.draw(st.integers(n, len(lines))), f"var\t{n}\tlate")
+        lines.append(f"factor\t{len(factor_at)}\tk\t{n}\t1 2 3")
+    elif corruption == "duplicate line":
+        lines.insert(data.draw(st.integers(0, len(lines))), lines[index])
+    elif corruption == "duplicate node":
+        n = sum(line.startswith("var\t") for line in lines)
+        lines.insert(n, f"var\t{n}\t{lines[0].split(chr(9))[2]}")
+    elif corruption == "line break":
+        line = lines[index]
+        at = data.draw(st.integers(0, len(line)))
+        lines[index] = line[:at] + data.draw(st.sampled_from(["\r", "\x0b", "\x1c", "\u2028"])) + line[at:]
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(), st.data())
+def test_load_graph_matches_the_reference_parser(graph, data):
+    corruption = data.draw(st.sampled_from((None,) + GRAPH_CORRUPTIONS))
+    lines = dump_graph(graph).splitlines()
+    if corruption is not None:
+        lines = corrupted_dump(data, lines, corruption)
+    text = "\n".join(lines) + data.draw(st.sampled_from(["", "\n", "\r\n"]))
+    # Small blocks put block boundaries between the few factors a drawn graph has.
+    block = data.draw(st.sampled_from([1, 2, 3, factorgraph.TEXT_BLOCK]))
+    try:
+        expected = dump_graph(reference_load_graph(text))
+    except ValueError as exc:
+        with patch.object(factorgraph, "TEXT_BLOCK", block), pytest.raises(ValueError) as raised:
+            load_graph(text)
+        assert str(raised.value) == str(exc)
+        return
+    with patch.object(factorgraph, "TEXT_BLOCK", block):
+        assert dump_graph(load_graph(text)) == expected
 
 
 relations = st.sampled_from(list(RelationValue))
