@@ -141,9 +141,12 @@ class CooccurrenceStats:
         self.count = np.add.reduceat(counts, first) if len(first) else counts
         self.total = total
         # Marginals: per frame code, and per entry the total of its (x, y).
-        self.frame_total = np.bincount(self.frame, self.count, len(self.frames)).astype(np.int64)
+        self.frame_total = np.zeros(len(self.frames), np.int64)
+        np.add.at(self.frame_total, self.frame, self.count)
         _, pair_of = np.unique(self.x * len(self.objects) + self.y, return_inverse=True)
-        self.pair_total = np.bincount(pair_of, self.count).astype(np.int64)[pair_of]
+        pair_total = np.zeros(len(self.count), np.int64)
+        np.add.at(pair_total, pair_of, self.count)
+        self.pair_total = pair_total[pair_of]
 
     def row(self, frame_key: str, pair: tuple[str, str]) -> int:
         """The entry of (frame_key, pair), or -1 if there is none."""
