@@ -36,7 +36,6 @@ from .lexstats import (
     load_cooccurrence,
     load_dataset,
     load_embeddings,
-    pmi,
 )
 from .maxent import MaxentModel, TrainConfig, featurize_frame, featurize_object_pair, predict_proba, train
 from .synthetic import generate_world
@@ -79,7 +78,6 @@ __all__ = [
     "load_dataset",
     "load_embeddings",
     "load_graph",
-    "pmi",
     "predict_proba",
     "run_ablation",
     "run_bp",

@@ -180,14 +180,22 @@ def train_models(
             rows = dataset.rows_in(kind, "seed")
             items = getattr(dataset, kind)
             labeled[kind] = (featurize_items(kind, [items[r] for r in rows], embeddings), dataset.gold_rows(kind, rows))
-    models: dict[tuple[Attribute, str], MaxentModel] = {}
-    for attribute in attributes:
-        for kind, (features, gold) in labeled.items():
-            y = gold[:, ATTRIBUTES.index(attribute)]
-            if (y >= 0).any():
-                node_class = NODE_CLASSES[kind]
-                models[(attribute, node_class)] = train(features[y >= 0], y[y >= 0], cfg, attribute, node_class)
-    return TrainedModels(models, embeddings)
+    trained: dict[tuple[Attribute, str], MaxentModel] = {}
+    for kind, (features, gold) in labeled.items():
+        node_class = NODE_CLASSES[kind]
+        gold = gold[:, [ATTRIBUTES.index(a) for a in attributes]]
+        # The attributes labeled on the same items train in one stacked descent.
+        groups: dict[bytes, list[int]] = {}
+        for column in np.flatnonzero((gold >= 0).any(axis=0)).tolist():
+            groups.setdefault((gold[:, column] >= 0).tobytes(), []).append(column)
+        for columns in groups.values():
+            rows = gold[:, columns[0]] >= 0
+            group = [attributes[c] for c in columns]
+            models = train(features[rows], gold[rows][:, columns], cfg, group, node_class)
+            trained.update(((attribute, node_class), model) for attribute, model in zip(group, models))
+    # Attribute by attribute, frames before pairs, as one model at a time would run.
+    order = [(attribute, NODE_CLASSES[kind]) for attribute in attributes for kind in KINDS]
+    return TrainedModels({key: trained[key] for key in order if key in trained}, embeddings)
 
 
 # -- graph assembly --

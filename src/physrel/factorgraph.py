@@ -330,14 +330,23 @@ def dump_graph(graph: FactorGraph) -> str:
     """Line-oriented text form: one variable or factor per line.
 
     Node keys are rendered with str(); loading reconstructs them as strings.
-    Identical graphs dump byte-identically.
+    A key holding a tab or a line break ``str.splitlines`` knows raises
+    ValueError. Identical graphs dump byte-identically.
     """
     kind, scope, table, rows = graph.columns()
     values = [" ".join(map(repr, t)) for t in rows.tolist() + [t.ravel().tolist() for t in graph.bank]]
     value_of = np.where(scope[:, 1] == -1, table, len(rows) + table)
     # Each block of factor lines is joined on its own, so only one block's
     # lines and columns are held as Python objects at a time.
-    blocks = ["".join(f"var\t{vid}\t{graph.node_of(vid)}\n" for vid in range(graph.n_variables))]
+    n = graph.n_variables
+    variables = "".join(f"var\t{vid}\t{graph.node_of(vid)}\n" for vid in range(n))
+    # A key with a tab or a line break (one ending in "\r" runs into its
+    # line's "\n") would dump to a text that load_graph rejects or misreads.
+    if variables.count("\t") != 2 * n or len(variables.splitlines()) != n or "\r\n" in variables:
+        keys = map(str, map(graph.node_of, range(n)))
+        vid, key = next((v, k) for v, k in enumerate(keys) if "\t" in k or len((k + ".").splitlines()) > 1)
+        raise ValueError(f"variable {vid}: node key {key!r} holds a tab or a line break")
+    blocks = [variables]
     for lo in range(0, len(kind), TEXT_BLOCK):
         hi = min(lo + TEXT_BLOCK, len(kind))
         columns = zip(range(lo, hi), kind[lo:hi].tolist(), scope[lo:hi].tolist(), value_of[lo:hi].tolist())

@@ -12,7 +12,6 @@ File formats (UTF-8, ``#``-prefixed comment lines ignored everywhere):
 from __future__ import annotations
 
 import logging
-from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -148,26 +147,10 @@ class CooccurrenceStats:
         np.add.at(pair_total, pair_of, self.count)
         self.pair_total = pair_total[pair_of]
 
-    def row(self, frame_key: str, pair: tuple[str, str]) -> int:
-        """The entry of (frame_key, pair), or -1 if there is none."""
-        f, x, y = _code(self.frames, frame_key), _code(self.objects, pair[0]), _code(self.objects, pair[1])
-        rows = np.flatnonzero((self.frame == f) & (self.x == x) & (self.y == y))
-        return int(rows[0]) if len(rows) else -1
-
-    def joint_count(self, frame_key: str, pair: tuple[str, str]) -> int:
-        row = self.row(frame_key, pair)
-        return int(self.count[row]) if row >= 0 else 0
-
     def entry_pmi(self, rows) -> np.ndarray:
         """Natural-log PMI of the entries ``rows``; the counts multiply as floats."""
         joint = self.count[rows] * float(self.total)
         return np.log(joint / (self.frame_total[self.frame[rows]] * self.pair_total[rows].astype(float)))
-
-    def entries(self) -> list[tuple[str, tuple[str, str], int]]:
-        """All (frame_key, pair, count) triples in deterministic (sorted) order."""
-        frames, objects = [self.frames[f] for f in self.frame.tolist()], self.objects
-        pairs = [(objects[x], objects[y]) for x, y in zip(self.x.tolist(), self.y.tolist())]
-        return list(zip(frames, pairs, self.count.tolist()))
 
 
 def _codes(names: Sequence[str]) -> tuple[list[str], np.ndarray]:
@@ -175,12 +158,6 @@ def _codes(names: Sequence[str]) -> tuple[list[str], np.ndarray]:
     distinct = sorted(set(names))
     index = {name: i for i, name in enumerate(distinct)}
     return distinct, np.fromiter(map(index.__getitem__, names), np.int64, len(names))
-
-
-def _code(distinct: list[str], name: str) -> int:
-    """The index of ``name`` in the sorted list ``distinct``, or -1."""
-    i = bisect_left(distinct, name)
-    return i if i < len(distinct) and distinct[i] == name else -1
 
 
 def load_cooccurrence(path) -> CooccurrenceStats:
@@ -217,18 +194,6 @@ def _count(text: str) -> Optional[int]:
         return int(text)
     except ValueError:
         return None
-
-
-def pmi(stats: CooccurrenceStats, frame_key: str, pair: tuple[str, str]) -> float:
-    """Natural-log PMI; -inf when the joint count is zero."""
-    f = _code(stats.frames, frame_key)
-    x, y = _code(stats.objects, pair[0]), _code(stats.objects, pair[1])
-    c_f = int(stats.frame_total[f]) if f >= 0 else 0
-    c_p = int(stats.count[(stats.x == x) & (stats.y == y)].sum())
-    if c_f <= 0 or c_p <= 0:
-        raise ValueError(f"zero marginal count for ({frame_key!r}, {pair!r})")
-    row = stats.row(frame_key, pair)
-    return float(stats.entry_pmi([row])[0]) if row >= 0 else float("-inf")
 
 
 # -- labeled dataset --

@@ -89,15 +89,21 @@ def _lookup(store, words: Sequence[Optional[str]], name: str) -> np.ndarray:
 def gradients(weights: np.ndarray, bias: np.ndarray, X: np.ndarray, onehot: np.ndarray, l2_lambda: float):
     """Class probabilities of the rows of X, and the gradients of the mean
     NLL of the one-hot labels ``onehot`` + 0.5*lambda*||W||^2 (bias
-    unregularized) with respect to the weights and the bias."""
+    unregularized) with respect to the weights and the bias.
+
+    Given a stack of m models (weights ``(m, 3, dim)``, bias ``(m, 3)``,
+    labels ``(m, n, 3)``), each model's results carry the bits it gets
+    alone: both products run one 2-D product per model, and the sums over
+    the three classes add in the order ``sum(axis=-1)`` does.
+    """
     n = X.shape[0]
-    scores = X @ weights.T + bias
-    scores -= scores.max(axis=1, keepdims=True)
+    scores = np.matmul(X, np.swapaxes(weights, -1, -2)) + bias[..., None, :]
+    scores -= np.maximum(np.maximum(scores[..., 0], scores[..., 1]), scores[..., 2])[..., None]
     exp = np.exp(scores)
-    probs = exp / exp.sum(axis=1, keepdims=True)
+    probs = exp / ((exp[..., 0] + exp[..., 1]) + exp[..., 2])[..., None]
     delta = probs - onehot
-    grad_w = delta.T @ X / n + l2_lambda * weights
-    grad_b = np.add.reduce(delta, axis=0) / n
+    grad_w = np.matmul(np.swapaxes(delta, -1, -2), X) / n + l2_lambda * weights
+    grad_b = np.add.reduce(delta, axis=-2) / n
     return probs, grad_w, grad_b
 
 
@@ -105,27 +111,40 @@ def train(
     X,
     y,
     cfg: TrainConfig = TrainConfig(),
-    attribute: Optional[Attribute] = None,
+    attribute: Optional[Attribute | Sequence[Attribute]] = None,
     node_class: Optional[str] = None,
-) -> MaxentModel:
+) -> MaxentModel | list[MaxentModel]:
     """Minimize the regularized NLL of the labels ``y`` (RelationValue codes)
     of the rows of the (n, dim) feature matrix ``X`` by full-batch gradient
-    descent. Each step computes only the gradients, never the loss."""
+    descent. Each step computes only the gradients, never the loss.
+
+    ``y`` of shape (n,) trains one model. ``y`` of shape (n, m) trains one
+    model per column in one stacked descent, ``attribute`` naming one
+    attribute per column, and returns the list of models: each is the model
+    its column alone would give, bit for bit.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2 or y.shape != X.shape[:1]:
+    if X.ndim != 2 or y.ndim not in (1, 2) or y.shape[:1] != X.shape[:1]:
         raise ValueError(f"features of shape {X.shape} do not fit labels of shape {y.shape}")
     if not len(X):
         raise ValueError("empty training set")
+    outside = np.unique(y[(y < 0) | (y >= N_VALUES)])
+    if len(outside):
+        raise ValueError(f"label codes must lie in 0..{N_VALUES - 1}, got {outside.tolist()}")
+    labels = y.reshape(len(y), -1).T
+    # Every model starts from the same draw, the one it would get alone.
     rng = np.random.default_rng(cfg.rng_seed)
-    weights = rng.normal(scale=0.01, size=(N_VALUES, X.shape[1]))
-    bias = np.zeros(N_VALUES)
-    onehot = np.eye(N_VALUES)[y]
+    weights = np.repeat(rng.normal(scale=0.01, size=(1, N_VALUES, X.shape[1])), len(labels), axis=0)
+    bias = np.zeros((len(labels), N_VALUES))
+    onehot = np.eye(N_VALUES)[labels]
     for _ in range(cfg.epochs):
         _, grad_w, grad_b = gradients(weights, bias, X, onehot, cfg.l2_lambda)
         weights -= cfg.learning_rate * grad_w
         bias -= cfg.learning_rate * grad_b
-    return MaxentModel(weights, bias, attribute, node_class)
+    attributes = attribute if y.ndim == 2 and attribute is not None else [attribute] * len(labels)
+    models = [MaxentModel(w, b, a, node_class) for w, b, a in zip(weights, bias, attributes)]
+    return models if y.ndim == 2 else models[0]
 
 
 def predict_proba(model: MaxentModel, x) -> np.ndarray:

@@ -7,7 +7,8 @@ import pytest
 from physrel.core import ATTRIBUTES, TOKEN_OF_RELATION
 from physrel.harness import DataPaths
 from physrel.lexstats import SPLITS, CooccurrenceStats, FrameItem, KnowledgeDataset, PairItem
-from physrel.maxent import gradients
+from physrel.builder import NODE_CLASSES, featurize_items
+from physrel.maxent import TrainConfig, gradients, train
 from physrel.synthetic import generate_world
 
 # Released-data reproduction tests look here; they skip when absent.
@@ -36,6 +37,33 @@ def cooccurrence(joint: dict) -> CooccurrenceStats:
     """Stats from {(frame_key, (x, y)): count}."""
     rows = [(frame_key, x, y, count) for (frame_key, (x, y)), count in joint.items()]
     return CooccurrenceStats(*([row[i] for row in rows] for i in range(4)))
+
+
+def entries(stats: CooccurrenceStats) -> list[tuple[str, tuple[str, str], int]]:
+    """All (frame_key, pair, count) triples of ``stats``, in its sorted column order."""
+    columns = zip(stats.frame.tolist(), stats.x.tolist(), stats.y.tolist(), stats.count.tolist())
+    return [(stats.frames[f], (stats.objects[x], stats.objects[y]), count) for f, x, y, count in columns]
+
+
+def entry_row(stats: CooccurrenceStats, frame_key: str, pair: tuple[str, str]) -> int:
+    """The entry of (frame_key, pair), or -1 if there is none."""
+    return next((row for row, (f, p, _) in enumerate(entries(stats)) if (f, p) == (frame_key, pair)), -1)
+
+
+def joint_count(stats: CooccurrenceStats, frame_key: str, pair: tuple[str, str]) -> int:
+    row = entry_row(stats, frame_key, pair)
+    return int(stats.count[row]) if row >= 0 else 0
+
+
+def pmi(stats: CooccurrenceStats, frame_key: str, pair: tuple[str, str]) -> float:
+    """Natural-log PMI of one (frame, pair), by ``entry_pmi``; -inf when the
+    joint count is zero, ValueError when a marginal is."""
+    c_f = sum(count for f, _, count in entries(stats) if f == frame_key)
+    c_p = sum(count for _, p, count in entries(stats) if p == pair)
+    if c_f <= 0 or c_p <= 0:
+        raise ValueError(f"zero marginal count for ({frame_key!r}, {pair!r})")
+    row = entry_row(stats, frame_key, pair)
+    return float(stats.entry_pmi([row])[0]) if row >= 0 else float("-inf")
 
 
 def make_dataset(frames=(), pairs=()):
@@ -69,6 +97,22 @@ def loss_and_grad(weights, bias, X, y, l2_lambda: float):
     probs, grad_w, grad_b = gradients(weights, bias, X, np.eye(3)[y], l2_lambda)
     nll = -np.log(probs[np.arange(X.shape[0]), y]).mean()
     return float(nll + 0.5 * l2_lambda * float((weights * weights).sum())), grad_w, grad_b
+
+
+def one_descent_per_model(dataset, emb, cfg: TrainConfig = TrainConfig(), attributes=ATTRIBUTES) -> dict:
+    """The classifiers as they were trained before attributes shared a
+    descent: one ``train`` per (attribute, node class) with seed labels,
+    attribute by attribute, frames before pairs."""
+    models = {}
+    with dataset.audit_label_access({"seed"}):
+        for attribute in attributes:
+            for kind, node_class in NODE_CLASSES.items():
+                rows = dataset.rows_in(kind, "seed")
+                y = dataset.gold_rows(kind, rows)[:, ATTRIBUTES.index(attribute)]
+                if (y >= 0).any():
+                    X = featurize_items(kind, [getattr(dataset, kind)[r] for r in rows[y >= 0]], emb)
+                    models[(attribute, node_class)] = train(X, y[y >= 0], cfg, attribute, node_class)
+    return models
 
 
 def variable(graph, node) -> int:

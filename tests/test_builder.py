@@ -26,13 +26,13 @@ from physrel.builder import (
     seed_table,
     train_models,
 )
-from physrel.core import Attribute, FrameNode, ObjectPairNode, RelationValue
+from physrel.core import ATTRIBUTES, Attribute, FrameNode, ObjectPairNode, RelationValue
 from physrel.factorgraph import BPConfig, dump_graph, run_bp
-from physrel.lexstats import CooccurrenceStats, EmbeddingStore, Embeddings, pmi, similar_pairs
-from physrel.maxent import predict_proba
-from conftest import cooccurrence, cosine, make_dataset, variable
+from physrel.lexstats import CooccurrenceStats, EmbeddingStore, Embeddings, similar_pairs
+from physrel.maxent import TrainConfig, predict_proba
+from conftest import cooccurrence, cosine, entries, entry_row, make_dataset, one_descent_per_model, pmi, variable
 
-SIZE, WEIGHT, SPEED = Attribute.SIZE, Attribute.WEIGHT, Attribute.SPEED
+SIZE, WEIGHT, SPEED, STRENGTH = Attribute.SIZE, Attribute.WEIGHT, Attribute.SPEED, Attribute.STRENGTH
 GT, EQ, LT = RelationValue.GT, RelationValue.EQ, RelationValue.LT
 
 
@@ -251,14 +251,14 @@ def reference_selpref_links(build, stats, threshold: float) -> list[tuple]:
     """The dict walk that the columnar selpref replaced: (frame row, pair row,
     table, frame key, evidence pair, PMI) per link, PMI from exact integer sums."""
     frame_counts, pair_counts, total = {}, {}, 0
-    for frame_key, pair, count in stats.entries():
+    for frame_key, pair, count in entries(stats):
         frame_counts[frame_key] = frame_counts.get(frame_key, 0) + count
         pair_counts[pair] = pair_counts.get(pair, 0) + count
         total += count
     frame_row = {it.frame_key: i for i, it in enumerate(build.dataset.frames)}
     pair_row = {it.key: i for i, it in enumerate(build.dataset.pairs)}
     chosen = {}
-    for frame_key, (p, q), count in stats.entries():
+    for frame_key, (p, q), count in entries(stats):
         if p == q:
             continue
         lo, hi = (p, q) if p < q else (q, p)
@@ -309,7 +309,7 @@ def test_selpref_matches_the_reference_walk(data):
     actual = add_selectional_preference_factors(make_nodes(ds, (SIZE, WEIGHT)), stats, cfg)
     assert dump_graph(actual.graph) == dump_graph(expected.graph)
     for *_, frame_key, evidence, value in links:
-        assert pmi(stats, frame_key, evidence) == values[stats.row(frame_key, evidence)] == value
+        assert pmi(stats, frame_key, evidence) == values[entry_row(stats, frame_key, evidence)] == value
 
 
 # -- similarity factors --
@@ -557,6 +557,53 @@ def test_bulk_predict_proba_matches_one_row_calls(world):
             exp = np.exp(scores - scores.max())
             assert np.array_equal(row, predict_proba(model, x))
             assert np.array_equal(row, exp / exp.sum())
+
+
+def assert_same_models(trained: dict, expected: dict) -> None:
+    assert list(trained) == list(expected)
+    for (attribute, node_class), model in expected.items():
+        got = trained[(attribute, node_class)]
+        assert (got.attribute, got.node_class) == (attribute, node_class)
+        assert np.array_equal(got.weights, model.weights) and np.array_equal(got.bias, model.bias)
+
+
+def test_train_models_equals_one_descent_per_model():
+    # Frames: SIZE and STRENGTH label the same seed frames and train together;
+    # WEIGHT labels others and trains alone; SPEED labels no seed item and
+    # gets no model. Pairs: SIZE and WEIGHT label the same seed pairs,
+    # STRENGTH only one of them.
+    frames = [
+        ("throw", "dobj", None, "seed", {SIZE: GT, STRENGTH: LT}),
+        ("carry", "dobj", None, "seed", {SIZE: LT, STRENGTH: GT, WEIGHT: EQ}),
+        ("push", "pobj", "into", "seed", {WEIGHT: GT}),
+        ("lift", "dobj", None, "seed", {SIZE: EQ, STRENGTH: EQ, WEIGHT: LT}),
+        ("drop", "pobj", "at", "dev", {SIZE: GT, SPEED: GT}),
+    ]
+    pairs = [
+        ("ant", "zebra", "seed", {SIZE: LT, WEIGHT: LT}),
+        ("car", "house", "seed", {SIZE: LT, WEIGHT: GT}),
+        ("ant", "car", "seed", {SIZE: EQ, WEIGHT: EQ, STRENGTH: GT}),
+        ("house", "zebra", "dev", {SIZE: GT, SPEED: LT}),
+    ]
+    ds = make_dataset(frames=frames, pairs=pairs)
+    objects, verbs = ("ant", "zebra", "car", "house", "into", "at"), ("throw", "carry", "push", "lift", "drop")
+    emb = embeddings_for(objects=objects, verbs=verbs)
+    cfg = TrainConfig(epochs=60, learning_rate=0.3)
+    for attributes in (ATTRIBUTES, (WEIGHT, SPEED, SIZE, STRENGTH)):
+        expected = one_descent_per_model(ds, emb, cfg, attributes)
+        assert (SPEED, "frame") not in expected and (WEIGHT, "frame") in expected
+        assert_same_models(train_models(ds, emb, cfg, attributes).models, expected)
+
+
+def test_train_models_on_the_world_keeps_order_and_bits(world):
+    from physrel.harness import TaskSpec, assemble_task_dataset, load_world
+
+    spec = TaskSpec(task="objects", cross_seed_fraction="20", eval_split="test")
+    ds = assemble_task_dataset(world.paths, spec).restrict({"seed"}, {"seed"})
+    emb, _ = load_world(world.paths)
+    models = train_models(ds, emb).models
+    assert list(models) == [(a, c) for a in ATTRIBUTES for c in ("frame", "object-pair")]
+    assert_same_models(models, one_descent_per_model(ds, emb))
 
 
 # -- build orchestration --

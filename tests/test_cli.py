@@ -12,6 +12,9 @@ import physrel
 from physrel.builder import BuildConfig
 from physrel.cli import _grid_from_file, main
 from physrel.core import ATTRIBUTES
+from physrel.harness import TaskSpec, assemble_task_dataset, load_world
+from physrel.maxent import save_model
+from conftest import one_descent_per_model
 
 # One flag set for every model run, so their shared files must agree.
 TASK = ["--task", "objects", "--cross", "20", "--eval-split", "test"]
@@ -75,6 +78,13 @@ def test_files_shared_between_subcommands_agree(outputs):
     for name in ("report.tsv", "report.json", "predictions.tsv", "build_report.tsv"):
         assert read(outputs["infer"], name) == read(outputs["eval"], name), name
     assert read(outputs["ablate"], "ablation_full.tsv") == read(outputs["eval"], "report.tsv")
+
+
+def test_train_writes_the_models_one_descent_each_gives(outputs, world):
+    dataset = assemble_task_dataset(world.paths, TaskSpec("objects", "20", "test"))
+    emb, _ = load_world(world.paths)
+    for (attribute, node_class), model in one_descent_per_model(dataset, emb).items():
+        assert read(outputs["train"], f"maxent_{attribute.value}_{node_class}.txt") == save_model(model)
 
 
 def test_marginals_follow_the_graph_variables_in_order(outputs):

@@ -1,4 +1,5 @@
 """Factor graph and BP: message math, tree exactness, robustness."""
+import re
 import tracemalloc
 
 import numpy as np
@@ -462,6 +463,18 @@ def test_dump_load_round_trip():
         assert f.scope == f2.scope and f.kind == f2.kind
         assert np.array_equal(f.table, f2.table)
     assert np.allclose(exact_marginals(reloaded), exact_marginals(g))
+
+
+@pytest.mark.parametrize("key", ["ant\x1cbee", "ant\tbee", "ant\nbee", "ant\r"])
+def test_dump_rejects_a_node_key_with_a_tab_or_line_break(key):
+    # load_graph splits lines as str.splitlines does and fields at tabs, so
+    # such a key would dump to a text it rejects, or ("ant\r" running into
+    # its line's "\n") reads back as another key.
+    g = FactorGraph()
+    for node in ("ant", key, "bee"):
+        g.add_variable(node)
+    with pytest.raises(ValueError, match=re.escape(f"variable 1: node key {key!r} holds a tab or a line break")):
+        dump_graph(g)
 
 
 def test_load_rejects_malformed_lines():

@@ -12,10 +12,9 @@ from physrel.lexstats import (
     load_cooccurrence,
     load_dataset,
     load_embeddings,
-    pmi,
     similar_pairs,
 )
-from conftest import cooccurrence, make_dataset, save_dataset, split_counts, usable_counts
+from conftest import cooccurrence, entries, joint_count, make_dataset, pmi, save_dataset, split_counts, usable_counts
 
 SIZE, WEIGHT = Attribute.SIZE, Attribute.WEIGHT
 GT, EQ, LT = RelationValue.GT, RelationValue.EQ, RelationValue.LT
@@ -197,7 +196,7 @@ def test_load_cooccurrence(tmp_path):
     path = tmp_path / "cooc.tsv"
     path.write_text("# comment\nf:dobj:-\ta\tb\t10\nf:dobj:-\ta\tb\t5\n")
     stats = load_cooccurrence(path)
-    assert stats.joint_count("f:dobj:-", ("a", "b")) == 15
+    assert joint_count(stats, "f:dobj:-", ("a", "b")) == 15
     bad = tmp_path / "bad.tsv"
     bad.write_text("f\ta\tb\tmany\n")
     with pytest.raises(ValueError):
@@ -233,9 +232,9 @@ def test_load_cooccurrence_sums_rows_into_sorted_columns(tmp_path):
     path.write_text("g\tb\ta\t2\nf\tc\ta\t1\n\ng\tb\ta\t+3\nf\ta\tc\t 4\n")
     stats = load_cooccurrence(path)
     assert (stats.frames, stats.objects) == (["f", "g"], ["a", "b", "c"])
-    assert stats.entries() == [("f", ("a", "c"), 4), ("f", ("c", "a"), 1), ("g", ("b", "a"), 5)]
+    assert entries(stats) == [("f", ("a", "c"), 4), ("f", ("c", "a"), 1), ("g", ("b", "a"), 5)]
     assert stats.frame_total.tolist() == [5, 5] and stats.pair_total.tolist() == [4, 1, 5]
-    assert stats.total == 10 and stats.joint_count("g", ("b", "a")) == 5 and stats.joint_count("g", ("a", "b")) == 0
+    assert stats.total == 10 and joint_count(stats, "g", ("b", "a")) == 5 and joint_count(stats, "g", ("a", "b")) == 0
 
 
 # -- dataset loading --

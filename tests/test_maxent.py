@@ -9,6 +9,7 @@ from physrel.maxent import (
     TrainConfig,
     featurize_frame,
     featurize_object_pair,
+    gradients,
     predict_proba,
     save_model,
     train,
@@ -161,6 +162,35 @@ def test_gradient_matches_finite_differences():
         assert np.abs(grad_b - fd_b).max() / denom < 1e-4
 
 
+def test_stacked_gradients_equal_each_models_own_bit_for_bit():
+    rng = np.random.default_rng(43)
+    for m, n, d in ((1, 7, 4), (3, 11, 5), (5, 180, 153)):
+        X = rng.normal(size=(n, d))
+        weights = rng.normal(scale=0.5, size=(m, 3, d))
+        bias = rng.normal(scale=0.5, size=(m, 3))
+        onehot = np.eye(3)[rng.integers(0, 3, size=(m, n))]
+        stacked = gradients(weights, bias, X, onehot, 0.01)
+        for k in range(m):
+            alone = gradients(weights[k].copy(), bias[k].copy(), X, onehot[k], 0.01)
+            for got, want in zip(stacked, alone):
+                assert np.array_equal(got[k], want)
+
+
+def test_stacked_gradients_match_finite_differences():
+    rng = np.random.default_rng(44)
+    n, d, m = 9, 4, 3
+    X = rng.normal(size=(n, d))
+    y = rng.integers(0, 3, size=(n, m))
+    weights = rng.normal(scale=0.5, size=(m, 3, d))
+    bias = rng.normal(scale=0.5, size=(m, 3))
+    _, grad_w, grad_b = gradients(weights, bias, X, np.eye(3)[y.T], 0.2)
+    for k in range(m):
+        fd_w, fd_b = finite_difference_grad(weights[k], bias[k], X, y[:, k], 0.2)
+        denom = max(np.abs(fd_w).max(), np.abs(fd_b).max(), 1e-8)
+        assert np.abs(grad_w[k] - fd_w).max() / denom < 1e-4
+        assert np.abs(grad_b[k] - fd_b).max() / denom < 1e-4
+
+
 # -- training --
 
 
@@ -227,6 +257,30 @@ def test_train_input_validation():
         train(np.zeros((2, 3)), [GT])
     with pytest.raises(ValueError, match="do not fit"):
         train(np.zeros(3), [GT])
+    with pytest.raises(ValueError, match="do not fit"):
+        train(np.zeros((2, 3)), np.zeros((2, 1, 1), int))
+    # -1 is the dataset's "unlabeled" code, never a class.
+    with pytest.raises(ValueError, match=r"label codes must lie in 0\.\.2, got \[-1\]"):
+        train(np.eye(3), [-1, -1, -1])
+    with pytest.raises(ValueError, match=r"got \[3\]"):
+        train(np.eye(3), [GT, 3, LT])
+    with pytest.raises(ValueError, match=r"got \[-1\]"):
+        train(np.eye(3), [[GT, EQ], [LT, -1], [EQ, GT]])
+
+
+def test_train_on_label_columns_equals_one_train_per_column():
+    examples = separable_examples()
+    X, y = matrix(examples)
+    rng = np.random.default_rng(6)
+    Y = np.column_stack([y, rng.integers(0, 3, size=len(y)), (y + 1) % 3])
+    cfg = TrainConfig(epochs=80, learning_rate=0.3)
+    attributes = [Attribute.SIZE, Attribute.WEIGHT, Attribute.SPEED]
+    models = train(X, Y, cfg, attributes, "frame")
+    assert [(m.attribute, m.node_class) for m in models] == [(a, "frame") for a in attributes]
+    for column, model in enumerate(models):
+        alone = train(X, Y[:, column], cfg, attributes[column], "frame")
+        assert np.array_equal(model.weights, alone.weights) and np.array_equal(model.bias, alone.bias)
+    assert [m.attribute for m in train(X, Y[:, :2], cfg)] == [None, None]
 
 
 # -- prediction --

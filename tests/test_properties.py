@@ -20,7 +20,7 @@ from physrel.core import (
 from physrel import factorgraph
 from physrel.factorgraph import FactorGraph, dump_graph, load_graph
 from physrel.lexstats import SPLITS, FrameItem, load_cooccurrence, load_dataset, load_embeddings
-from conftest import save_dataset
+from conftest import entries, save_dataset
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -279,7 +279,7 @@ def test_load_cooccurrence_skips_comments_and_sums_duplicates(tmp_path_factory, 
     sums: dict = {}
     for frame_key, x, y, count in rows:
         sums[(frame_key, (x, y))] = sums.get((frame_key, (x, y)), 0) + count
-    assert stats.entries() == sorted((frame_key, pair, n) for (frame_key, pair), n in sums.items())
+    assert entries(stats) == sorted((frame_key, pair, n) for (frame_key, pair), n in sums.items())
     assert stats.total == sum(sums.values())
 
 
