@@ -28,6 +28,8 @@ BP_BLOCK = 16384
 # Factor records dump_graph formats and load_graph parses at a time, which
 # bounds the Python objects each holds at once.
 TEXT_BLOCK = 16384
+# The line breaks str.splitlines knows besides "\n"; no node key may hold one.
+LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 @dataclass(frozen=True)
@@ -340,11 +342,10 @@ def dump_graph(graph: FactorGraph) -> str:
     # lines and columns are held as Python objects at a time.
     n = graph.n_variables
     variables = "".join(f"var\t{vid}\t{graph.node_of(vid)}\n" for vid in range(n))
-    # A key with a tab or a line break (one ending in "\r" runs into its
-    # line's "\n") would dump to a text that load_graph rejects or misreads.
-    if variables.count("\t") != 2 * n or len(variables.splitlines()) != n or "\r\n" in variables:
+    # A key holding a tab or a line break would dump to a text that load_graph rejects or misreads.
+    if variables.count("\t") != 2 * n or variables.count("\n") != n or any(c in variables for c in LINE_BREAKS):
         keys = map(str, map(graph.node_of, range(n)))
-        vid, key = next((v, k) for v, k in enumerate(keys) if "\t" in k or len((k + ".").splitlines()) > 1)
+        vid, key = next((v, k) for v, k in enumerate(keys) if any(c in k for c in "\t\n" + LINE_BREAKS))
         raise ValueError(f"variable {vid}: node key {key!r} holds a tab or a line break")
     blocks = [variables]
     for lo in range(0, len(kind), TEXT_BLOCK):
@@ -370,29 +371,36 @@ def load_graph(text: str) -> FactorGraph:
     only once. Malformed input raises ValueError naming its first bad line.
     """
     graph = FactorGraph()
-    lines = text.splitlines()
     parsed = _FactorColumns()
-    # Runs of consecutive factor records are parsed TEXT_BLOCK lines at a
-    # time; every other line is a variable, skipped, or malformed.
-    is_factor = np.fromiter(map(str.startswith, lines, repeat("factor\t")), bool, len(lines))
-    edges = np.flatnonzero(np.diff(is_factor, prepend=False, append=False)).tolist()
-    at = 0  # lines before ``at`` are parsed; the last (lo, hi) is an empty run after every line
-    for lo, hi in zip(edges[0::2] + [len(lines)], edges[1::2] + [len(lines)]):
-        for index in range(at, lo):
-            line = lines[index]
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            is_var = parts[0] == "var" and len(parts) == 3 and parts[1] == str(graph.n_variables)
-            if not is_var or graph.has_variable(parts[2]):
-                raise ValueError(f"line {index + 1}: malformed or duplicate record")
-            graph.add_variable(parts[2])
-        for start in range(lo, hi, TEXT_BLOCK):
-            bad = parsed.add(lines[start : min(start + TEXT_BLOCK, hi)], graph.n_variables)
-            if bad is not None:
-                raise ValueError(f"line {start + bad + 1}: malformed or duplicate record")
-        at = hi
-    del lines  # the largest thing left; free it before the bulk add copies the columns
+    # The text is split into lines one piece at a time, so only one piece's
+    # lines are held at once. A piece is about TEXT_BLOCK dumped lines long
+    # and ends just after a "\n", which no line break str.splitlines knows
+    # spans; its lines are therefore those text.splitlines() gives there.
+    pos, first = 0, 1  # the piece's start in text, and the number of its first line
+    while pos < len(text):
+        end = text.find("\n", pos + 64 * TEXT_BLOCK) + 1 or len(text)
+        lines = text[pos:end].splitlines()
+        # Runs of consecutive factor records are parsed TEXT_BLOCK lines at a
+        # time; every other line is a variable, skipped, or malformed.
+        is_factor = np.fromiter(map(str.startswith, lines, repeat("factor\t")), bool, len(lines))
+        edges = np.flatnonzero(np.diff(is_factor, prepend=False, append=False)).tolist()
+        at = 0  # lines before ``at`` are parsed; the last (lo, hi) is an empty run after every line
+        for lo, hi in zip(edges[0::2] + [len(lines)], edges[1::2] + [len(lines)]):
+            for index in range(at, lo):
+                line = lines[index]
+                if not line.strip() or line.startswith("#"):
+                    continue
+                parts = line.split("\t")
+                is_var = parts[0] == "var" and len(parts) == 3 and parts[1] == str(graph.n_variables)
+                if not is_var or graph.has_variable(parts[2]):
+                    raise ValueError(f"line {first + index}: malformed or duplicate record")
+                graph.add_variable(parts[2])
+            for start in range(lo, hi, TEXT_BLOCK):
+                bad = parsed.add(lines[start : min(start + TEXT_BLOCK, hi)], graph.n_variables)
+                if bad is not None:
+                    raise ValueError(f"line {first + start + bad}: malformed or duplicate record")
+            at = hi
+        pos, first = end, first + len(lines)
     factors = np.concatenate([np.zeros((0, 4), np.int64), *parsed.chunks])
     graph.add_factors(list(parsed.kinds), factors[:, 0], factors[:, 1:3], factors[:, 3], parsed.rows, parsed.bank)
     return graph

@@ -129,9 +129,9 @@ def train(
         raise ValueError(f"features of shape {X.shape} do not fit labels of shape {y.shape}")
     if not len(X):
         raise ValueError("empty training set")
-    outside = np.unique(y[(y < 0) | (y >= N_VALUES)])
-    if len(outside):
-        raise ValueError(f"label codes must lie in 0..{N_VALUES - 1}, got {outside.tolist()}")
+    outside = sorted(set(y[(y < 0) | (y >= N_VALUES)].tolist()))
+    if outside:
+        raise ValueError(f"label codes must lie in 0..{N_VALUES - 1}, got {outside}")
     labels = y.reshape(len(y), -1).T
     # Every model starts from the same draw, the one it would get alone.
     rng = np.random.default_rng(cfg.rng_seed)

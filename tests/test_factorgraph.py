@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from physrel import factorgraph
 from physrel.builder import SOFT_ONE, flipped_table
 from physrel.factorgraph import (
     BPConfig,
+    LINE_BREAKS,
     FactorGraph,
     dump_graph,
     exact_marginals,
@@ -475,6 +477,25 @@ def test_dump_rejects_a_node_key_with_a_tab_or_line_break(key):
         g.add_variable(node)
     with pytest.raises(ValueError, match=re.escape(f"variable 1: node key {key!r} holds a tab or a line break")):
         dump_graph(g)
+
+
+def test_line_breaks_are_those_splitlines_knows_besides_newline():
+    breaks = [c for c in map(chr, range(0x110000)) if len(f"a{c}b".splitlines()) > 1]
+    assert sorted(LINE_BREAKS + "\n") == breaks
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_load_reads_a_text_piece_by_piece_as_one(monkeypatch, block):
+    # Small blocks cut the text into pieces of a line or two, each ending just
+    # after a "\n", also the "\n" of a "\r\n".
+    text = dump_graph(random_loopy(np.random.default_rng(31), 6, extra_edges=3))
+    lines = text.splitlines()
+    monkeypatch.setattr(factorgraph, "TEXT_BLOCK", block)
+    for variant in (text, text.replace("\n", "\r\n"), "\n\x1c# note\r".join(lines)):
+        assert dump_graph(load_graph(variant)) == text
+    bad = "\r\n".join(lines[:-1] + ["factor\tx"] + lines[-1:])
+    with pytest.raises(ValueError, match=f"^line {len(lines)}: "):
+        load_graph(bad)
 
 
 def test_load_rejects_malformed_lines():
