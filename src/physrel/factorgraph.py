@@ -208,8 +208,11 @@ def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
     and sent exactly from the start, so damping only touches binary-factor
     messages.
 
-    Messages are value-major ``(3, 2B)`` arrays: column e < B is slot 0 of
-    binary factor e and column B + e its slot 1, factors ordered by bank table.
+    Binary factors are ordered by bank table and cut into blocks of at most
+    BP_BLOCK. Each block keeps its messages in two value-major ``(3, 2k)``
+    arrays, one per direction: column e < k is slot 0 of its factor e and
+    column k + e its slot 1. Arrays of one block's size fit in memory the
+    build freed, where two graph-sized arrays would each take new pages.
     Each variable's total (its unary term plus the log of every incoming
     message) stays in the log domain. An iteration exponentiates the totals
     once, shifted so each variable's largest value is 1, then updates
@@ -241,8 +244,8 @@ def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
         blocks.append((lo, hi, [(s - lo, e - lo, graph.bank[tids[s]]) for s, e in zip(cuts, cuts[1:])]))
     del binary, tids, starts  # of the layout, only edge_var and the blocks outlive set-up
 
-    f2v = np.full((N_VALUES, 2 * b), 1.0 / N_VALUES)
-    v2f = f2v.copy()
+    f2v = [np.full((N_VALUES, 2 * (hi - lo)), 1.0 / N_VALUES) for lo, hi, _ in blocks]
+    v2f = [block.copy() for block in f2v]
     new, diff, row = np.empty((N_VALUES, BP_BLOCK)), np.empty((N_VALUES, BP_BLOCK)), np.empty(BP_BLOCK)
 
     def update(old: np.ndarray, cols: slice, raw: np.ndarray) -> float:
@@ -263,23 +266,24 @@ def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
         scaled = np.exp(totals - totals.max(axis=0))
         totals = base.copy()
         delta = 0.0
-        for lo, hi, runs in blocks:
+        for (lo, hi, runs), to_var, to_factor in zip(blocks, f2v, v2f):
             raw, k = new[:, : hi - lo], hi - lo
-            slot0, slot1 = slice(lo, hi), slice(b + lo, b + hi)
-            for cols in (slot0, slot1):
+            slot0, slot1 = slice(0, k), slice(k, 2 * k)
+            slots = ((slot0, slot1, edge_var[lo:hi], False), (slot1, slot0, edge_var[b + lo : b + hi], True))
+            for cols, _, variables, _ in slots:
                 # Variable -> factor: the product of every message the
                 # variable receives, divided by the one this factor sent.
                 for value in range(N_VALUES):
-                    np.take(scaled[value], edge_var[cols], out=raw[value])
-                raw /= f2v[:, cols]
-                delta = max(delta, update(v2f, cols, raw))
+                    np.take(scaled[value], variables, out=raw[value])
+                raw /= to_var[:, cols]
+                delta = max(delta, update(to_factor, cols, raw))
             # Factor -> variable: marginalize the table against the message
             # arriving at the opposite slot.
-            for cols, opposite, flip in ((slot0, slot1, False), (slot1, slot0, True)):
+            for cols, opposite, variables, flip in slots:
                 for s, e, table in runs:
-                    np.matmul(table.T if flip else table, v2f[:, opposite][:, s:e], out=raw[:, s:e])
-                delta = max(delta, update(f2v, cols, raw))
-                totals += _sum_by_variable(edge_var[cols], np.log(f2v[:, cols], out=diff[:, :k]), n)
+                    np.matmul(table.T if flip else table, to_factor[:, opposite][:, s:e], out=raw[:, s:e])
+                delta = max(delta, update(to_var, cols, raw))
+                totals += _sum_by_variable(variables, np.log(to_var[:, cols], out=diff[:, :k]), n)
         residuals.append(float(delta))
         if delta < config.convergence_eps:
             break
