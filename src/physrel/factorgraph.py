@@ -8,13 +8,19 @@ messages is kept as a sum of logs, so high-degree variables cannot
 underflow; the messages themselves stay probabilities, and a message is
 left out of that product by dividing by it, not by subtracting its log.
 
+Undamped, BP stops updating a factor whose two ends are clamped (one
+belief entry dominates so that the others round away), because its messages
+are then known constants; see :func:`run_bp`.
+
 A full-enumeration oracle (:func:`exact_marginals`) is provided for small
 graphs; sum-product marginals agree with it exactly on trees.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import repeat
+from numbers import Integral
 from typing import Hashable, Optional, Sequence
 
 import numpy as np
@@ -25,6 +31,10 @@ ENUMERATION_CAP = 12
 # Message columns run_bp updates together: a few (3, BP_BLOCK) float arrays
 # fit in a core's L2 cache, where a full pass over every edge would not.
 BP_BLOCK = 16384
+# Share of the binary factors that must have become freezable (both ends
+# steadily clamped) before run_bp freezes them: each freeze recomputes the
+# frozen sums from scratch, so it waits for a batch worth that cost.
+BP_FREEZE = 0.01
 # Factor records dump_graph formats and load_graph parses at a time, which
 # bounds the Python objects each holds at once.
 TEXT_BLOCK = 16384
@@ -45,26 +55,14 @@ class BPConfig:
     damping: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.max_iterations, Integral) or isinstance(self.max_iterations, bool):
+            raise ValueError(f"max_iterations must be an int, not {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.convergence_eps <= 0:
-            raise ValueError("convergence_eps must be > 0")
+        if not (0 < self.convergence_eps < math.inf):  # nan fails too
+            raise ValueError(f"convergence_eps must be finite and > 0, not {self.convergence_eps!r}")
         if not (0.0 <= self.damping < 1.0):
             raise ValueError("damping must lie in [0, 1)")
-
-
-@dataclass(frozen=True)
-class Factor:
-    """One factor, assembled on demand from the graph's arrays."""
-
-    id: int
-    kind: str
-    scope: tuple[int, ...]
-    table: np.ndarray
-
-    @property
-    def arity(self) -> int:
-        return len(self.scope)
 
 
 class FactorGraph:
@@ -164,18 +162,6 @@ class FactorGraph:
                 array.flags.writeable = False
         return self._chunks[0]
 
-    def factor(self, fid: int) -> Factor:
-        kind, scope, table, rows = self.columns()
-        a, b = scope[fid].tolist()
-        if b == -1:
-            return Factor(fid, self.kinds[kind[fid]], (a,), rows[table[fid]])
-        return Factor(fid, self.kinds[kind[fid]], (a, b), self.bank[table[fid]])
-
-    @property
-    def factors(self) -> list[Factor]:
-        """Every factor in id order, assembled on demand (small graphs and tests)."""
-        return [self.factor(fid) for fid in range(self._n_factors)]
-
 
 # -- full inference --
 
@@ -221,6 +207,56 @@ def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
     factors that shares a bank table is marginalized against that one 3x3
     table. The logs of the fresh factor-to-variable messages are summed into
     the next iteration's totals block by block.
+
+    Undamped, a factor whose two ends are clamped is frozen. A variable is
+    clamped when exactly one entry of its scaled total s is at least
+    delta = 2**-56 / rho / rho, where rho >= 1 is the largest max/min ratio
+    of a bank table (a rho so large that delta underflows to 0 clamps
+    nothing); that entry is its argmax a, where s_a = 1. Then both sums of a
+    factor update round away what lies below delta, so a factor with table
+    T whose other end is clamped at a sends exactly ``normalize(T[:, a])``
+    (slot 0; ``T[a, :]`` for slot 1), as :func:`update` normalizes:
+
+    - The message m the factor last sent the variable is uniform or a
+      normalized mix of T's columns, so m_a / m_j <= rho. The
+      variable-to-factor message normalizes s / m: with eps = 2**-53, its
+      two small terms s_j / m_j < delta * rho / m_a together stay below
+      2**-55 * (1 + eps)**2 / m_a, less than half an ulp of the rounded
+      1 / m_a (more than 2**-54 * (1 - eps) / m_a). The sum rounds to
+      1 / m_a, the argmax entry of the message is exactly 1, and each other
+      entry is below delta * rho * (1 + eps)**3 = 2**-56 / rho * (1 + eps)**3.
+    - The factor-to-variable message is T times that message: T[i, a] * 1
+      is exact, and each of the two other products is below
+      max(T) / rho * 2**-56 * (1 + eps)**4 <= min(T) * 2**-56 * (1 + eps)**4.
+      In any order of summation, and with or without fused multiply-adds,
+      they add less than half an ulp of T[i, a] (more than min(T) * 2**-54),
+      so the sum is exactly T[i, a].
+
+    A variable is steady when it is clamped at the same argmax in an
+    iteration and the one before; a factor with two steady ends sent the
+    constants in both. After an iteration in which live factors with two
+    steady ends reach BP_FREEZE of all binary factors, they are frozen. Each
+    block is compacted to its live factors, in their order, so a variable
+    with no frozen factor sums its logs exactly as before; the logs of the
+    frozen factors' constant messages are summed once into each variable's
+    starting total, again whenever the frozen set changes. At the start of
+    each later iteration, a frozen factor with an end no longer clamped at
+    the argmax it froze at returns to its block, holding the constants as
+    its factor-to-variable messages and, as its variable-to-factor messages,
+    those of the previous iteration, recomputed from that iteration's scaled
+    totals, so the residual counts their change exactly.
+
+    What freezing can move: a variable with frozen factors sums its logs in
+    another order. While it stays clamped at the argmax it froze at, that
+    moves only entries of its scaled total below delta, so entries of its
+    messages below 2**-55; once it does not, its totals are summed again in
+    the loop's order before they are used, and so are the last totals. Every
+    other message is computed from the same numbers in the same order, and a
+    frozen factor's skipped messages only change below 2**-55. So with
+    ``convergence_eps`` >= 2**-55 the iterations are the same, and so is
+    every residual but a last one below 2**-55; every belief is the same but
+    for a clamped variable's entries below delta. The damped path keeps
+    every factor live.
     """
     n = graph.n_variables
     if n == 0:
@@ -241,12 +277,19 @@ def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
     for lo in range(0, b, BP_BLOCK):
         hi = min(lo + BP_BLOCK, b)
         cuts = [lo, *starts[(starts > lo) & (starts < hi)].tolist(), hi]
-        blocks.append((lo, hi, [(s - lo, e - lo, graph.bank[tids[s]]) for s, e in zip(cuts, cuts[1:])]))
+        blocks.append((lo, hi, [(s - lo, e - lo, int(tids[s])) for s, e in zip(cuts, cuts[1:])]))
     del binary, tids, starts  # of the layout, only edge_var and the blocks outlive set-up
+    # Per block, the runs (start, end, table) and the two end variables of its
+    # live factors, and the span of variable ids each end takes.
+    live = [
+        ([(s, e, graph.bank[t]) for s, e, t in runs], *_ends_and_spans(edge_var[lo:hi], edge_var[b + lo : b + hi]))
+        for lo, hi, runs in blocks
+    ]
 
     f2v = [np.full((N_VALUES, 2 * (hi - lo)), 1.0 / N_VALUES) for lo, hi, _ in blocks]
     v2f = [block.copy() for block in f2v]
-    new, diff, row = np.empty((N_VALUES, BP_BLOCK)), np.empty((N_VALUES, BP_BLOCK)), np.empty(BP_BLOCK)
+    new, row = np.empty((N_VALUES, BP_BLOCK)), np.empty(BP_BLOCK)
+    blend = np.empty((N_VALUES, BP_BLOCK)) if config.damping else None
 
     def update(old: np.ndarray, cols: slice, raw: np.ndarray) -> float:
         """Normalize ``raw``, damp it into ``old[:, cols]``; return the largest change."""
@@ -255,21 +298,28 @@ def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
         raw /= row[:k]
         if config.damping:  # at 0 the blend would leave raw bit-identical
             raw *= 1.0 - config.damping
-            raw += np.multiply(old[:, cols], config.damping, out=diff[:, :k])
-        np.subtract(raw, old[:, cols], out=diff[:, :k])
+            raw += np.multiply(old[:, cols], config.damping, out=blend[:, :k])
+        change = np.subtract(raw, old[:, cols], out=old[:, cols])  # old is overwritten next
+        largest = max(change.max(), -change.min())
         old[:, cols] = raw
-        return max(diff[:, :k].max(), -diff[:, :k].min())
+        return largest
 
+    frozen = None if config.damping else _Frozen(graph.bank, blocks, edge_var, base)
     totals = base + np.log(1.0 / N_VALUES) * np.bincount(edge_var, minlength=n)
     residuals: list[float] = []
     for _ in range(config.max_iterations):
         scaled = np.exp(totals - totals.max(axis=0))
-        totals = base.copy()
+        if frozen is not None:
+            frozen.release(totals, scaled, live, f2v, v2f)
+        totals = (base if frozen is None else frozen.start).copy()
         delta = 0.0
-        for (lo, hi, runs), to_var, to_factor in zip(blocks, f2v, v2f):
-            raw, k = new[:, : hi - lo], hi - lo
+        for (runs, first, second, spans), to_var, to_factor in zip(live, f2v, v2f):
+            k = len(first)
+            if k == 0:  # every factor of the block is frozen
+                continue
+            raw = new[:, :k]
             slot0, slot1 = slice(0, k), slice(k, 2 * k)
-            slots = ((slot0, slot1, edge_var[lo:hi], False), (slot1, slot0, edge_var[b + lo : b + hi], True))
+            slots = ((slot0, slot1, first, False), (slot1, slot0, second, True))
             for cols, _, variables, _ in slots:
                 # Variable -> factor: the product of every message the
                 # variable receives, divided by the one this factor sent.
@@ -279,15 +329,23 @@ def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
                 delta = max(delta, update(to_factor, cols, raw))
             # Factor -> variable: marginalize the table against the message
             # arriving at the opposite slot.
-            for cols, opposite, variables, flip in slots:
+            for (cols, opposite, variables, flip), (low, high) in zip(slots, spans):
                 for s, e, table in runs:
                     np.matmul(table.T if flip else table, to_factor[:, opposite][:, s:e], out=raw[:, s:e])
                 delta = max(delta, update(to_var, cols, raw))
-                totals += _sum_by_variable(variables, np.log(to_var[:, cols], out=diff[:, :k]), n)
+                logs = np.log(raw, out=raw)  # raw holds what update stored in to_var
+                # Summed per variable, then added only where the block's
+                # variables lie: the rest would add 0.
+                for value in range(N_VALUES):
+                    totals[value, low:high] += np.bincount(variables, logs[value], high)[low:]
         residuals.append(float(delta))
         if delta < config.convergence_eps:
             break
+        if frozen is not None:
+            frozen.freeze(scaled, live, f2v, v2f)
 
+    if frozen is not None and frozen.masks is not None:
+        frozen.restore(totals, np.exp(totals - totals.max(axis=0)), f2v)
     marginals = _normalize_rows_log(totals.T)
     for var in np.flatnonzero(~np.isfinite(marginals).all(axis=1))[:1].tolist():
         raise ValueError(
@@ -296,6 +354,160 @@ def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
         )
     converged = residuals[-1] < config.convergence_eps
     return BPResult(marginals, converged, len(residuals), residuals)
+
+
+class _Frozen:
+    """The binary factors :func:`run_bp` has frozen, and what it needs to
+    return them to their blocks.
+
+    Before the first freeze it holds per variable only its clamp (int8) and
+    whether that clamp is steady (bool); from then on also a bool mask of the
+    live factors per block, the argmax each frozen factor's ends froze at,
+    the last iteration's scaled totals and the starting totals.
+    """
+
+    def __init__(self, bank: list[np.ndarray], blocks: list, edge_var: np.ndarray, base: np.ndarray):
+        ratio = max(float(t.max()) / float(t.min()) for t in bank)
+        self.delta = 2.0**-56 / ratio / ratio  # ratio**2 would raise OverflowError
+        # messages[t, 0][:, a] is what table t sends its slot-0 end while the
+        # slot-1 end is clamped at a, normalized as run_bp's update does;
+        # messages[t, 1] likewise for slot 1.
+        self.messages = np.stack([(t / ((t[0] + t[1]) + t[2]), t.T / ((t.T[0] + t.T[1]) + t.T[2])) for t in bank])
+        self.bank, self.blocks, self.edge_var, self.base = bank, blocks, edge_var, base
+        self.start = base  # base plus the logs of the frozen factors' messages
+        self.masks: Optional[list[np.ndarray]] = None  # per block, its live factors; None before the first freeze
+        # Per variable, the argmax of its clamp (-1: none), and whether it was
+        # clamped at the same argmax in the iteration before (steady).
+        self.clamped = np.full(base.shape[1], -1, np.int8)
+        self.steady = np.zeros(base.shape[1], bool)
+        self.grew = False  # whether a variable became steady in this iteration
+        self.held = self.scaled = None
+
+    def _clamp(self, scaled: np.ndarray) -> None:
+        hot = (scaled >= self.delta).view(np.int8)
+        clamped = np.where(hot[0] + hot[1] + hot[2] == 1, hot[1] + 2 * hot[2], -1)
+        steady = (clamped >= 0) & (clamped == self.clamped)
+        self.grew = bool((steady > self.steady).any())
+        self.clamped, self.steady = clamped, steady
+
+    def _ends(self, j: int, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        lo, hi, _ = self.blocks[j]
+        b = len(self.edge_var) // 2
+        return self.edge_var[lo:hi][cols], self.edge_var[b + lo : b + hi][cols]
+
+    def _constants(self, j: int, cols: np.ndarray, argmax: np.ndarray, slots=(0, 1)) -> np.ndarray:
+        """The constant messages to ``slots`` of the factors ``cols`` of block
+        j whose ends are clamped at ``argmax``: (3, m) per slot, side by side."""
+        runs = self.blocks[j][2]
+        tid = np.repeat([t for _, _, t in runs], [e - s for s, e, _ in runs])[cols]
+        ends = self._ends(j, cols)
+        return np.concatenate([self.messages[tid, slot, :, argmax[ends[1 - slot]]].T for slot in slots], axis=1)
+
+    def _relayout(self, j: int, live: list) -> None:
+        mask = self.masks[j]
+        before = np.concatenate([[0], np.cumsum(mask)])  # live factors before each column
+        runs = [(int(before[s]), int(before[e]), self.bank[t]) for s, e, t in self.blocks[j][2] if before[e] > before[s]]
+        live[j] = (runs, *_ends_and_spans(*self._ends(j, mask)))
+
+    def _refresh(self) -> None:
+        """Recompute ``held`` and ``start`` from the frozen set."""
+        n = self.base.shape[1]
+        self.held = np.full(n, -1, np.int8)
+        self.start = self.base.copy()
+        for j, mask in enumerate(self.masks):
+            if mask.all():
+                continue
+            cols = np.flatnonzero(~mask)
+            for slot, variables in enumerate(self._ends(j, cols)):
+                self.held[variables] = self.clamped[variables]
+                self.start += _sum_by_variable(variables, np.log(self._constants(j, cols, self.clamped, (slot,))), n)
+
+    def restore(self, totals: np.ndarray, scaled: np.ndarray, f2v: list) -> np.ndarray:
+        """The variables no longer clamped at the argmax their frozen factors
+        froze at. Their ``totals`` and ``scaled`` columns are summed again, in
+        place, as the loop sums them with every factor live: block by block,
+        the frozen factors' constant logs among the live ones in column order."""
+        self._clamp(scaled)
+        moved = (self.held >= 0) & (self.clamped != self.held)
+        if not moved.any():
+            return moved
+        n = self.base.shape[1]
+        exact = self.base.copy()
+        for j, mask in enumerate(self.masks):
+            column = np.cumsum(mask) - 1  # of each live factor in the block's arrays
+            for slot, variables in enumerate(self._ends(j, slice(None))):
+                cols = np.flatnonzero(moved[variables])
+                if len(cols):
+                    logs, is_live = np.empty((N_VALUES, len(cols))), mask[cols]
+                    logs[:, is_live] = f2v[j][:, slot * (column[-1] + 1) + column[cols[is_live]]]
+                    logs[:, ~is_live] = self._constants(j, cols[~is_live], self.held, (slot,))
+                    exact += _sum_by_variable(variables[cols], np.log(logs), n)
+        totals[:, moved] = exact[:, moved]
+        scaled[:, moved] = np.exp(exact[:, moved] - exact[:, moved].max(axis=0))
+        return moved
+
+    def release(self, totals: np.ndarray, scaled: np.ndarray, live: list, f2v: list, v2f: list) -> None:
+        """Return to their blocks the frozen factors with an end that is no
+        longer clamped at the argmax it froze at (see :meth:`restore`)."""
+        if self.masks is None:
+            return
+        previous, self.scaled = self.scaled, scaled
+        moved = self.restore(totals, scaled, f2v)
+        if not moved.any():
+            return
+        for j, (lo, hi, _) in enumerate(self.blocks):
+            mask = self.masks[j]
+            back = ~mask & np.logical_or(*(moved[ends] for ends in self._ends(j, slice(None))))
+            if not back.any():
+                continue
+            # What the loop would hold for them now: the constant messages,
+            # and the variable-to-factor messages of the last iteration,
+            # computed the loop's way from its scaled totals.
+            cols = np.flatnonzero(back)
+            sent = self._constants(j, cols, self.held)
+            heard = np.concatenate([previous[:, ends] for ends in self._ends(j, cols)], axis=1) / sent
+            heard /= (heard[0] + heard[1]) + heard[2]
+            old, kept = np.concatenate([mask, mask]), np.concatenate([mask | back, mask | back])
+            for arrays, values in ((f2v, sent), (v2f, heard)):
+                full = np.empty((N_VALUES, 2 * (hi - lo)))
+                full[:, old], full[:, np.concatenate([back, back])] = arrays[j], values
+                arrays[j] = full[:, kept]
+            mask |= back
+            self._relayout(j, live)
+        self._refresh()
+
+    def freeze(self, scaled: np.ndarray, live: list, f2v: list, v2f: list) -> None:
+        """Freeze the live factors whose ends are both steady, once they are
+        BP_FREEZE of all binary factors. Their factor-to-variable messages
+        were the constants in this iteration and the one before, as the
+        frozen factors' always are."""
+        if self.masks is None:
+            self._clamp(scaled)  # release has not done it for this iteration
+        if not self.grew:  # then no live factor became freezable
+            return
+        counts = [np.count_nonzero(self.steady[first] & self.steady[second]) for _, first, second, _ in live]
+        if sum(counts) == 0 or sum(counts) < BP_FREEZE * len(self.edge_var) / 2:
+            return
+        if self.masks is None:
+            self.masks = [np.ones(hi - lo, bool) for lo, hi, _ in self.blocks]
+        # Blocks that keep the fewest live factors go first: they free more
+        # than their compacted arrays take, which bounds the peak.
+        for j in sorted(np.flatnonzero(counts).tolist(), key=lambda j: len(live[j][1]) - counts[j]):
+            _, first, second, _ = live[j]
+            frozen = self.steady[first] & self.steady[second]
+            keep = np.concatenate([~frozen, ~frozen])
+            f2v[j], v2f[j] = f2v[j][:, keep], v2f[j][:, keep]
+            self.masks[j][np.flatnonzero(self.masks[j])[frozen]] = False
+            self._relayout(j, live)
+        self.scaled = scaled
+        self._refresh()
+
+
+def _ends_and_spans(first: np.ndarray, second: np.ndarray) -> tuple:
+    """The two end variables of a block's live factors, and per end the
+    half-open span of variable ids it takes ((0, 0) if it has none)."""
+    spans = tuple((int(v.min()), int(v.max()) + 1) if len(v) else (0, 0) for v in (first, second))
+    return first, second, spans
 
 
 def _normalize_rows_log(log_rows: np.ndarray) -> np.ndarray:
@@ -314,13 +526,11 @@ def exact_marginals(graph: FactorGraph, cap: int = ENUMERATION_CAP) -> np.ndarra
         raise ValueError("graph has no variables")
     if n > cap:
         raise ValueError(f"{n} variables exceed the enumeration cap of {cap}")
+    _, scope, table, rows = graph.columns()
     log_joint = np.zeros((N_VALUES,) * n)
-    for f in graph.factors:
-        table = np.log(f.table)
-        if f.arity == 2 and f.scope[0] > f.scope[1]:
-            table = table.T
-        shape = [N_VALUES if v in f.scope else 1 for v in range(n)]
-        log_joint = log_joint + table.reshape(shape)
+    for (a, b), t in zip(scope.tolist(), table.tolist()):
+        values = np.log(rows[t] if b == -1 else graph.bank[t].T if a > b else graph.bank[t])
+        log_joint = log_joint + values.reshape([N_VALUES if v in (a, b) else 1 for v in range(n)])
     joint = np.exp(log_joint - log_joint.max())  # the likeliest state weighs 1
     marginals = np.empty((n, N_VALUES))
     for v in range(n):

@@ -327,9 +327,6 @@ class KnowledgeDataset:
 
     # -- views --
 
-    def frames_in(self, *splits: str) -> list[FrameItem]:
-        return [self.frames[row] for row in self.rows_in("frames", *splits)]
-
     def pairs_in(self, *splits: str) -> list[PairItem]:
         return [self.pairs[row] for row in self.rows_in("pairs", *splits)]
 

@@ -1,13 +1,16 @@
 import os
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
 
-from physrel.core import ATTRIBUTES, TOKEN_OF_RELATION
+from physrel.core import ATTRIBUTES, N_VALUES, TOKEN_OF_RELATION
 from physrel.harness import DataPaths
 from physrel.lexstats import SPLITS, CooccurrenceStats, FrameItem, KnowledgeDataset, PairItem
 from physrel.builder import NODE_CLASSES, featurize_items
+from physrel import factorgraph
+from physrel.factorgraph import BPConfig, BPResult, _normalize_rows_log, _sum_by_variable
 from physrel.maxent import TrainConfig, gradients, train
 from physrel.synthetic import generate_world
 
@@ -138,10 +141,7 @@ def save_dataset(dataset, frame_file, pair_file) -> None:
 
 def split_counts(dataset) -> dict[str, dict[str, int]]:
     """Item count per split, frames and pairs."""
-    return {
-        "frames": {s: len(dataset.frames_in(s)) for s in SPLITS},
-        "pairs": {s: len(dataset.pairs_in(s)) for s in SPLITS},
-    }
+    return {kind: {s: len(dataset.rows_in(kind, s)) for s in SPLITS} for kind in ("frames", "pairs")}
 
 
 def usable_counts(dataset) -> dict[str, dict[str, int]]:
@@ -150,3 +150,101 @@ def usable_counts(dataset) -> dict[str, dict[str, int]]:
         name: {a.value: sum(dataset.has_label(it, a) for it in items) for a in ATTRIBUTES}
         for name, items in (("frames", dataset.frames), ("pairs", dataset.pairs))
     }
+
+
+class Factor(NamedTuple):
+    """One factor of a graph, as the tests read it."""
+
+    id: int
+    kind: str
+    scope: tuple[int, ...]
+    table: np.ndarray
+
+    @property
+    def arity(self) -> int:
+        return len(self.scope)
+
+
+def factors(graph) -> list[Factor]:
+    """Every factor of ``graph`` in id order, read from its columns and bank."""
+    kind, scope, table, rows = graph.columns()
+    return [
+        Factor(fid, graph.kinds[k], (a,), rows[t]) if b == -1 else Factor(fid, graph.kinds[k], (a, b), graph.bank[t])
+        for fid, (k, (a, b), t) in enumerate(zip(kind.tolist(), scope.tolist(), table.tolist()))
+    ]
+
+
+def reference_run_bp(graph, config: BPConfig = BPConfig(), scaled_trace: Optional[list] = None) -> BPResult:
+    """``run_bp``'s loop without freezing: every binary factor is updated in
+    every iteration. Each iteration's scaled totals are appended to
+    ``scaled_trace`` when one is given."""
+    n = graph.n_variables
+    if n == 0:
+        raise ValueError("graph has no variables")
+    _, scope, table, rows = graph.columns()
+    unary = scope[:, 1] == -1
+    base = _sum_by_variable(scope[unary, 0], np.log(rows / rows.sum(axis=1, keepdims=True))[table[unary]].T, n)
+    binary = np.flatnonzero(~unary)
+    binary = binary[np.argsort(table[binary], kind="stable")]
+    tids, b = table[binary], len(binary)
+    if b == 0:
+        return BPResult(_normalize_rows_log(base.T), True, 1, [0.0])
+    edge_var = np.concatenate([scope[binary, 0], scope[binary, 1]])
+    starts = np.flatnonzero(np.diff(tids, prepend=-1))
+    blocks = []
+    for lo in range(0, b, factorgraph.BP_BLOCK):
+        hi = min(lo + factorgraph.BP_BLOCK, b)
+        cuts = [lo, *starts[(starts > lo) & (starts < hi)].tolist(), hi]
+        blocks.append((lo, hi, [(s - lo, e - lo, graph.bank[tids[s]]) for s, e in zip(cuts, cuts[1:])]))
+    del binary, tids, starts
+
+    f2v = [np.full((N_VALUES, 2 * (hi - lo)), 1.0 / N_VALUES) for lo, hi, _ in blocks]
+    v2f = [block.copy() for block in f2v]
+    size = factorgraph.BP_BLOCK
+    new, diff, row = np.empty((N_VALUES, size)), np.empty((N_VALUES, size)), np.empty(size)
+
+    def update(old: np.ndarray, cols: slice, raw: np.ndarray) -> float:
+        k = raw.shape[1]
+        np.add(np.add(raw[0], raw[1], out=row[:k]), raw[2], out=row[:k])
+        raw /= row[:k]
+        if config.damping:
+            raw *= 1.0 - config.damping
+            raw += np.multiply(old[:, cols], config.damping, out=diff[:, :k])
+        np.subtract(raw, old[:, cols], out=diff[:, :k])
+        old[:, cols] = raw
+        return max(diff[:, :k].max(), -diff[:, :k].min())
+
+    totals = base + np.log(1.0 / N_VALUES) * np.bincount(edge_var, minlength=n)
+    residuals: list[float] = []
+    for _ in range(config.max_iterations):
+        scaled = np.exp(totals - totals.max(axis=0))
+        if scaled_trace is not None:
+            scaled_trace.append(scaled)
+        totals = base.copy()
+        delta = 0.0
+        for (lo, hi, runs), to_var, to_factor in zip(blocks, f2v, v2f):
+            raw, k = new[:, : hi - lo], hi - lo
+            slot0, slot1 = slice(0, k), slice(k, 2 * k)
+            slots = ((slot0, slot1, edge_var[lo:hi], False), (slot1, slot0, edge_var[b + lo : b + hi], True))
+            for cols, _, variables, _ in slots:
+                for value in range(N_VALUES):
+                    np.take(scaled[value], variables, out=raw[value])
+                raw /= to_var[:, cols]
+                delta = max(delta, update(to_factor, cols, raw))
+            for cols, opposite, variables, flip in slots:
+                for s, e, table in runs:
+                    np.matmul(table.T if flip else table, to_factor[:, opposite][:, s:e], out=raw[:, s:e])
+                delta = max(delta, update(to_var, cols, raw))
+                totals += _sum_by_variable(variables, np.log(to_var[:, cols], out=diff[:, :k]), n)
+        residuals.append(float(delta))
+        if delta < config.convergence_eps:
+            break
+
+    marginals = _normalize_rows_log(totals.T)
+    for var in np.flatnonzero(~np.isfinite(marginals).all(axis=1))[:1].tolist():
+        raise ValueError(
+            f"belief of variable {var} ({graph.node_of(var)!r}) is not finite: "
+            "a table's range underflows the messages"
+        )
+    converged = residuals[-1] < config.convergence_eps
+    return BPResult(marginals, converged, len(residuals), residuals)

@@ -30,7 +30,7 @@ from physrel.core import ATTRIBUTES, Attribute, FrameNode, ObjectPairNode, Relat
 from physrel.factorgraph import BPConfig, dump_graph, run_bp
 from physrel.lexstats import CooccurrenceStats, EmbeddingStore, Embeddings, similar_pairs
 from physrel.maxent import TrainConfig, predict_proba
-from conftest import cooccurrence, cosine, entries, entry_row, make_dataset, one_descent_per_model, pmi, variable
+from conftest import cooccurrence, cosine, entries, entry_row, factors, make_dataset, one_descent_per_model, pmi, variable
 
 SIZE, WEIGHT, SPEED, STRENGTH = Attribute.SIZE, Attribute.WEIGHT, Attribute.SPEED, Attribute.STRENGTH
 GT, EQ, LT = RelationValue.GT, RelationValue.EQ, RelationValue.LT
@@ -188,7 +188,7 @@ def test_selpref_flipped_when_canonical_order_reverses_evidence():
     b = make_nodes(ds, (SIZE,))
     add_selectional_preference_factors(b, stats, BuildConfig(pmi_threshold=-1.0))
     assert kind_counts(b)["selpref"] == 1
-    factor = b.graph.factor(0)
+    factor = factors(b.graph)[0]
     f_var = variable(b.graph, FrameNode("threw", "dobj", None, SIZE))
     p_var = variable(b.graph, ObjectPairNode("basketball", "person", SIZE))
     assert factor.scope == (f_var, p_var)
@@ -200,7 +200,7 @@ def test_selpref_plain_when_orientation_matches():
     stats = cooccurrence({("threw:dobj:-", ("basketball", "person")): 50})
     b = make_nodes(ds, (SIZE,))
     add_selectional_preference_factors(b, stats, BuildConfig(pmi_threshold=-1.0))
-    assert np.array_equal(b.graph.factor(0).table, SOFT_ONE)
+    assert np.array_equal(factors(b.graph)[0].table, SOFT_ONE)
 
 
 def test_selpref_gated_by_pmi_threshold():
@@ -244,7 +244,7 @@ def test_selpref_orientation_conflict_resolves_to_larger_count():
     b = make_nodes(ds, (SIZE,))
     add_selectional_preference_factors(b, stats, BuildConfig(pmi_threshold=-10.0))
     assert kind_counts(b)["selpref"] == 1
-    assert np.array_equal(b.graph.factor(0).table, flipped_table(SOFT_ONE))
+    assert np.array_equal(factors(b.graph)[0].table, flipped_table(SOFT_ONE))
 
 
 def reference_selpref_links(build, stats, threshold: float) -> list[tuple]:
@@ -339,16 +339,16 @@ def test_object_similarity_same_side_and_opposite_side():
     b = make_nodes(ds, (SIZE,))
     cfg = BuildConfig(obj_sim_threshold=0.9)
     add_similarity_factors(b, emb, cfg)
-    factors = {tuple(sorted(f.scope)): f for f in b.graph.factors if f.arity == 2}
+    by_scope = {tuple(sorted(f.scope)): f for f in factors(b.graph) if f.arity == 2}
     cup_table = variable(b.graph, ObjectPairNode("cup", "table", SIZE))
     mug_table = variable(b.graph, ObjectPairNode("mug", "table", SIZE))
     apple_cup = variable(b.graph, ObjectPairNode("apple", "cup", SIZE))
     apple_mug = variable(b.graph, ObjectPairNode("apple", "mug", SIZE))
     # Same side: cup and mug both first against table -> agreement table.
-    same = factors[tuple(sorted((cup_table, mug_table)))]
+    same = by_scope[tuple(sorted((cup_table, mug_table)))]
     assert np.array_equal(same.table, SOFT_ONE)
     # Same side again: cup and mug both second against apple.
-    same2 = factors[tuple(sorted((apple_cup, apple_mug)))]
+    same2 = by_scope[tuple(sorted((apple_cup, apple_mug)))]
     assert np.array_equal(same2.table, SOFT_ONE)
     assert kind_counts(b)["objsim"] == 2
 
@@ -370,7 +370,7 @@ def test_object_similarity_opposite_sides_uses_flipped_table():
     b_ = make_nodes(ds, (SIZE,))
     add_similarity_factors(b_, emb, BuildConfig(obj_sim_threshold=0.9))
     assert kind_counts(b_)["objsim"] == 1
-    assert np.array_equal(b_.graph.factor(0).table, flipped_table(SOFT_ONE))
+    assert np.array_equal(factors(b_.graph)[0].table, flipped_table(SOFT_ONE))
 
 
 def test_directly_similar_pair_gets_eq_unary():
@@ -381,7 +381,7 @@ def test_directly_similar_pair_gets_eq_unary():
     b = make_nodes(ds, (SIZE,))
     add_similarity_factors(b, emb, BuildConfig(obj_sim_threshold=0.9))
     assert kind_counts(b)["objsim"] == 1
-    factor = b.graph.factor(0)
+    factor = factors(b.graph)[0]
     assert factor.arity == 1
     assert np.array_equal(factor.table, SOFT_ONE[EQ])
 
@@ -423,13 +423,13 @@ def test_zero_norm_object_links_under_a_negative_threshold():
     a_m = variable(b.graph, ObjectPairNode("a", "m", SIZE))
     m_zero = variable(b.graph, ObjectPairNode("m", "zero", SIZE))
     assert kind_counts(b)["objsim"] == 2
-    assert b.graph.factor(0).scope == (a_m, m_zero)
-    assert np.array_equal(b.graph.factor(0).table, flipped_table(SOFT_ONE))
-    assert b.graph.factor(1).scope == (m_zero,)
-    assert np.array_equal(b.graph.factor(1).table, SOFT_ONE[EQ])
+    assert factors(b.graph)[0].scope == (a_m, m_zero)
+    assert np.array_equal(factors(b.graph)[0].table, flipped_table(SOFT_ONE))
+    assert factors(b.graph)[1].scope == (m_zero,)
+    assert np.array_equal(factors(b.graph)[1].table, SOFT_ONE[EQ])
     unlinked = make_nodes(ds, (SIZE,))
     add_similarity_factors(unlinked, emb, BuildConfig(obj_sim_threshold=0.0))
-    assert len(unlinked.graph.factors) == 0
+    assert len(factors(unlinked.graph)) == 0
 
 
 def test_verb_similarity_links_matching_frame_shapes_only():
@@ -450,7 +450,7 @@ def test_verb_similarity_links_matching_frame_shapes_only():
     # Only the dobj frames match on (type, preposition); the pobj frames
     # differ in preposition.
     assert kind_counts(b)["verbsim"] == 1
-    factor = b.graph.factor(0)
+    factor = factors(b.graph)[0]
     assert {b.graph.node_of(v).verb for v in factor.scope} == {"hurl", "toss"}
 
 
@@ -530,7 +530,7 @@ def test_only_attrsim_crosses_attributes(world):
     cfg = BuildConfig(min_shared_seed_frames=2)
     b = build(None, ds, emb, stats, models, cfg)
     assert b.report.get("attrsim", 0) > 0
-    for f in b.graph.factors:
+    for f in factors(b.graph):
         attrs = {b.graph.node_of(v).attribute for v in f.scope}
         if len(attrs) > 1:
             assert f.kind == "attrsim"
@@ -624,7 +624,7 @@ def test_build_report_and_kind_gating(world):
     for kind in FACTOR_KINDS:
         if kind != "selpref":
             assert full_counts[kind] == ablated_counts[kind]
-    for f in ablated.graph.factors:
+    for f in factors(ablated.graph):
         assert f.kind in ablated_cfg.enabled_factor_kinds
 
 
@@ -666,7 +666,7 @@ def test_no_two_factors_share_kind_and_scope(world, task, cfg):
     if cfg == PERMISSIVE:
         assert set(b.report) == set(FACTOR_KINDS)  # every family takes part
     rows = np.column_stack([kind, scope.min(axis=1), scope.max(axis=1)])
-    assert len(np.unique(rows, axis=0)) == len(rows) == len(b.graph.factors)
+    assert len(np.unique(rows, axis=0)) == len(rows) == len(factors(b.graph))
 
 
 def test_build_config_file_round_trip(tmp_path):

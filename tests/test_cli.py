@@ -115,6 +115,17 @@ def test_bp_flags_are_rejected_where_bp_does_not_run(world, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["infer", "eval", "ablate", "tune"])
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_a_bp_eps_that_is_not_finite_fails_before_any_work(world, tmp_path, capsys, command, eps):
+    # With a nan eps BP would run to the cap without saying so.
+    out = tmp_path / "out"
+    argv = [command, *TASK, "--data-dir", str(world.paths.frames_5.parent), "--out-dir", str(out), "--bp-eps", eps]
+    assert main(argv + (["--component", "selpref"] if command == "ablate" else [])) == 1
+    assert "convergence_eps must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "grid, message",
     [

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from conftest import factors, reference_run_bp
 from physrel import factorgraph
-from physrel.builder import SOFT_ONE, flipped_table
+from physrel.builder import SOFT_ONE, BuildConfig, flipped_table
 from physrel.factorgraph import (
     BPConfig,
+    BPResult,
     LINE_BREAKS,
     FactorGraph,
     dump_graph,
@@ -17,6 +19,7 @@ from physrel.factorgraph import (
     load_graph,
     run_bp,
 )
+from physrel.harness import TaskSpec, build_graph, prepare
 
 UNIFORM = np.full(3, 1 / 3)
 
@@ -26,7 +29,7 @@ UNIFORM = np.full(3, 1 / 3)
 
 def neighbors(graph, v):
     """Ids of the factors whose scope holds variable v, in id order."""
-    return [f.id for f in graph.factors for u in f.scope if u == v]
+    return [f.id for f in factors(graph) for u in f.scope if u == v]
 
 
 def message_var_to_factor(graph, v, f, inbox):
@@ -56,7 +59,7 @@ def message_factor_to_var(graph, f, v, inbox):
     message; absent messages count as uniform. A unary factor returns its
     normalized potential.
     """
-    factor = graph.factor(f)
+    factor = factors(graph)[f]
     if v not in factor.scope:
         raise ValueError(f"variable {v} is not in the scope of factor {f}")
     if factor.arity == 1:
@@ -128,6 +131,20 @@ def test_bp_config_validation():
         BPConfig(convergence_eps=0.0)
     with pytest.raises(ValueError):
         BPConfig(damping=1.0)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf")])
+def test_bp_config_rejects_a_convergence_eps_that_is_not_finite(eps):
+    # nan compares false with every residual, so BP would run to the cap.
+    with pytest.raises(ValueError, match="convergence_eps"):
+        BPConfig(convergence_eps=eps)
+
+
+@pytest.mark.parametrize("cap", [2.5, 3.0, True, "3", None])
+def test_bp_config_rejects_a_max_iterations_that_is_not_an_int(cap):
+    with pytest.raises(ValueError, match="max_iterations"):
+        BPConfig(max_iterations=cap)
+    assert BPConfig(max_iterations=np.int64(3)).max_iterations == 3
 
 
 # -- single messages --
@@ -277,13 +294,13 @@ def test_damping_zero_matches_reference_implementation():
         g.add_factor(scope, table, "shared")
     g.add_factor([y[2]], [0.2, 0.3, 0.5], "unary")
     assert len(g.bank) == 5 + 2 + 2  # tree and loop tables, then the two shared ones
-    assert any(f.scope[0] > f.scope[1] for f in g.factors if f.arity == 2)
+    assert any(f.scope[0] > f.scope[1] for f in factors(g) if f.arity == 2)
     iterations = 37
 
     # Unary messages are constant; the engine sends them from the start.
     f2v = {}
     v2f = {}
-    for f in g.factors:
+    for f in factors(g):
         for v in f.scope:
             f2v[(f.id, v)] = message_factor_to_var(g, f.id, v, {}) if f.arity == 1 else UNIFORM.copy()
             v2f[(v, f.id)] = UNIFORM.copy()
@@ -319,9 +336,9 @@ def test_shared_tables_are_stored_once():
     flip = flipped_table(SOFT_ONE)
     for i in range(1000):
         g.add_factor([i, i + 1], SOFT_ONE if i % 3 else flip, "shared")
-    assert len(g.factors) == 1000
+    assert len(factors(g)) == 1000
     assert len(g.bank) == 2
-    assert np.array_equal(g.factor(0).table, flip) and np.array_equal(g.factor(1).table, SOFT_ONE)
+    assert np.array_equal(factors(g)[0].table, flip) and np.array_equal(factors(g)[1].table, SOFT_ONE)
 
 
 def test_residuals_trace_every_iteration():
@@ -422,6 +439,185 @@ def test_bp_memory_peak_is_about_its_two_message_arrays():
     assert peak <= 3.5 * (3 * 2 * b * 8)
 
 
+# -- frozen factors: run_bp against the loop that updates every factor --
+
+# Near one-hot, but every entry counts: a table ratio of 1e3 gives a clamp
+# bound of 2**-56 / 1e6, about 1.4e-23.
+STRONG = np.full((3, 3), 1e-3) + np.eye(3) * (1 - 1e-3)
+ONE_HOT = [[1.0, 1e-40, 1e-40], [1e-40, 1e-40, 1.0]]  # GT, LT
+
+
+def hub_graph(leaves: int, paths: int = 0, length: int = 3) -> FactorGraph:
+    """A hub with ``leaves`` SOFT_ONE edges to leaves seeded one-hot at GT
+    (in both scope orders), and ``paths`` STRONG chains of ``length``
+    unseeded variables from a leaf seeded one-hot at LT to the hub."""
+    g = FactorGraph()
+    nodes = ["hub", *(f"leaf{i}" for i in range(leaves))]
+    for node in nodes + [f"path{p}.{k}" for p in range(paths) for k in range(length + 1)]:
+        g.add_variable(node)
+    leaf, hub = np.arange(1, leaves + 1), np.zeros(leaves, int)
+    scopes = np.where((leaf % 2 == 1)[:, None], np.column_stack([hub, leaf]), np.column_stack([leaf, hub]))
+    g.add_factors(["sim"], hub, scopes, hub, binary_tables=[SOFT_ONE])
+    g.add_factors(["seed"], hub, np.column_stack([leaf, hub - 1]), hub, unary_tables=ONE_HOT)
+    chains = len(nodes) + np.arange(paths)[:, None] * (length + 1) + np.arange(length + 1)
+    links = np.column_stack([chains[:, :-1].ravel(), chains[:, 1:].ravel()])
+    links = np.concatenate([links, np.column_stack([chains[:, -1], np.zeros(paths, int)])])
+    g.add_factors(["late"], np.zeros(len(links)), links, np.zeros(len(links)), binary_tables=[STRONG])
+    g.add_factors(["seed"], np.zeros(paths), np.column_stack([chains[:, 0], np.full(paths, -1)]), np.ones(paths),
+                  unary_tables=ONE_HOT)
+    return g
+
+
+def add_loopy(g: FactorGraph, rng, n: int, edges: int, tables) -> FactorGraph:
+    """``n`` more variables with random unaries and ``edges`` factors among
+    them, each table drawn from ``tables``."""
+    first = g.n_variables
+    for i in range(n):
+        g.add_variable(f"loopy{i}")
+    scopes = first + np.array([rng.choice(n, 2, replace=False) for _ in range(edges)])
+    g.add_factors(["loop"], np.zeros(edges), scopes, rng.integers(0, len(tables), edges), binary_tables=tables)
+    g.add_factors(["seed"], np.zeros(n), np.column_stack([first + np.arange(n), np.full(n, -1)]), np.arange(n),
+                  unary_tables=rng.uniform(0.05, 2.0, (n, 3)))
+    return g
+
+
+@pytest.fixture
+def frozen(monkeypatch):
+    """run_bp's frozen set after each change: per block, which factors are live."""
+    masks = []
+    refresh = factorgraph._Frozen._refresh
+
+    def spy(self):
+        refresh(self)
+        masks.append([mask.copy() for mask in self.masks])
+
+    monkeypatch.setattr(factorgraph._Frozen, "_refresh", spy)
+    return masks
+
+
+def sizes(frozen) -> list[int]:
+    return [sum(int(np.count_nonzero(~mask)) for mask in live) for live in frozen]
+
+
+def assert_matches_reference(g: FactorGraph, config: BPConfig) -> tuple[BPResult, BPResult]:
+    """run_bp's iterations and residuals equal the reference's, and so does
+    every belief, but for clamped ones: entries far below their argmax's
+    exact 1 may move by rounding."""
+    reference, result = reference_run_bp(g, config), run_bp(g, config)
+    assert result.iterations == reference.iterations
+    assert result.residuals == reference.residuals
+    moved = ~(result.marginals == reference.marginals).all(axis=1)
+    assert (reference.marginals[moved].max(axis=1) == 1.0).all() and (result.marginals[moved].max(axis=1) == 1.0).all()
+    assert np.abs(result.marginals - reference.marginals).max() <= 1e-30
+    return reference, result
+
+
+@pytest.mark.parametrize("config", [BPConfig(), BPConfig(convergence_eps=1e-300, max_iterations=30)])
+def test_a_saturating_hub_freezes_and_matches_the_reference(frozen, config):
+    g = hub_graph(150)
+    add_loopy(g, np.random.default_rng(43), 30, 60, [SOFT_ONE, flipped_table(SOFT_ONE)])
+    assert_matches_reference(g, config)
+    assert sizes(frozen) == [150]
+
+
+def test_a_hub_frozen_whole_stops_with_the_reference(frozen):
+    # Every factor freezes and the last iteration updates none. They froze
+    # once their messages were constants in two iterations, so nothing the
+    # loop would have updated moves either: its last residual is 0 as well.
+    reference, _ = assert_matches_reference(hub_graph(150), BPConfig(convergence_eps=1e-300, max_iterations=30))
+    assert sizes(frozen) == [150] and reference.residuals[-1] == 0.0
+
+
+@pytest.mark.parametrize("length", [2, 4])
+@pytest.mark.parametrize("config", [BPConfig(), BPConfig(convergence_eps=1e-300, max_iterations=40)])
+def test_a_clamped_hub_that_flips_releases_its_factors(frozen, length, config):
+    # The hub clamps at GT from its 150 seeded leaves, which freezes their
+    # factors; evidence for LT arrives over 200 chains a few hops later.
+    g = hub_graph(150, paths=200, length=length)
+    trace = []
+    reference = reference_run_bp(g, config, trace)
+    assert_matches_reference(g, config)
+    delta = 2.0**-56 / 1e3 / 1e3  # STRONG has the largest ratio of the bank
+    hub_at_gt = [(scaled[:, 0] >= delta).tolist() == [True, False, False] for scaled in trace]
+    first = hub_at_gt.index(True)
+    assert hub_at_gt[first + 1] and not all(hub_at_gt[first:])  # steady at GT, then no longer
+    assert reference.marginals[0].argmax() == 2
+    assert sizes(frozen)[:3] == [150, 0, 150]  # frozen, released, frozen again at LT
+
+
+@pytest.mark.parametrize("length", [2, 3])
+def test_a_hub_released_into_a_mixed_belief_sums_its_totals_as_the_loop_does(frozen, length):
+    # Late evidence almost cancels the leaves': at release the hub's belief
+    # is far from clamped, so its totals, summed with the frozen logs apart,
+    # must be summed again in the loop's order, also when BP stops there.
+    g = hub_graph(150, paths=33, length=length)
+    reference, _ = assert_matches_reference(g, BPConfig())
+    assert reference.marginals[0].max() < 1 - 1e-3 and sizes(frozen)[:2] == [150, 0]
+    for cap in range(1, reference.iterations):
+        assert_matches_reference(g, BPConfig(max_iterations=cap))
+
+
+def test_residuals_below_the_bound_may_differ_in_the_last_iteration(frozen):
+    # A variable with frozen factors sums its logs in another order, which
+    # moves its messages' entries below 2**-55: when nothing else moves, the
+    # residuals see that. At any eps from 2**-55 up they are the last.
+    g = hub_graph(150)
+    g.add_factor([0, g.add_variable("w")], SOFT_ONE, "sim")
+    g.add_factor([g.n_variables - 1], [0.2, 0.3, 0.5], "seed")
+    reference, result = reference_run_bp(g, BPConfig(1000, 1e-300)), run_bp(g, BPConfig(1000, 1e-300))
+    below = [r < 2.0**-55 for r in reference.residuals].index(True)
+    assert result.residuals[:below] == reference.residuals[:below] and result.residuals[below] < 2.0**-55
+    assert result.residuals != reference.residuals and sizes(frozen) == [150]
+    for eps in (2.0**-55, 1e-12):
+        reference, result = reference_run_bp(g, BPConfig(1000, eps)), run_bp(g, BPConfig(1000, eps))
+        assert result.iterations == reference.iterations and result.residuals[:-1] == reference.residuals[:-1]
+        assert max(result.residuals[-1], reference.residuals[-1]) < 2.0**-55 or result.residuals == reference.residuals
+
+
+@pytest.mark.parametrize("small", [1e-12, 1e-19, 1e-30])
+def test_only_entries_below_the_bound_clamp(frozen, small):
+    # SOFT_ONE's ratio of 7 puts the bound at 2**-56 / 49, about 2.8e-19.
+    g = FactorGraph()
+    ring = [g.add_variable(i) for i in range(100)]
+    for a, b in zip(ring, ring[1:] + ring[:1]):
+        g.add_factor([a, b], SOFT_ONE, "ring")
+        g.add_factor([a], [1.0, small, small], "seed")
+    assert_matches_reference(g, BPConfig(convergence_eps=1e-300, max_iterations=20))
+    assert sizes(frozen) == ([] if small > 2.0**-56 / 49 else [100])
+
+
+def test_blocks_left_without_a_live_factor_are_skipped(monkeypatch, frozen):
+    monkeypatch.setattr(factorgraph, "BP_BLOCK", 64)
+    g = hub_graph(300)
+    add_loopy(g, np.random.default_rng(47), 40, 100, [SOFT_ONE, flipped_table(SOFT_ONE)])
+    assert_matches_reference(g, BPConfig())
+    assert sizes(frozen) == [300] and sum(not mask.any() for mask in frozen[-1]) >= 3
+
+
+def test_a_many_table_graph_freezes_and_matches_the_reference(frozen):
+    rng = np.random.default_rng(53)
+    tables = [*rng.uniform(0.05, 2.0, (6, 3, 3)), SOFT_ONE, flipped_table(SOFT_ONE), STRONG]
+    g = hub_graph(200, paths=20)
+    add_loopy(g, rng, 60, 200, tables)
+    for config in (BPConfig(), BPConfig(convergence_eps=1e-12, max_iterations=300)):
+        assert_matches_reference(g, config)
+    assert sizes(frozen) and min(sizes(frozen)) > 0
+
+
+@pytest.mark.parametrize("spec", [TaskSpec("frames", "5", "dev"), TaskSpec("objects", "20", "test")])
+def test_golden_world_bp_matches_the_reference(world, spec):
+    # Its beliefs never clamp, so nothing freezes and every row is equal.
+    g = build_graph(prepare(spec, world.paths), BuildConfig()).graph
+    for config in (BPConfig(), BPConfig(damping=0.5)):
+        reference, result = assert_matches_reference(g, config)
+        assert np.array_equal(result.marginals, reference.marginals)
+
+
+def test_damped_bp_freezes_nothing(frozen):
+    assert_matches_reference(hub_graph(150, paths=200), BPConfig(damping=0.5))
+    assert frozen == []
+
+
 # -- exact enumeration oracle --
 
 
@@ -460,8 +656,8 @@ def test_dump_load_round_trip():
     reloaded = load_graph(text)
     assert dump_graph(reloaded) == text
     assert reloaded.n_variables == g.n_variables
-    assert len(reloaded.factors) == len(g.factors)
-    for f, f2 in zip(g.factors, reloaded.factors):
+    assert len(factors(reloaded)) == len(factors(g))
+    for f, f2 in zip(factors(g), factors(reloaded)):
         assert f.scope == f2.scope and f.kind == f2.kind
         assert np.array_equal(f.table, f2.table)
     assert np.allclose(exact_marginals(reloaded), exact_marginals(g))
