@@ -604,6 +604,21 @@ def test_a_many_table_graph_freezes_and_matches_the_reference(frozen):
     assert sizes(frozen) and min(sizes(frozen)) > 0
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_random_hubs_with_late_evidence_match_the_reference(monkeypatch, frozen, seed):
+    # Random tables near SOFT_ONE, chains of either table, a loopy part tied
+    # to the hub and small blocks: freezes and releases span several blocks.
+    rng = np.random.default_rng(seed)
+    monkeypatch.setattr(factorgraph, "BP_BLOCK", int(rng.choice([64, 256])))
+    g = hub_graph(int(rng.integers(100, 200)), paths=int(rng.integers(150, 400)), length=int(rng.integers(2, 5)))
+    tables = [np.clip(SOFT_ONE + rng.uniform(-0.05, 0.05, (3, 3)), 0.05, None) for _ in range(5)]
+    add_loopy(g, rng, 30, 60, tables)
+    g.add_factor([0, g.n_variables - 1], SOFT_ONE, "link")
+    for config in (BPConfig(), BPConfig(convergence_eps=1e-12, max_iterations=200)):
+        assert_matches_reference(g, config)
+    assert 0 in sizes(frozen)  # the hub's factors were frozen and released
+
+
 @pytest.mark.parametrize("spec", [TaskSpec("frames", "5", "dev"), TaskSpec("objects", "20", "test")])
 def test_golden_world_bp_matches_the_reference(world, spec):
     # Its beliefs never clamp, so nothing freezes and every row is equal.
