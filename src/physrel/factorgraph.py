@@ -38,7 +38,8 @@ BP_FREEZE = 0.01
 # Factor records dump_graph formats and load_graph parses at a time, which
 # bounds the Python objects each holds at once.
 TEXT_BLOCK = 16384
-# The line breaks str.splitlines knows besides "\n"; no node key may hold one.
+# The line breaks str.splitlines knows besides "\n"; no node key or factor kind
+# may hold one.
 LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
@@ -539,37 +540,55 @@ def exact_marginals(graph: FactorGraph, cap: int = ENUMERATION_CAP) -> np.ndarra
     return marginals
 
 
-# -- dump / load (debugging and golden tests) --
+# -- dump / load (graph.txt of `physrel build` and `physrel infer`, golden tests) --
 
 
 def dump_graph(graph: FactorGraph) -> str:
     """Line-oriented text form: one variable or factor per line.
 
     Node keys are rendered with str(); loading reconstructs them as strings.
-    A key holding a tab or a line break ``str.splitlines`` knows raises
-    ValueError. Identical graphs dump byte-identically.
+    A node key or a factor's kind holding a tab or a line break
+    ``str.splitlines`` knows raises ValueError. Identical graphs dump
+    byte-identically.
     """
     kind, scope, table, rows = graph.columns()
     values = [" ".join(map(repr, t)) for t in rows.tolist() + [t.ravel().tolist() for t in graph.bank]]
     value_of = np.where(scope[:, 1] == -1, table, len(rows) + table)
-    # Each block of factor lines is joined on its own, so only one block's
-    # lines and columns are held as Python objects at a time.
     n = graph.n_variables
     variables = "".join(f"var\t{vid}\t{graph.node_of(vid)}\n" for vid in range(n))
-    # A key holding a tab or a line break would dump to a text that load_graph rejects or misreads.
+    # A key or kind holding a tab or a line break would dump to a text that load_graph rejects or misreads.
     if variables.count("\t") != 2 * n or variables.count("\n") != n or any(c in variables for c in LINE_BREAKS):
         keys = map(str, map(graph.node_of, range(n)))
-        vid, key = next((v, k) for v, k in enumerate(keys) if any(c in k for c in "\t\n" + LINE_BREAKS))
+        vid, key = next((v, k) for v, k in enumerate(keys) if _breaks(k))
         raise ValueError(f"variable {vid}: node key {key!r} holds a tab or a line break")
+    # Each block of factor lines is formatted by one %-operation over its
+    # interleaved fields, so only one block's fields are held as Python
+    # objects at a time. The texts around the ids are looked up, not formatted
+    # per line: the kind, the second scope id ("" for a unary factor, whose
+    # -1 indexes the last entry) and the values.
+    kind_text = [f"\t{k}\t" for k in graph.kinds]
+    bad = np.array([_breaks(text[1:-1]) for text in kind_text], bool)[kind]
+    if bad.any():
+        fid = int(np.argmax(bad))
+        raise ValueError(f"factor {fid}: kind {graph.kinds[kind[fid]]!r} holds a tab or a line break")
+    second_text = [f",{v}" for v in range(n)] + [""]
+    value_text = [f"\t{v}\n" for v in values]
     blocks = [variables]
     for lo in range(0, len(kind), TEXT_BLOCK):
         hi = min(lo + TEXT_BLOCK, len(kind))
-        columns = zip(range(lo, hi), kind[lo:hi].tolist(), scope[lo:hi].tolist(), value_of[lo:hi].tolist())
-        blocks.append("".join(
-            f"factor\t{fid}\t{graph.kinds[k]}\t{a if b == -1 else f'{a},{b}'}\t{values[t]}\n"
-            for fid, k, (a, b), t in columns
-        ))
+        fields = [None] * (5 * (hi - lo))
+        fields[0::5] = range(lo, hi)
+        fields[1::5] = map(kind_text.__getitem__, kind[lo:hi].tolist())
+        fields[2::5] = scope[lo:hi, 0].tolist()
+        fields[3::5] = map(second_text.__getitem__, scope[lo:hi, 1].tolist())
+        fields[4::5] = map(value_text.__getitem__, value_of[lo:hi].tolist())
+        blocks.append(("factor\t%d%s%d%s%s" * (hi - lo)) % tuple(fields))
     return "".join(blocks)
+
+
+def _breaks(text: str) -> bool:
+    """Whether ``text`` holds a tab or a line break ``str.splitlines`` knows."""
+    return any(c in text for c in "\t\n" + LINE_BREAKS)
 
 
 def load_graph(text: str) -> FactorGraph:

@@ -174,6 +174,20 @@ def factors(graph) -> list[Factor]:
     ]
 
 
+def reference_dump_graph(graph) -> str:
+    """The line-at-a-time text that the block-formatting ``dump_graph``
+    replaced: one f-string per variable and per factor."""
+    kind, scope, table, rows = graph.columns()
+    values = [" ".join(map(repr, t)) for t in rows.tolist() + [t.ravel().tolist() for t in graph.bank]]
+    value_of = np.where(scope[:, 1] == -1, table, len(rows) + table)
+    lines = [f"var\t{vid}\t{graph.node_of(vid)}\n" for vid in range(graph.n_variables)]
+    lines += [
+        f"factor\t{fid}\t{graph.kinds[k]}\t{a if b == -1 else f'{a},{b}'}\t{values[t]}\n"
+        for fid, (k, (a, b), t) in enumerate(zip(kind.tolist(), scope.tolist(), value_of.tolist()))
+    ]
+    return "".join(lines)
+
+
 def reference_run_bp(graph, config: BPConfig = BPConfig(), scaled_trace: Optional[list] = None) -> BPResult:
     """``run_bp``'s loop without freezing: every binary factor is updated in
     every iteration. Each iteration's scaled totals are appended to

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from conftest import factors, reference_run_bp
+from conftest import factors, reference_dump_graph, reference_run_bp
 from physrel import factorgraph
 from physrel.builder import SOFT_ONE, BuildConfig, flipped_table
 from physrel.factorgraph import (
@@ -688,6 +688,31 @@ def test_dump_rejects_a_node_key_with_a_tab_or_line_break(key):
         g.add_variable(node)
     with pytest.raises(ValueError, match=re.escape(f"variable 1: node key {key!r} holds a tab or a line break")):
         dump_graph(g)
+
+
+@pytest.mark.parametrize("kind", ["x\ty", "x\ny", "x\u2028y"])
+def test_dump_rejects_a_kind_with_a_tab_or_line_break(kind):
+    # load_graph would reject the dumped text at the factor's line.
+    g = FactorGraph()
+    a, b = g.add_variable("a"), g.add_variable("b")
+    g.add_factor([a], [0.2, 0.3, 0.5], kind="ok")
+    g.add_factor([a, b], SOFT_ONE, kind=kind)
+    with pytest.raises(ValueError, match=re.escape(f"factor 1: kind {kind!r} holds a tab or a line break")):
+        dump_graph(g)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, factorgraph.TEXT_BLOCK])
+def test_dump_keeps_percent_signs_in_kinds_and_dumps_an_empty_graph(monkeypatch, block):
+    monkeypatch.setattr(factorgraph, "TEXT_BLOCK", block)
+    assert dump_graph(FactorGraph()) == ""
+    g = FactorGraph()
+    a, b = g.add_variable("%d"), g.add_variable("b%")
+    for kind in ("%s", "%d%%", "100%", "%(a)s"):
+        g.add_factor([a], [0.2, 0.3, 0.5], kind=kind)
+        g.add_factor([b, a], SOFT_ONE, kind=kind)
+    text = dump_graph(g)
+    assert text == reference_dump_graph(g)
+    assert dump_graph(load_graph(text)) == text
 
 
 def test_line_breaks_are_those_splitlines_knows_besides_newline():

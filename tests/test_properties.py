@@ -20,7 +20,7 @@ from physrel.core import (
 from physrel import factorgraph
 from physrel.factorgraph import FactorGraph, dump_graph, load_graph
 from physrel.lexstats import SPLITS, FrameItem, load_cooccurrence, load_dataset, load_embeddings
-from conftest import entries, save_dataset
+from conftest import entries, reference_dump_graph, save_dataset
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -47,6 +47,45 @@ def graphs(draw) -> FactorGraph:
 def test_dump_load_dump_is_identity(graph):
     text = dump_graph(graph)
     assert dump_graph(load_graph(text)) == text
+
+
+@st.composite
+def many_factor_graphs(draw) -> FactorGraph:
+    """Graphs of 0-160 factors, mostly past 100 so factor ids cross digit
+    counts, on up to 120 variables, unary-only, binary-only or mixed, drawn
+    from a few unary rows and bank tables, with kinds that may hold ``%``."""
+    graph = FactorGraph()
+    n = draw(st.integers(2, 120))
+    for vid in range(n):
+        graph.add_variable(f"n{vid}")
+    m = draw(st.one_of(st.integers(101, 160), st.integers(0, 100)))
+    arity = draw(st.sampled_from(["unary", "binary", "mixed"]))
+    unary = [arity == "unary"] * m if arity != "mixed" else draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    kinds = draw(st.lists(st.text("ab%sd()", min_size=1, max_size=6), min_size=1, max_size=4, unique=True))
+    rows = draw(st.lists(st.lists(positive, min_size=3, max_size=3), min_size=1, max_size=4))
+    tables = draw(st.lists(st.lists(positive, min_size=9, max_size=9), min_size=1, max_size=4))
+    ids = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
+    a, b = draw(ids), draw(ids)
+    table_ids = [draw(st.integers(0, len(rows if u else tables) - 1)) for u in unary]
+    graph.add_factors(
+        kinds,
+        draw(st.lists(st.integers(0, len(kinds) - 1), min_size=m, max_size=m)),
+        [(x, -1 if u else y) for x, y, u in zip(a, b, unary)],
+        table_ids,
+        rows,
+        tables,
+    )
+    return graph
+
+
+@PROPERTY_SETTINGS
+@given(many_factor_graphs())
+def test_dump_matches_the_line_at_a_time_reference(graph):
+    # Small blocks put block edges, and a short last block, among the factors.
+    expected = reference_dump_graph(graph)
+    for block in (1, 2, 3, 7, factorgraph.TEXT_BLOCK):
+        with patch.object(factorgraph, "TEXT_BLOCK", block):
+            assert dump_graph(graph) == expected
 
 
 @PROPERTY_SETTINGS
