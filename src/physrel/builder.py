@@ -1,10 +1,10 @@
-"""Assemble the per-attribute (optionally cross-attribute) factor graph.
+"""Assemble the factor graph over the five attributes.
 
-Node set: one variable per usable dataset item per requested attribute,
-numbered once by :func:`make_nodes`. Each family then appends its factors to
-the graph in one bulk call; the graph is the only record of them, and the
-build report is counted from it. Factor families, each behind its own kind
-tag so ablations can switch them:
+Node set: one variable per usable (dataset item, attribute), numbered once
+by :func:`make_nodes`; an attribute that labels no item has no node. Each
+family then appends its factors to the graph in one bulk call; the graph is
+the only record of them, and the build report is counted from it. Factor
+families, each behind its own kind tag so ablations can switch them:
 
 * ``seed``    unary, gold-label row of the soft-1 matrix, seed split only
 * ``emb``     unary, classifier probabilities, every node
@@ -78,12 +78,24 @@ class BuildConfig:
     emb_objects: bool = True
 
     def __post_init__(self):
+        # Every value must be one that from_file reads back from to_text.
+        if not isinstance(self.enabled_factor_kinds, frozenset):
+            raise ValueError(f"enabled_factor_kinds must be a frozenset, not {self.enabled_factor_kinds!r}")
         unknown = set(self.enabled_factor_kinds) - set(FACTOR_KINDS)
         if unknown:
             raise ValueError(f"unknown factor kinds {sorted(unknown)}")
         for name in ("verb_sim_threshold", "obj_sim_threshold", "pmi_threshold", "attr_agreement_threshold"):
-            if not np.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int or a float, not {value!r}")
+            if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite")
+        shared = self.min_shared_seed_frames
+        if type(shared) is not int or shared < 0:
+            raise ValueError(f"min_shared_seed_frames must be an int >= 0, not {shared!r}")
+        for name in ("seed_frames", "seed_objects", "emb_frames", "emb_objects"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool, not {getattr(self, name)!r}")
 
     def enabled(self, kind: str) -> bool:
         return kind in self.enabled_factor_kinds
@@ -130,7 +142,9 @@ class BuildConfig:
 
 
 def _format_value(value) -> str:
-    return ",".join(sorted(value)) if isinstance(value, frozenset) else repr(value)
+    if isinstance(value, frozenset):
+        return ",".join(sorted(value))
+    return repr(float(value) if isinstance(value, float) else value)  # np.float64 too
 
 
 # -- trained classifier bundle --
@@ -166,12 +180,7 @@ class TrainedModels:
         return predict_proba(model, features)
 
 
-def train_models(
-    dataset: KnowledgeDataset,
-    embeddings: Embeddings,
-    cfg: TrainConfig = TrainConfig(),
-    attributes: Sequence[Attribute] = ATTRIBUTES,
-) -> TrainedModels:
+def train_models(dataset: KnowledgeDataset, embeddings: Embeddings, cfg: TrainConfig = TrainConfig()) -> TrainedModels:
     """Train one classifier per (attribute, node-class) on seed items only,
     each class's seed items featurized once."""
     labeled = {}
@@ -183,18 +192,17 @@ def train_models(
     trained: dict[tuple[Attribute, str], MaxentModel] = {}
     for kind, (features, gold) in labeled.items():
         node_class = NODE_CLASSES[kind]
-        gold = gold[:, [ATTRIBUTES.index(a) for a in attributes]]
         # The attributes labeled on the same items train in one stacked descent.
         groups: dict[bytes, list[int]] = {}
         for column in np.flatnonzero((gold >= 0).any(axis=0)).tolist():
             groups.setdefault((gold[:, column] >= 0).tobytes(), []).append(column)
         for columns in groups.values():
             rows = gold[:, columns[0]] >= 0
-            group = [attributes[c] for c in columns]
+            group = [ATTRIBUTES[c] for c in columns]
             models = train(features[rows], gold[rows][:, columns], cfg, group, node_class)
             trained.update(((attribute, node_class), model) for attribute, model in zip(group, models))
     # Attribute by attribute, frames before pairs, as one model at a time would run.
-    order = [(attribute, NODE_CLASSES[kind]) for attribute in attributes for kind in KINDS]
+    order = [(attribute, NODE_CLASSES[kind]) for attribute in ATTRIBUTES for kind in KINDS]
     return TrainedModels({key: trained[key] for key in order if key in trained}, embeddings)
 
 
@@ -215,10 +223,9 @@ def factor_rows(kind: str, a, b=-1, table=SOFT) -> np.ndarray:
 @dataclass
 class Build:
     graph: FactorGraph
-    attributes: tuple[Attribute, ...]
     dataset: KnowledgeDataset
-    # (items, attributes) variable ids of the frame and of the pair items, in
-    # key order and attribute column order; -1 where the graph has no node.
+    # (items, ATTRIBUTES) variable ids of the frame and of the pair items, in
+    # key order; -1 where the graph has no node.
     item_vars: tuple[np.ndarray, np.ndarray]
     timings: dict[str, float] = field(default_factory=dict)  # build stage -> seconds
 
@@ -241,26 +248,24 @@ class Build:
         return "\n".join(lines) + "\n"
 
 
-def make_nodes(dataset: KnowledgeDataset, attributes=None) -> Build:
-    """One variable per usable (item, attribute), all attributes by default.
+def make_nodes(dataset: KnowledgeDataset) -> Build:
+    """One variable per usable (item, attribute).
 
-    Ids run attribute by attribute in ``ATTRIBUTES`` order, whatever the
-    order of ``attributes``; within an attribute, its frames and then its
-    pairs, each in dataset key order: each block's ids start at the count of
-    labels in the blocks before it.
+    Ids run attribute by attribute in ``ATTRIBUTES`` order; within an
+    attribute, its frames and then its pairs, each in dataset key order:
+    each block's ids start at the count of labels in the blocks before it.
     """
-    attrs = ATTRIBUTES if attributes is None else tuple(attributes)
     graph = FactorGraph()
-    masks = [dataset.labeled(kind)[:, [ATTRIBUTES.index(a) for a in attrs]] for kind in KINDS]
+    masks = [dataset.labeled(kind) for kind in KINDS]
     item_vars = tuple(np.full(mask.shape, -1, np.int64) for mask in masks)
-    for column in sorted(range(len(attrs)), key=lambda c: ATTRIBUTES.index(attrs[c])):
+    for column, attribute in enumerate(ATTRIBUTES):
         for kind, mask, variables in zip(KINDS, masks, item_vars):
             rows = np.flatnonzero(mask[:, column])
             variables[rows, column] = graph.n_variables + np.arange(len(rows))
             items = getattr(dataset, kind)
             for row in rows.tolist():
-                graph.add_variable(items[row].node(attrs[column]))
-    return Build(graph, attrs, dataset, item_vars)
+                graph.add_variable(items[row].node(attribute))
+    return Build(graph, dataset, item_vars)
 
 
 def add_seed_and_emb_factors(
@@ -279,7 +284,7 @@ def add_seed_and_emb_factors(
     codes = np.array([FACTOR_KINDS.index("seed"), FACTOR_KINDS.index("emb")])
     factors, tables = [], []
     with dataset.audit_label_access({"seed"}):
-        for column, attribute in enumerate(build.attributes):
+        for column, attribute in enumerate(ATTRIBUTES):
             for kind, variables in zip(KINDS, build.item_vars):
                 rows = np.flatnonzero(variables[:, column] >= 0)
                 # Per node, slot 0 is its seed factor and slot 1 its emb factor.
@@ -287,7 +292,7 @@ def add_seed_and_emb_factors(
                 table = np.empty((len(rows), 2, N_VALUES))
                 if kind in seeded:
                     present[:, 0] = np.isin(rows, dataset.rows_in(kind, "seed"))
-                    gold = dataset.gold_rows(kind, rows[present[:, 0]])[:, ATTRIBUTES.index(attribute)]
+                    gold = dataset.gold_rows(kind, rows[present[:, 0]])[:, column]
                     table[present[:, 0], 0] = SOFT_ONE[gold]
                 if kind in embedded and len(rows):
                     present[:, 1] = True
@@ -415,16 +420,17 @@ def _object_similarity_factors(x_of, y_of, variables, n_objects: int, similar) -
 
 
 def add_attribute_factors(build: Build, dataset: KnowledgeDataset, cfg: BuildConfig) -> Build:
-    """Cross-attribute frame coupling, gated on seed-label agreement."""
-    attrs = build.attributes
+    """Cross-attribute frame coupling, gated on seed-label agreement; an
+    attribute pair that labels no seed frame in common gets no factor."""
     with dataset.audit_label_access({"seed"}):
-        gold = dataset.gold_rows("frames", dataset.rows_in("frames", "seed"))[:, [ATTRIBUTES.index(a) for a in attrs]]
+        gold = dataset.gold_rows("frames", dataset.rows_in("frames", "seed"))
     chunks = []
-    for i, j in combinations(range(len(attrs)), 2):
+    for i, j in combinations(range(len(ATTRIBUTES)), 2):
         shared = (gold[:, i] >= 0) & (gold[:, j] >= 0)
-        if shared.sum() < cfg.min_shared_seed_frames:
+        n_shared = int(shared.sum())
+        if n_shared < max(cfg.min_shared_seed_frames, 1):
             continue
-        if int((gold[shared, i] == gold[shared, j]).sum()) / int(shared.sum()) < cfg.attr_agreement_threshold:
+        if int((gold[shared, i] == gold[shared, j]).sum()) / n_shared < cfg.attr_agreement_threshold:
             continue
         var_a, var_b = build.item_vars[0][:, i], build.item_vars[0][:, j]
         both = (var_a >= 0) & (var_b >= 0)
@@ -434,17 +440,16 @@ def add_attribute_factors(build: Build, dataset: KnowledgeDataset, cfg: BuildCon
 
 
 def build(
-    attributes,
     dataset: KnowledgeDataset,
     emb: Optional[Embeddings],
     stats: Optional[CooccurrenceStats],
     models: Optional[TrainedModels],
     cfg: BuildConfig = BuildConfig(),
 ) -> Build:
-    """Full graph assembly over the requested attribute(s); the result's
-    ``timings`` holds the seconds each stage took."""
+    """Full graph assembly; the result's ``timings`` holds the seconds each
+    stage took."""
     start = time.perf_counter()
-    result = make_nodes(dataset, attributes)
+    result = make_nodes(dataset)
     result.timings["nodes"] = time.perf_counter() - start
     if cfg.enabled("seed") or cfg.enabled("emb"):
         _timed(result, "seed_emb", add_seed_and_emb_factors, dataset, models, cfg)
@@ -456,7 +461,7 @@ def build(
         if emb is None:
             raise ValueError("similarity factors requested but no embeddings supplied")
         _timed(result, "similarity", add_similarity_factors, emb, cfg)
-    if cfg.enabled("attrsim") and len(result.attributes) > 1:
+    if cfg.enabled("attrsim"):
         _timed(result, "attrsim", add_attribute_factors, dataset, cfg)
     return result
 

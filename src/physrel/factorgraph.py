@@ -517,16 +517,16 @@ def _normalize_rows_log(log_rows: np.ndarray) -> np.ndarray:
     return p / p.sum(axis=1, keepdims=True)
 
 
-def exact_marginals(graph: FactorGraph, cap: int = ENUMERATION_CAP) -> np.ndarray:
+def exact_marginals(graph: FactorGraph) -> np.ndarray:
     """Exact marginals by full joint enumeration; testing oracle.
 
-    Rejects graphs with more than ``cap`` variables (3^cap joint states).
+    Rejects graphs with more than ``ENUMERATION_CAP`` variables (3^12 joint states).
     """
     n = graph.n_variables
     if n == 0:
         raise ValueError("graph has no variables")
-    if n > cap:
-        raise ValueError(f"{n} variables exceed the enumeration cap of {cap}")
+    if n > ENUMERATION_CAP:
+        raise ValueError(f"{n} variables exceed the enumeration cap of {ENUMERATION_CAP}")
     _, scope, table, rows = graph.columns()
     log_joint = np.zeros((N_VALUES,) * n)
     for (a, b), t in zip(scope.tolist(), table.tolist()):

@@ -172,7 +172,6 @@ class AccuracyReport:
 def _score(
     gold: np.ndarray,
     preds: np.ndarray,
-    attributes=ATTRIBUTES,
     *,
     algorithm: str,
     spec: TaskSpec,
@@ -185,7 +184,7 @@ def _score(
     per_attribute: dict[str, float] = {}
     counts: dict[str, int] = {}
     total = correct = 0
-    for attribute in sorted(attributes, key=str):
+    for attribute in sorted(ATTRIBUTES, key=str):
         column = ATTRIBUTES.index(attribute)
         labeled = gold[:, column] >= 0
         counts[attribute.value] = n = int(labeled.sum())
@@ -341,40 +340,35 @@ def prepare(spec: TaskSpec, paths: DataPaths, train_cfg: TrainConfig = TrainConf
     return Prepared(spec, dataset, emb, stats, train_cfg, {"load": time.perf_counter() - start})
 
 
-def build_graph(prepared: Prepared, cfg: BuildConfig, attributes: Sequence[Attribute] = ATTRIBUTES) -> Build:
+def build_graph(prepared: Prepared, cfg: BuildConfig) -> Build:
     """Assemble the graph for one config with only seed labels readable;
     classifiers are trained only when the config attaches their factors."""
     with prepared.dataset.audit_label_access({"seed"}):
         needs_models = cfg.enabled("emb") and (cfg.emb_frames or cfg.emb_objects)
         models = prepared.models if needs_models else None
-        return build(attributes, prepared.dataset, prepared.emb, prepared.stats, models, cfg)
+        return build(prepared.dataset, prepared.emb, prepared.stats, models, cfg)
 
 
-def infer(
-    prepared: Prepared,
-    cfg: BuildConfig,
-    bp_cfg: BPConfig,
-    attributes: Sequence[Attribute] = ATTRIBUTES,
-) -> RunResult:
+def infer(prepared: Prepared, cfg: BuildConfig, bp_cfg: BPConfig) -> RunResult:
     """Build the graph, run BP, score the evaluation split."""
     spec, train_cfg, graph_ds = prepared.spec, prepared.train_cfg, prepared.dataset
-    built = build_graph(prepared, cfg, attributes)
+    built = build_graph(prepared, cfg)
     start = time.perf_counter()
     bp = run_bp(built.graph, bp_cfg)
     bp_s, start = time.perf_counter() - start, time.perf_counter()
 
     graph = built.graph
     beliefs: dict[NodeRef, np.ndarray] = dict(zip(map(graph.node_of, range(graph.n_variables)), bp.marginals))
-    # Each evaluation item's variable and argmax relation (ties as in decide) per build attribute.
+    # Each evaluation item's variable and argmax relation (ties as in decide) per attribute;
+    # a variable is -1 (no node) only where gold is -1, so its prediction is never read.
     kind, rows, gold = _eval_labels(graph_ds, spec)
     variables = built.item_vars[KINDS.index(kind)][rows]
-    columns = [ATTRIBUTES.index(a) for a in built.attributes]
-    preds = np.full_like(gold, -1)
-    preds[:, columns] = np.argmax(bp.marginals[variables], axis=2)  # -1 (no node) only where gold is -1
+    preds = np.argmax(bp.marginals[variables], axis=2)
     predictions = []
-    for column, c in enumerate(columns):
-        scored = gold[:, c] >= 0
-        for var, g, p in zip(variables[scored, column].tolist(), gold[scored, c].tolist(), preds[scored, c].tolist()):
+    for column in range(len(ATTRIBUTES)):
+        scored = gold[:, column] >= 0
+        variable_ids, golds, predicted = variables[scored, column], gold[scored, column], preds[scored, column]
+        for var, g, p in zip(variable_ids.tolist(), golds.tolist(), predicted.tolist()):
             predictions.append(Prediction(graph.node_of(var), RELATIONS[g], RELATIONS[p], bp.marginals[var]))
 
     fingerprint = _fingerprint(
@@ -383,7 +377,7 @@ def infer(
         f"bp={bp_cfg.max_iterations},{bp_cfg.convergence_eps!r},{bp_cfg.damping!r}",
         f"train={train_cfg.l2_lambda!r},{train_cfg.learning_rate!r},{train_cfg.epochs},{train_cfg.rng_seed}",
     )
-    report = _score(gold, preds, built.attributes, algorithm="model", spec=spec, fingerprint=fingerprint, bp=bp)
+    report = _score(gold, preds, algorithm="model", spec=spec, fingerprint=fingerprint, bp=bp)
     build_s = {f"build.{stage}": s for stage, s in built.timings.items()}
     timings = {**prepared.timings, **build_s, "bp": bp_s, "score": time.perf_counter() - start}
     return RunResult(report, predictions, beliefs, built, bp, timings)
@@ -395,10 +389,9 @@ def run_task(
     bp_cfg: BPConfig,
     paths: DataPaths,
     train_cfg: TrainConfig = TrainConfig(),
-    attributes: Sequence[Attribute] = ATTRIBUTES,
 ) -> RunResult:
     """Train on seeds, build the graph, run BP, score the evaluation split."""
-    return infer(prepare(spec, paths, train_cfg), cfg, bp_cfg, attributes)
+    return infer(prepare(spec, paths, train_cfg), cfg, bp_cfg)
 
 
 # -- ablations --
@@ -441,12 +434,11 @@ def run_ablation(
     bp_cfg: BPConfig,
     paths: DataPaths,
     train_cfg: TrainConfig = TrainConfig(),
-    attributes: Sequence[Attribute] = ATTRIBUTES,
 ) -> AblationResult:
     """The base run and the run with one switch flipped, side by side."""
     prepared = prepare(spec, paths, train_cfg)
-    full = infer(prepared, base_cfg, bp_cfg, attributes)
-    ablated = infer(prepared, toggle_switch(base_cfg, component), bp_cfg, attributes)
+    full = infer(prepared, base_cfg, bp_cfg)
+    ablated = infer(prepared, toggle_switch(base_cfg, component), bp_cfg)
     return AblationResult(component, full.report, ablated.report)
 
 
@@ -466,7 +458,6 @@ def tune_thresholds(
     paths: DataPaths,
     bp_cfg: BPConfig = BPConfig(),
     train_cfg: TrainConfig = TrainConfig(),
-    attributes: Sequence[Attribute] = ATTRIBUTES,
 ) -> TuneResult:
     """Exhaustive dev-set search; ties break toward the lexicographically
     smaller config text."""
@@ -478,7 +469,7 @@ def tune_thresholds(
     best_score = -1.0
     table: list[tuple[str, float]] = []
     for cfg in sorted(candidates, key=lambda c: c.to_text()):
-        result = infer(prepared, cfg, bp_cfg, attributes)
+        result = infer(prepared, cfg, bp_cfg)
         score = result.report.overall
         table.append((cfg.to_text(), score))
         if score > best_score:

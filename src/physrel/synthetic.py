@@ -33,6 +33,11 @@ _ATTR_NOISE = {
     Attribute.SPEED: 0.03,
 }
 
+# Latent scores this close make an EQ pair; the chance that an item outside
+# the seed loses its label along one attribute.
+EQ_BAND = 0.012
+DROP_LABEL_RATE = 0.08
+
 
 @dataclass
 class World:
@@ -40,7 +45,6 @@ class World:
     objects: list[str]
     verbs: list[str]
     scores: dict[Attribute, dict[str, float]]
-    eq_band: float
 
 
 def generate_world(
@@ -49,8 +53,6 @@ def generate_world(
     n_objects: int = 30,
     n_verbs: int = 12,
     n_pairs: int = 140,
-    eq_band: float = 0.012,
-    drop_label_rate: float = 0.08,
 ) -> World:
     # Imported here so that importing the package leaves the CLI module
     # unloaded: ``python -m physrel.cli`` would otherwise run it twice.
@@ -71,7 +73,7 @@ def generate_world(
 
     def relation(x: str, y: str, attribute: Attribute) -> RelationValue:
         diff = scores[attribute][x] - scores[attribute][y]
-        if abs(diff) <= eq_band:
+        if abs(diff) <= EQ_BAND:
             return RelationValue.EQ
         return RelationValue.GT if diff > 0 else RelationValue.LT
 
@@ -127,12 +129,12 @@ def generate_world(
     # attribute (they model collection noise, which does not depend on the
     # split), so both profile files label exactly the same rows.
     frame_labeled = {
-        ((verb, ftype, prep), attribute): rng.random() >= drop_label_rate
+        ((verb, ftype, prep), attribute): rng.random() >= DROP_LABEL_RATE
         for verb, ftype, prep in frames
         for attribute in ATTRIBUTES
     }
     pair_labeled = {
-        (pair, attribute): rng.random() >= drop_label_rate for pair in pairs for attribute in ATTRIBUTES
+        (pair, attribute): rng.random() >= DROP_LABEL_RATE for pair in pairs for attribute in ATTRIBUTES
     }
     pair_reversed = {
         (pair, attribute): rng.random() < 0.3 for pair in pairs for attribute in ATTRIBUTES
@@ -210,7 +212,7 @@ def generate_world(
     for pair in pairs:
         x, y = pair
         gap = scores[Attribute.SIZE][x] - scores[Attribute.SIZE][y]
-        if abs(gap) <= 2 * eq_band and rng.random() < 0.7:
+        if abs(gap) <= 2 * EQ_BAND and rng.random() < 0.7:
             continue
         n_seen = int(rng.integers(3, 7))
         for k in sorted(rng.choice(len(frame_keys), size=n_seen, replace=False)):
@@ -223,4 +225,4 @@ def generate_world(
                 cooc_lines.append(f"{fk}\t{arg2}\t{arg1}\t{max(1, count // 4)}")
     write(paths.cooccurrence, cooc_lines)
 
-    return World(paths, objects, verbs, scores, eq_band)
+    return World(paths, objects, verbs, scores)

@@ -1,11 +1,12 @@
 import os
+from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
 
-from physrel.core import ATTRIBUTES, N_VALUES, TOKEN_OF_RELATION
+from physrel.core import ATTRIBUTES, N_VALUES, TOKEN_OF_RELATION, Attribute
 from physrel.harness import DataPaths
 from physrel.lexstats import SPLITS, CooccurrenceStats, FrameItem, KnowledgeDataset, PairItem
 from physrel.builder import NODE_CLASSES, featurize_items
@@ -102,13 +103,13 @@ def loss_and_grad(weights, bias, X, y, l2_lambda: float):
     return float(nll + 0.5 * l2_lambda * float((weights * weights).sum())), grad_w, grad_b
 
 
-def one_descent_per_model(dataset, emb, cfg: TrainConfig = TrainConfig(), attributes=ATTRIBUTES) -> dict:
+def one_descent_per_model(dataset, emb, cfg: TrainConfig = TrainConfig()) -> dict:
     """The classifiers as they were trained before attributes shared a
     descent: one ``train`` per (attribute, node class) with seed labels,
     attribute by attribute, frames before pairs."""
     models = {}
     with dataset.audit_label_access({"seed"}):
-        for attribute in attributes:
+        for attribute in ATTRIBUTES:
             for kind, node_class in NODE_CLASSES.items():
                 rows = dataset.rows_in(kind, "seed")
                 y = dataset.gold_rows(kind, rows)[:, ATTRIBUTES.index(attribute)]
@@ -121,6 +122,22 @@ def one_descent_per_model(dataset, emb, cfg: TrainConfig = TrainConfig(), attrib
 def variable(graph, node) -> int:
     """The id of ``node``'s variable in ``graph``."""
     return next(vid for vid in range(graph.n_variables) if graph.node_of(vid) == node)
+
+
+def size_only_copies(paths: DataPaths, directory) -> DataPaths:
+    """``paths`` with its four label files replaced by copies in ``directory``
+    that keep every line but the rows labeling another attribute than size."""
+    def kept(line: str) -> bool:
+        return not line.strip() or line.startswith("#") or Attribute.from_token(line.split("\t")[-3]) is Attribute.SIZE
+
+    copies = {}
+    for name in ("frames_5", "frames_20", "pairs_5", "pairs_20"):
+        source = getattr(paths, name)
+        with open(source, encoding="utf-8") as handle:
+            text = "".join(filter(kept, handle))
+        copies[name] = Path(directory) / source.name
+        copies[name].write_text(text, encoding="utf-8")
+    return replace(paths, **copies)
 
 
 def save_dataset(dataset, frame_file, pair_file) -> None:

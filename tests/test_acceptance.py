@@ -13,7 +13,7 @@ import pytest
 
 from physrel.builder import BuildConfig
 from physrel.cli import main
-from physrel.core import Attribute, ObjectPairNode
+from physrel.core import ObjectPairNode
 from physrel.factorgraph import BPConfig, FactorGraph, exact_marginals, run_bp
 from physrel.harness import (
     DataPaths,
@@ -26,7 +26,14 @@ from physrel.harness import (
     tune_thresholds,
 )
 from physrel.lexstats import load_dataset
-from conftest import RELEASED_DATA_DIR, loss_and_grad, released_data_available, split_counts, usable_counts
+from conftest import (
+    RELEASED_DATA_DIR,
+    loss_and_grad,
+    released_data_available,
+    size_only_copies,
+    split_counts,
+    usable_counts,
+)
 
 from test_maxent import finite_difference_grad
 
@@ -154,7 +161,7 @@ def test_criterion_5_majority_baseline_published_rows():
 
 
 @requires_released
-def test_criterion_6_model_reproduction_released():
+def test_criterion_6_model_reproduction_released(tmp_path):
     paths = DataPaths.from_dir(RELEASED_DATA_DIR)
     grid = [
         BuildConfig(),
@@ -168,8 +175,9 @@ def test_criterion_6_model_reproduction_released():
         tuned = tune_thresholds(spec, grid, paths, BPConfig())
         result = run_task(spec, tuned.best, BPConfig(), paths)
         assert abs(result.report.overall - target) <= 0.05
+    # The selpref ablation is measured along size alone: on label files that hold only size rows.
     size_spec = TaskSpec(task="frames", cross_seed_fraction="5", eval_split="dev")
-    ablation = run_ablation(size_spec, BuildConfig(), "selpref", BPConfig(), paths, attributes=(Attribute.SIZE,))
+    ablation = run_ablation(size_spec, BuildConfig(), "selpref", BPConfig(), size_only_copies(paths, tmp_path))
     assert ablation.full.overall - ablation.ablated.overall >= 0.05
     ok(6, "released-data reproduction within 0.05 and selpref ablation ordering holds")
 

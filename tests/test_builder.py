@@ -76,10 +76,12 @@ def test_seed_rows():
 # -- nodes, seed, emb --
 
 
-def two_split_dataset():
+def two_split_dataset(weight=True):
+    """Two frames and two pairs, all labeled along size; the seed frame also
+    along weight unless ``weight`` is false."""
     return make_dataset(
         frames=[
-            ("throw", "dobj", None, "seed", {SIZE: GT, WEIGHT: GT}),
+            ("throw", "dobj", None, "seed", {SIZE: GT, WEIGHT: GT} if weight else {SIZE: GT}),
             ("carry", "dobj", None, "dev", {SIZE: GT}),
         ],
         pairs=[
@@ -91,7 +93,7 @@ def two_split_dataset():
 
 def test_make_nodes_covers_usable_items_only():
     ds = two_split_dataset()
-    b = make_nodes(ds, (SIZE, WEIGHT))
+    b = make_nodes(ds)
     # size: 2 frames + 2 pairs; weight: 1 frame.
     assert b.graph.n_variables == 5
     assert b.graph.has_variable(FrameNode("throw", "dobj", None, WEIGHT))
@@ -107,18 +109,17 @@ def test_make_nodes_numbers_attributes_in_canonical_order():
         "pair:size:car|house",
         "frame:weight:throw:dobj:-",
     ]
-    for attributes in ((SIZE, WEIGHT), (WEIGHT, SIZE)):
-        b = make_nodes(ds, attributes)
-        assert [str(b.graph.node_of(v)) for v in range(b.graph.n_variables)] == expected
-    # Columns follow the order asked for: weight, then size.
-    assert b.item_vars[0].tolist() == [[-1, 0], [4, 1]]
-    assert b.item_vars[1].tolist() == [[-1, 2], [-1, 3]]
+    b = make_nodes(ds)
+    assert [str(b.graph.node_of(v)) for v in range(b.graph.n_variables)] == expected
+    # Columns follow ATTRIBUTES: size, then weight, then three attributes with no node.
+    assert b.item_vars[0].tolist() == [[0, -1, -1, -1, -1], [1, 4, -1, -1, -1]]
+    assert b.item_vars[1].tolist() == [[2, -1, -1, -1, -1], [3, -1, -1, -1, -1]]
 
 
 def test_seed_only_build_gives_uniform_dev_marginals():
-    ds = two_split_dataset()
+    ds = two_split_dataset(weight=False)
     cfg = BuildConfig(enabled_factor_kinds=frozenset({"seed"}))
-    b = build((SIZE,), ds, None, None, None, cfg)
+    b = build(ds, None, None, None, cfg)
     result = run_bp(b.graph, BPConfig())
     seed_node = variable(b.graph, ObjectPairNode("ant", "zebra", SIZE))
     dev_node = variable(b.graph, ObjectPairNode("car", "house", SIZE))
@@ -127,26 +128,26 @@ def test_seed_only_build_gives_uniform_dev_marginals():
 
 
 def test_seed_factor_count_matches_seed_items():
-    ds = two_split_dataset()
+    ds = two_split_dataset(weight=False)
     cfg = BuildConfig(enabled_factor_kinds=frozenset({"seed"}))
-    b = build((SIZE,), ds, None, None, None, cfg)
+    b = build(ds, None, None, None, cfg)
     assert kind_counts(b) == {"seed": 2, "emb": 0, "selpref": 0, "verbsim": 0, "framesim": 0, "objsim": 0, "attrsim": 0}
 
 
 def test_emb_factors_cover_every_node():
-    ds = two_split_dataset()
+    ds = two_split_dataset(weight=False)
     emb = embeddings_for(objects=("ant", "zebra", "car", "house"), verbs=("throw", "carry"))
     models = train_models(ds, emb)
     cfg = BuildConfig(enabled_factor_kinds=frozenset({"emb"}))
-    b = build((SIZE,), ds, emb, None, models, cfg)
+    b = build(ds, emb, None, models, cfg)
     assert kind_counts(b)["emb"] == b.graph.n_variables == 4
 
 
 def test_emb_requested_without_models_fails():
-    ds = two_split_dataset()
+    ds = two_split_dataset(weight=False)
     cfg = BuildConfig(enabled_factor_kinds=frozenset({"emb"}))
     with pytest.raises(ValueError):
-        build((SIZE,), ds, None, None, None, cfg)
+        build(ds, None, None, None, cfg)
 
 
 def test_node_without_matching_model_fails():
@@ -160,13 +161,13 @@ def test_node_without_matching_model_fails():
     models = train_models(ds, emb)
     cfg = BuildConfig(enabled_factor_kinds=frozenset({"emb"}))
     with pytest.raises(ValueError, match="object-pair"):
-        build((SIZE,), ds, emb, None, models, cfg)
+        build(ds, emb, None, models, cfg)
 
 
 def test_class_level_switches():
-    ds = two_split_dataset()
+    ds = two_split_dataset(weight=False)
     cfg = BuildConfig(enabled_factor_kinds=frozenset({"seed"}), seed_objects=False)
-    b = build((SIZE,), ds, None, None, None, cfg)
+    b = build(ds, None, None, None, cfg)
     assert kind_counts(b)["seed"] == 1  # only the frame seed remains
 
 
@@ -185,7 +186,7 @@ def test_selpref_flipped_when_canonical_order_reverses_evidence():
     # Evidence "person threw basketball": frame order (person, basketball),
     # canonical storage (basketball, person) -> flipped table.
     stats = cooccurrence({("threw:dobj:-", ("person", "basketball")): 50})
-    b = make_nodes(ds, (SIZE,))
+    b = make_nodes(ds)
     add_selectional_preference_factors(b, stats, BuildConfig(pmi_threshold=-1.0))
     assert kind_counts(b)["selpref"] == 1
     factor = factors(b.graph)[0]
@@ -198,7 +199,7 @@ def test_selpref_flipped_when_canonical_order_reverses_evidence():
 def test_selpref_plain_when_orientation_matches():
     ds = selpref_dataset()
     stats = cooccurrence({("threw:dobj:-", ("basketball", "person")): 50})
-    b = make_nodes(ds, (SIZE,))
+    b = make_nodes(ds)
     add_selectional_preference_factors(b, stats, BuildConfig(pmi_threshold=-1.0))
     assert np.array_equal(factors(b.graph)[0].table, SOFT_ONE)
 
@@ -206,7 +207,7 @@ def test_selpref_plain_when_orientation_matches():
 def test_selpref_gated_by_pmi_threshold():
     ds = selpref_dataset()
     stats = cooccurrence({("threw:dobj:-", ("person", "basketball")): 50})
-    b = make_nodes(ds, (SIZE,))
+    b = make_nodes(ds)
     # A single entry has PMI exactly 0 (joint == marginals == total).
     add_selectional_preference_factors(b, stats, BuildConfig(pmi_threshold=0.5))
     assert kind_counts(b)["selpref"] == 0
@@ -228,7 +229,7 @@ def test_selpref_single_qualifying_pair_from_mixed_stats():
             ("other:dobj:-", ("person", "ant")): 7,  # frame not in dataset
         }
     )
-    b = make_nodes(ds, (SIZE,))
+    b = make_nodes(ds)
     add_selectional_preference_factors(b, stats, BuildConfig(pmi_threshold=-10.0))
     assert kind_counts(b)["selpref"] == 1
 
@@ -241,7 +242,7 @@ def test_selpref_orientation_conflict_resolves_to_larger_count():
             ("threw:dobj:-", ("basketball", "person")): 3,
         }
     )
-    b = make_nodes(ds, (SIZE,))
+    b = make_nodes(ds)
     add_selectional_preference_factors(b, stats, BuildConfig(pmi_threshold=-10.0))
     assert kind_counts(b)["selpref"] == 1
     assert np.array_equal(factors(b.graph)[0].table, flipped_table(SOFT_ONE))
@@ -297,7 +298,7 @@ def test_selpref_matches_the_reference_walk(data):
                               [r[3] for r in rows])
     values = stats.entry_pmi(np.arange(len(stats.count)))
     threshold = data.draw(st.sampled_from([-10.0, 0.0, *values.tolist()]))  # also exactly at some PMI
-    expected = make_nodes(ds, (SIZE, WEIGHT))
+    expected = make_nodes(ds)
     links = reference_selpref_links(expected, stats, threshold)
     frames, pair_rows, tables = np.array([link[:3] for link in links], dtype=np.int64).reshape(-1, 3).T
     frame_vars, pair_vars = expected.item_vars[0][frames], expected.item_vars[1][pair_rows]
@@ -306,7 +307,7 @@ def test_selpref_matches_the_reference_walk(data):
     expected.add([factor_rows("selpref", frame_vars[both], pair_vars[both], table)])
 
     cfg = BuildConfig(pmi_threshold=threshold)
-    actual = add_selectional_preference_factors(make_nodes(ds, (SIZE, WEIGHT)), stats, cfg)
+    actual = add_selectional_preference_factors(make_nodes(ds), stats, cfg)
     assert dump_graph(actual.graph) == dump_graph(expected.graph)
     for *_, frame_key, evidence, value in links:
         assert pmi(stats, frame_key, evidence) == values[entry_row(stats, frame_key, evidence)] == value
@@ -336,7 +337,7 @@ def test_object_similarity_same_side_and_opposite_side():
             "apple": np.concatenate([[0.0, 0.0, 1.0], np.zeros(47)]),
         }
     )
-    b = make_nodes(ds, (SIZE,))
+    b = make_nodes(ds)
     cfg = BuildConfig(obj_sim_threshold=0.9)
     add_similarity_factors(b, emb, cfg)
     by_scope = {tuple(sorted(f.scope)): f for f in factors(b.graph) if f.arity == 2}
@@ -367,7 +368,7 @@ def test_object_similarity_opposite_sides_uses_flipped_table():
     emb = embeddings_for(
         obj_vecs={"b": close, "z": close + 1e-3, "m": np.concatenate([[0.0, 1.0], np.zeros(48)])}
     )
-    b_ = make_nodes(ds, (SIZE,))
+    b_ = make_nodes(ds)
     add_similarity_factors(b_, emb, BuildConfig(obj_sim_threshold=0.9))
     assert kind_counts(b_)["objsim"] == 1
     assert np.array_equal(factors(b_.graph)[0].table, flipped_table(SOFT_ONE))
@@ -378,7 +379,7 @@ def test_directly_similar_pair_gets_eq_unary():
     close[0] = 1.0
     ds = make_dataset(pairs=[("cup", "mug", "dev", {SIZE: EQ})])
     emb = embeddings_for(obj_vecs={"cup": close, "mug": close + 1e-3})
-    b = make_nodes(ds, (SIZE,))
+    b = make_nodes(ds)
     add_similarity_factors(b, emb, BuildConfig(obj_sim_threshold=0.9))
     assert kind_counts(b)["objsim"] == 1
     factor = factors(b.graph)[0]
@@ -391,7 +392,7 @@ def test_similarity_threshold_above_all_cosines_gives_no_factors():
         pairs=[("cup", "table", "dev", {SIZE: LT}), ("mug", "table", "dev", {SIZE: LT})]
     )
     emb = embeddings_for(objects=("cup", "mug", "table"))
-    b = make_nodes(ds, (SIZE,))
+    b = make_nodes(ds)
     add_similarity_factors(b, emb, BuildConfig(obj_sim_threshold=1.1, verb_sim_threshold=1.1))
     assert kind_counts(b)["objsim"] == 0 and kind_counts(b)["verbsim"] == 0
 
@@ -416,7 +417,7 @@ def test_zero_norm_object_links_under_a_negative_threshold():
     a = np.concatenate([[1.0], np.zeros(49)])
     ds = make_dataset(pairs=[("a", "m", "dev", {SIZE: LT}), ("m", "zero", "dev", {SIZE: GT})])
     emb = embeddings_for(obj_vecs={"a": a, "m": -a, "zero": np.zeros(50)})
-    b = make_nodes(ds, (SIZE,))
+    b = make_nodes(ds)
     add_similarity_factors(b, emb, BuildConfig(obj_sim_threshold=-0.5))
     # (a, zero) share comparator m, which sits between them: flipped link;
     # (m, zero) is itself a node: EQ nudge.
@@ -427,7 +428,7 @@ def test_zero_norm_object_links_under_a_negative_threshold():
     assert np.array_equal(factors(b.graph)[0].table, flipped_table(SOFT_ONE))
     assert factors(b.graph)[1].scope == (m_zero,)
     assert np.array_equal(factors(b.graph)[1].table, SOFT_ONE[EQ])
-    unlinked = make_nodes(ds, (SIZE,))
+    unlinked = make_nodes(ds)
     add_similarity_factors(unlinked, emb, BuildConfig(obj_sim_threshold=0.0))
     assert len(factors(unlinked.graph)) == 0
 
@@ -444,7 +445,7 @@ def test_verb_similarity_links_matching_frame_shapes_only():
         ]
     )
     emb = embeddings_for(verb_vecs={"hurl": sim, "toss": sim + 1e-3})
-    b = make_nodes(ds, (SIZE,))
+    b = make_nodes(ds)
     cfg = BuildConfig(verb_sim_threshold=0.9, enabled_factor_kinds=frozenset({"verbsim"}))
     add_similarity_factors(b, emb, cfg)
     # Only the dobj frames match on (type, preposition); the pobj frames
@@ -465,7 +466,7 @@ def test_frame_similarity_links_same_role_pairs_within_verb():
         ]
     )
     emb = embeddings_for(verbs=("throw",))
-    b = make_nodes(ds, (SIZE,))
+    b = make_nodes(ds)
     cfg = BuildConfig(enabled_factor_kinds=frozenset({"framesim"}))
     add_similarity_factors(b, emb, cfg)
     assert kind_counts(b)["framesim"] == 1
@@ -483,14 +484,14 @@ def agreement_dataset(weight_labels):
 
 def test_attrsim_links_when_agreement_high():
     ds = agreement_dataset([GT, GT, GT, GT])
-    b = make_nodes(ds, (SIZE, WEIGHT))
+    b = make_nodes(ds)
     add_attribute_factors(b, ds, BuildConfig(min_shared_seed_frames=2))
     assert kind_counts(b)["attrsim"] == 4  # one per shared frame
 
 
 def test_attrsim_skips_low_agreement():
     ds = agreement_dataset([GT, GT, LT, LT])
-    b = make_nodes(ds, (SIZE, WEIGHT))
+    b = make_nodes(ds)
     add_attribute_factors(b, ds, BuildConfig(min_shared_seed_frames=2))
     assert kind_counts(b)["attrsim"] == 0
 
@@ -506,7 +507,7 @@ def test_attrsim_agreement_counts_only_frames_seeded_in_both():
             ("v3", "dobj", None, "seed", {SIZE: LT}),
         ]
     )
-    b = make_nodes(ds, (SIZE, WEIGHT))
+    b = make_nodes(ds)
     add_attribute_factors(b, ds, BuildConfig(min_shared_seed_frames=2))
     # Agreement over shared-seeded frames is 2/2 = 100%; links added for the
     # frames present in both graphs (v0 and v1 only).
@@ -515,9 +516,23 @@ def test_attrsim_agreement_counts_only_frames_seeded_in_both():
 
 def test_attrsim_requires_min_shared_frames():
     ds = agreement_dataset([GT])
-    b = make_nodes(ds, (SIZE, WEIGHT))
+    b = make_nodes(ds)
     add_attribute_factors(b, ds, BuildConfig(min_shared_seed_frames=10))
     assert kind_counts(b)["attrsim"] == 0
+
+
+def test_attrsim_skips_attribute_pairs_with_no_shared_seed_frame():
+    # Size and weight label different seed frames: their agreement is
+    # undefined, so they get no factor even when no minimum of shared
+    # frames is asked for.
+    frames = [("v0", "dobj", None, "seed", {SIZE: GT}), ("v1", "dobj", None, "seed", {WEIGHT: LT})]
+    cfg = BuildConfig(min_shared_seed_frames=0, enabled_factor_kinds=frozenset({"seed", "attrsim"}))
+    b = build(make_dataset(frames=frames), None, None, None, cfg)
+    assert b.graph.n_variables == 2
+    assert kind_counts(b) == {"seed": 2, "emb": 0, "selpref": 0, "verbsim": 0, "framesim": 0, "objsim": 0, "attrsim": 0}
+    # One frame labeled along both, in agreement, is enough at that minimum.
+    frames.append(("v2", "dobj", None, "seed", {SIZE: GT, WEIGHT: GT}))
+    assert kind_counts(build(make_dataset(frames=frames), None, None, None, cfg))["attrsim"] == 1
 
 
 def test_only_attrsim_crosses_attributes(world):
@@ -528,7 +543,7 @@ def test_only_attrsim_crosses_attributes(world):
     emb, stats = load_world(world.paths)
     models = train_models(ds, emb)
     cfg = BuildConfig(min_shared_seed_frames=2)
-    b = build(None, ds, emb, stats, models, cfg)
+    b = build(ds, emb, stats, models, cfg)
     assert b.report.get("attrsim", 0) > 0
     for f in factors(b.graph):
         attrs = {b.graph.node_of(v).attribute for v in f.scope}
@@ -589,10 +604,9 @@ def test_train_models_equals_one_descent_per_model():
     objects, verbs = ("ant", "zebra", "car", "house", "into", "at"), ("throw", "carry", "push", "lift", "drop")
     emb = embeddings_for(objects=objects, verbs=verbs)
     cfg = TrainConfig(epochs=60, learning_rate=0.3)
-    for attributes in (ATTRIBUTES, (WEIGHT, SPEED, SIZE, STRENGTH)):
-        expected = one_descent_per_model(ds, emb, cfg, attributes)
-        assert (SPEED, "frame") not in expected and (WEIGHT, "frame") in expected
-        assert_same_models(train_models(ds, emb, cfg, attributes).models, expected)
+    expected = one_descent_per_model(ds, emb, cfg)
+    assert (SPEED, "frame") not in expected and (WEIGHT, "frame") in expected
+    assert_same_models(train_models(ds, emb, cfg).models, expected)
 
 
 def test_train_models_on_the_world_keeps_order_and_bits(world):
@@ -616,9 +630,9 @@ def test_build_report_and_kind_gating(world):
     ds = assemble_task_dataset(world.paths, spec).restrict({"seed", "dev"}, {"seed", "dev"})
     emb, stats = load_world(world.paths)
     models = train_models(ds, emb)
-    full = build(None, ds, emb, stats, models, BuildConfig())
+    full = build(ds, emb, stats, models, BuildConfig())
     ablated_cfg = BuildConfig(enabled_factor_kinds=frozenset(set(FACTOR_KINDS) - {"selpref"}))
-    ablated = build(None, ds, emb, stats, models, ablated_cfg)
+    ablated = build(ds, emb, stats, models, ablated_cfg)
     full_counts, ablated_counts = kind_counts(full), kind_counts(ablated)
     assert full_counts["selpref"] > 0 and ablated_counts["selpref"] == 0
     for kind in FACTOR_KINDS:
@@ -635,8 +649,8 @@ def test_build_deterministic_dump(world):
     ds = assemble_task_dataset(world.paths, spec).restrict({"seed", "dev"}, {"seed", "dev"})
     emb, stats = load_world(world.paths)
     models = train_models(ds, emb)
-    d1 = dump_graph(build(None, ds, emb, stats, models, BuildConfig()).graph)
-    d2 = dump_graph(build(None, ds, emb, stats, models, BuildConfig()).graph)
+    d1 = dump_graph(build(ds, emb, stats, models, BuildConfig()).graph)
+    d2 = dump_graph(build(ds, emb, stats, models, BuildConfig()).graph)
     assert d1 == d2
 
 
@@ -661,7 +675,7 @@ def test_no_two_factors_share_kind_and_scope(world, task, cfg):
     spec = TaskSpec(task=task, cross_seed_fraction="20", eval_split="dev")
     ds = assemble_task_dataset(world.paths, spec).restrict({"seed", "dev"}, {"seed", "dev"})
     emb, stats = load_world(world.paths)
-    b = build(None, ds, emb, stats, train_models(ds, emb), cfg)
+    b = build(ds, emb, stats, train_models(ds, emb), cfg)
     kind, scope, _, _ = b.graph.columns()
     if cfg == PERMISSIVE:
         assert set(b.report) == set(FACTOR_KINDS)  # every family takes part
@@ -690,6 +704,47 @@ def test_build_config_validation():
         BuildConfig(pmi_threshold=float("nan"))
     with pytest.raises(ValueError, match="attr_agreement_threshold"):
         BuildConfig(attr_agreement_threshold=float("nan"))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("seed_frames", "false"),
+        ("seed_objects", 1),
+        ("emb_frames", None),
+        ("emb_objects", np.bool_(True)),
+        ("min_shared_seed_frames", 2.5),
+        ("min_shared_seed_frames", True),
+        ("min_shared_seed_frames", -1),
+        ("min_shared_seed_frames", "3"),
+        ("verb_sim_threshold", True),
+        ("obj_sim_threshold", False),
+        ("pmi_threshold", "0.5"),
+        ("attr_agreement_threshold", True),
+        ("enabled_factor_kinds", ["seed"]),
+        ("enabled_factor_kinds", {"seed"}),
+        ("enabled_factor_kinds", "seed"),
+    ],
+)
+def test_build_config_rejects_values_its_text_cannot_carry(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        BuildConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        BuildConfig(min_shared_seed_frames=0),
+        BuildConfig(obj_sim_threshold=1),
+        BuildConfig(pmi_threshold=np.float64(0.25)),
+    ],
+    ids=["no-minimum", "int-threshold", "numpy-threshold"],
+)
+def test_build_config_edge_values_round_trip(tmp_path, cfg):
+    path = tmp_path / "build.cfg"
+    path.write_text(cfg.to_text(), encoding="utf-8")
+    assert BuildConfig.from_file(path) == cfg
+    assert hash(BuildConfig.from_file(path)) == hash(cfg)
 
 
 def test_build_config_text_is_pinned():

@@ -10,7 +10,7 @@ import pytest
 
 import physrel
 from physrel.builder import BuildConfig
-from physrel.cli import _grid_from_file, main
+from physrel.cli import _default_grid, _grid_from_file, main
 from physrel.core import ATTRIBUTES
 from physrel.harness import TaskSpec, assemble_task_dataset, load_world
 from physrel.maxent import save_model
@@ -172,3 +172,10 @@ def test_imports_leave_the_cli_and_scipy_unloaded():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60).stdout
     assert out.split("\n")[:2] == ["False", "[]"]
+
+
+def test_default_grid_configs_round_trip_through_their_text(tmp_path):
+    for index, cfg in enumerate(_default_grid()):
+        path = tmp_path / f"{index}.cfg"
+        path.write_text(cfg.to_text(), encoding="utf-8")
+        assert BuildConfig.from_file(path) == cfg

@@ -26,7 +26,7 @@ from physrel.harness import (
     tune_thresholds,
 )
 from physrel.lexstats import EmbeddingStore, Embeddings, LabelAccessError
-from conftest import make_dataset
+from conftest import make_dataset, size_only_copies
 from test_maxent import load_model
 
 SIZE, WEIGHT = Attribute.SIZE, Attribute.WEIGHT
@@ -328,6 +328,20 @@ def test_run_ablation_selpref_hurts_on_synthetic_world(world):
     spec = TaskSpec(task="objects", cross_seed_fraction="20", eval_split="dev")
     result = run_ablation(spec, BuildConfig(), "selpref", BPConfig(), world.paths)
     assert result.ablated.overall < result.full.overall
+
+
+def test_ablation_on_size_only_label_files_stays_on_size(world, tmp_path):
+    # A single-attribute run is a label file with that attribute's rows only.
+    paths = size_only_copies(world.paths, tmp_path)
+    spec = TaskSpec(task="frames", cross_seed_fraction="5", eval_split="dev")
+    result = run_ablation(spec, BuildConfig(), "selpref", BPConfig(), paths)
+    for report in (result.full, result.ablated):
+        assert list(report.per_attribute) == ["size"]
+        assert report.counts == {a.value: report.counts["size"] if a is SIZE else 0 for a in ATTRIBUTES}
+        assert report.counts["size"] > 0
+    built = build_graph(prepare(spec, paths), BuildConfig())
+    assert {built.graph.node_of(v).attribute for v in range(built.graph.n_variables)} == {SIZE}
+    assert "attrsim" not in built.report and built.report["selpref"] > 0
 
 
 # -- tuning --
