@@ -23,7 +23,6 @@ from .harness import (
     baseline_emb_maxent,
     baseline_majority,
     baseline_random,
-    decide,
     run_ablation,
     run_task,
     tune_thresholds,
@@ -65,7 +64,6 @@ __all__ = [
     "baseline_majority",
     "baseline_random",
     "build",
-    "decide",
     "dump_graph",
     "exact_marginals",
     "featurize_frame",

@@ -29,9 +29,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ATTRIBUTES, FRAME_TYPE_ROLES, N_VALUES, Attribute, RelationValue, flip
+from .core import ATTRIBUTES, FLIP_INDEX, FRAME_TYPE_ROLES, N_VALUES, Attribute, RelationValue
 from .factorgraph import FactorGraph
-from .lexstats import KINDS, CooccurrenceStats, Embeddings, KnowledgeDataset, similar_pairs
+from .lexstats import KINDS, CooccurrenceStats, Embeddings, KnowledgeDataset, codes, data_lines, similar_pairs
 from .maxent import MaxentModel, TrainConfig, featurize_frame, featurize_object_pair, predict_proba, train
 
 # Fixed 3x3 agreement potential; rows/columns indexed (GT, EQ, LT).
@@ -53,13 +53,7 @@ def flipped_table(m: np.ndarray = SOFT_ONE) -> np.ndarray:
     pairs with EQ): used when two linked variables view a shared relation
     from opposite orientations.
     """
-    rows = np.array([int(flip(RelationValue(i))) for i in range(3)])
-    return np.asarray(m)[rows]
-
-
-def seed_table(gold: RelationValue) -> np.ndarray:
-    """Unary seed potential: the gold-label indexed row of the soft-1 matrix."""
-    return SOFT_ONE[int(gold)].copy()
+    return m[FLIP_INDEX]
 
 
 @dataclass(frozen=True)
@@ -106,20 +100,20 @@ class BuildConfig:
 
     @classmethod
     def from_file(cls, path) -> "BuildConfig":
-        """Parse :meth:`to_text` output; any field may be left out. Raises
-        ValueError naming the file, and the line of a malformed one."""
+        """Parse :meth:`to_text` output; any field may be left out, none given
+        twice. Raises ValueError naming the file, and the line of a malformed
+        or repeated one."""
         kwargs: dict = {}
-        with open(path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, 1):
-                if not line.strip() or line.startswith("#"):
-                    continue
-                key, sep, value = (part.strip() for part in line.partition("="))
-                try:
-                    if not sep:
-                        raise ValueError("expected key=value")
-                    kwargs[key] = cls.parse_field(key, value)
-                except ValueError as exc:
-                    raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        for lineno, line in zip(*data_lines(path)):
+            key, sep, value = (part.strip() for part in line.partition("="))
+            try:
+                if not sep:
+                    raise ValueError("expected key=value")
+                if key in kwargs:
+                    raise ValueError(f"{key!r} is set twice")
+                kwargs[key] = cls.parse_field(key, value)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
         try:
             return cls(**kwargs)
         except ValueError as exc:
@@ -281,7 +275,7 @@ def add_seed_and_emb_factors(
     if embedded and models is None:
         raise ValueError("emb factors requested but no trained models supplied")
     features = {kind: featurize_items(kind, getattr(dataset, kind), models.embeddings) for kind in embedded}
-    codes = np.array([FACTOR_KINDS.index("seed"), FACTOR_KINDS.index("emb")])
+    kind_codes = np.array([FACTOR_KINDS.index("seed"), FACTOR_KINDS.index("emb")])
     factors, tables = [], []
     with dataset.audit_label_access({"seed"}):
         for column, attribute in enumerate(ATTRIBUTES):
@@ -298,7 +292,7 @@ def add_seed_and_emb_factors(
                     present[:, 1] = True
                     table[:, 1] = models.proba(kind, features[kind][rows], attribute)
                 node, slot = np.nonzero(present)
-                factors.append(np.column_stack([codes[slot], variables[rows[node], column]]))
+                factors.append(np.column_stack([kind_codes[slot], variables[rows[node], column]]))
                 tables.append(table[present])
     factors = np.concatenate([np.zeros((0, 2), np.int64), *factors])
     rows = np.concatenate([np.zeros((0, N_VALUES)), *tables])
@@ -365,9 +359,9 @@ def add_similarity_factors(build: Build, emb: Embeddings, cfg: BuildConfig) -> B
     Links follow item key order, so each family's factors are in that order.
     """
     frames, pairs = build.dataset.frames, build.dataset.pairs
-    verbs, verb_of = _positions([it.verb for it in frames])
-    shapes, shape_of = _positions([(it.frame_type, it.preposition or "") for it in frames])
-    objects, object_of = _positions([o for it in pairs for o in (it.x, it.y)])
+    verbs, verb_of = codes([it.verb for it in frames])
+    shapes, shape_of = codes([(it.frame_type, it.preposition or "") for it in frames])
+    objects, object_of = codes([o for it in pairs for o in (it.x, it.y)])
     x_of, y_of = object_of[0::2], object_of[1::2]
     rows_of_verb: dict[str, list[int]] = {}
     for row, it in enumerate(frames):
@@ -393,15 +387,8 @@ def add_similarity_factors(build: Build, emb: Embeddings, cfg: BuildConfig) -> B
             chunks.append(factor_rows("verbsim", var_at[u][both], var_at[v][both]))
         if cfg.enabled("objsim"):
             chunks.append(_object_similarity_factors(x_of, y_of, pair_vars, len(objects), similar_objects))
-    build.add(chunks, [seed_table(RelationValue.EQ)])
+    build.add(chunks, [SOFT_ONE[RelationValue.EQ]])
     return build
-
-
-def _positions(values: list) -> tuple[list, np.ndarray]:
-    """The sorted distinct values, and each value's index among them."""
-    distinct = sorted(set(values))
-    index = {v: i for i, v in enumerate(distinct)}
-    return distinct, np.array([index[v] for v in values], dtype=np.int64)
 
 
 def _object_similarity_factors(x_of, y_of, variables, n_objects: int, similar) -> np.ndarray:

@@ -84,6 +84,12 @@ FRAME_TYPE_ROLES = {
 }
 
 
+def format_frame_key(verb: str, frame_type: str, preposition: Optional[str]) -> str:
+    """Attribute-independent frame identity, as co-occurrence files spell it:
+    ``verb:frame_type:prep``, with ``-`` for no preposition."""
+    return f"{verb}:{frame_type}:{preposition or '-'}"
+
+
 def frame_type_index(frame_type: str) -> int:
     try:
         return FRAME_TYPES.index(frame_type)
@@ -130,7 +136,7 @@ class FrameNode:
     @property
     def frame_key(self) -> str:
         """Attribute-independent frame identity, used by co-occurrence data."""
-        return f"{self.verb}:{self.frame_type}:{self.preposition or '-'}"
+        return format_frame_key(self.verb, self.frame_type, self.preposition)
 
     @property
     def key(self) -> str:

@@ -60,10 +60,10 @@ class BPConfig:
             raise ValueError(f"max_iterations must be an int, not {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not (0 < self.convergence_eps < math.inf):  # nan fails too
+        if isinstance(self.convergence_eps, bool) or not (0 < self.convergence_eps < math.inf):  # nan fails too
             raise ValueError(f"convergence_eps must be finite and > 0, not {self.convergence_eps!r}")
-        if not (0.0 <= self.damping < 1.0):
-            raise ValueError("damping must lie in [0, 1)")
+        if isinstance(self.damping, bool) or not (0.0 <= self.damping < 1.0):
+            raise ValueError(f"damping must lie in [0, 1), not {self.damping!r}")
 
 
 class FactorGraph:

@@ -54,9 +54,12 @@ TASKS = ("frames", "objects")
 VERB_EMBEDDING_DIM = 100
 OBJECT_EMBEDDING_DIM = 50
 
-# Ablation switches: the seven factor kinds plus the four class-level cuts.
-CLASS_SWITCHES = ("frame_seeds", "object_seeds", "frame_embeddings", "object_embeddings")
-SWITCHES = FACTOR_KINDS + CLASS_SWITCHES
+# Ablation switches: the seven factor kinds plus four class-level cuts, each negating a BuildConfig field.
+CLASS_SWITCHES = dict(
+    frame_seeds="seed_frames", object_seeds="seed_objects",
+    frame_embeddings="emb_frames", object_embeddings="emb_objects",
+)
+SWITCHES = FACTOR_KINDS + tuple(CLASS_SWITCHES)
 
 
 @dataclass(frozen=True)
@@ -124,15 +127,10 @@ def assemble_task_dataset(paths: DataPaths, spec: TaskSpec) -> KnowledgeDataset:
     return load_dataset(frame_file, pair_file)
 
 
-# -- decisions and reports --
+# -- reports --
 
 
 RELATIONS = tuple(RelationValue)  # by code
-
-
-def decide(marginal) -> RelationValue:
-    """Argmax relation; ties break toward the canonical index order (GT first)."""
-    return RelationValue(int(np.argmax(np.asarray(marginal))))
 
 
 @dataclass
@@ -359,7 +357,7 @@ def infer(prepared: Prepared, cfg: BuildConfig, bp_cfg: BPConfig) -> RunResult:
 
     graph = built.graph
     beliefs: dict[NodeRef, np.ndarray] = dict(zip(map(graph.node_of, range(graph.n_variables)), bp.marginals))
-    # Each evaluation item's variable and argmax relation (ties as in decide) per attribute;
+    # Each evaluation item's variable and argmax relation (ties toward GT) per attribute;
     # a variable is -1 (no node) only where gold is -1, so its prediction is never read.
     kind, rows, gold = _eval_labels(graph_ds, spec)
     variables = built.item_vars[KINDS.index(kind)][rows]
@@ -402,17 +400,10 @@ def toggle_switch(cfg: BuildConfig, component: Optional[str]) -> BuildConfig:
     if component is None or component == "none":
         return cfg
     if component in FACTOR_KINDS:
-        kinds = set(cfg.enabled_factor_kinds)
-        kinds.symmetric_difference_update({component})
-        return replace(cfg, enabled_factor_kinds=frozenset(kinds))
-    if component == "frame_seeds":
-        return replace(cfg, seed_frames=not cfg.seed_frames)
-    if component == "object_seeds":
-        return replace(cfg, seed_objects=not cfg.seed_objects)
-    if component == "frame_embeddings":
-        return replace(cfg, emb_frames=not cfg.emb_frames)
-    if component == "object_embeddings":
-        return replace(cfg, emb_objects=not cfg.emb_objects)
+        return replace(cfg, enabled_factor_kinds=cfg.enabled_factor_kinds ^ {component})
+    if component in CLASS_SWITCHES:
+        name = CLASS_SWITCHES[component]
+        return replace(cfg, **{name: not getattr(cfg, name)})
     raise ValueError(f"unknown ablation switch {component!r}")
 
 

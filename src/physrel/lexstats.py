@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from .core import ATTRIBUTES, RELATION_TOKENS, Attribute, FrameNode, ObjectPairNode, RelationValue, ordered_pair
-from .core import relation_from_token
+from .core import format_frame_key, relation_from_token
 
 logger = logging.getLogger(__name__)
 
@@ -32,6 +32,15 @@ HUMAN_PROXY = "person"
 
 class LabelAccessError(RuntimeError):
     """Raised when a gold label is read outside the allowed splits."""
+
+
+def data_lines(path) -> tuple[list[int], list[str]]:
+    """The numbers (from 1) and the texts, without line breaks, of the lines
+    of the UTF-8 file ``path`` that are neither blank nor ``#`` comments."""
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.read().split("\n")
+    numbers = [n for n, line in enumerate(lines, 1) if line.strip() and not line.startswith("#")]
+    return numbers, [lines[n - 1] for n in numbers]
 
 
 # -- embeddings --
@@ -63,26 +72,21 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingStore:
     """Parse a plain-text embedding file, validating every row's arity and
     that its values are finite."""
     store = EmbeddingStore(expected_dim)
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != expected_dim + 1:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {expected_dim} values, got {len(parts) - 1}"
-                )
-            word = parts[0]
-            try:
-                vec = np.array([float(x) for x in parts[1:]])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-numeric value") from None
-            if not np.isfinite(vec).all():
-                raise ValueError(f"{path}: line {lineno}: non-finite value")
-            if word in store._vectors:
-                logger.warning("%s: line %d: duplicate word %r kept first occurrence", path, lineno, word)
-                continue
-            store._add(word, vec)
+    for lineno, line in zip(*data_lines(path)):
+        parts = line.split()
+        if len(parts) != expected_dim + 1:
+            raise ValueError(f"{path}: line {lineno}: expected {expected_dim} values, got {len(parts) - 1}")
+        word = parts[0]
+        try:
+            vec = np.array([float(x) for x in parts[1:]])
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: non-numeric value") from None
+        if not np.isfinite(vec).all():
+            raise ValueError(f"{path}: line {lineno}: non-finite value")
+        if word in store._vectors:
+            logger.warning("%s: line %d: duplicate word %r kept first occurrence", path, lineno, word)
+            continue
+        store._add(word, vec)
     return store
 
 
@@ -130,8 +134,8 @@ class CooccurrenceStats:
         if total >= 2**63:
             raise ValueError(f"counts sum to {total}, more than 64-bit integers hold")
         counts = np.array(counts, dtype=np.int64).reshape(-1)
-        self.frames, frame = _codes(frame_keys)
-        self.objects, xy = _codes([*xs, *ys])
+        self.frames, frame = codes(frame_keys)
+        self.objects, xy = codes([*xs, *ys])
         x, y = xy[: len(xs)], xy[len(xs) :]
         order = np.lexsort((y, x, frame))
         frame, x, y, counts = frame[order], x[order], y[order], counts[order]
@@ -153,20 +157,17 @@ class CooccurrenceStats:
         return np.log(joint / (self.frame_total[self.frame[rows]] * self.pair_total[rows].astype(float)))
 
 
-def _codes(names: Sequence[str]) -> tuple[list[str], np.ndarray]:
-    """The sorted distinct names, and each name's index among them."""
-    distinct = sorted(set(names))
-    index = {name: i for i, name in enumerate(distinct)}
-    return distinct, np.fromiter(map(index.__getitem__, names), np.int64, len(names))
+def codes(values: Sequence) -> tuple[list, np.ndarray]:
+    """The sorted distinct values, and each value's index among them."""
+    distinct = sorted(set(values))
+    index = {value: i for i, value in enumerate(distinct)}
+    return distinct, np.fromiter(map(index.__getitem__, values), np.int64, len(values))
 
 
 def load_cooccurrence(path) -> CooccurrenceStats:
     """Parse a co-occurrence file into columns. Any malformed row raises
     ValueError naming its file and line."""
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().split("\n")
-    numbers = [n for n, line in enumerate(lines, 1) if line.strip() and not line.startswith("#")]
-    rows = [lines[n - 1] for n in numbers]
+    numbers, rows = data_lines(path)
     widths = [row.count("\t") + 1 for row in rows]
     k = len(rows) if widths.count(4) == len(rows) else [w == 4 for w in widths].index(False)
     fields = "\t".join(rows[:k]).split("\t") if k else []
@@ -212,7 +213,7 @@ class FrameItem:
 
     @property
     def frame_key(self) -> str:
-        return f"{self.verb}:{self.frame_type}:{self.preposition or '-'}"
+        return format_frame_key(self.verb, self.frame_type, self.preposition)
 
     def node(self, attribute: Attribute) -> FrameNode:
         return FrameNode(self.verb, self.frame_type, self.preposition, attribute)
@@ -237,6 +238,14 @@ KINDS = ("frames", "pairs")
 SPLIT_CODE = {split: code for code, split in enumerate(SPLITS)}
 _ATTRIBUTE_COLUMN = {a.value: column for column, a in enumerate(ATTRIBUTES)}
 _RELATION_CODE = {token: int(r) for token, r in RELATION_TOKENS.items()}
+
+
+def _split_codes(splits: Iterable[str]) -> list[int]:
+    """The codes of the named splits; a name outside SPLITS raises ValueError."""
+    try:
+        return [SPLIT_CODE[split] for split in splits]
+    except KeyError as exc:
+        raise ValueError(f"unknown split {exc.args[0]!r}, not one of {SPLITS}") from None
 
 
 class KnowledgeDataset:
@@ -271,8 +280,9 @@ class KnowledgeDataset:
     @contextmanager
     def audit_label_access(self, allowed_splits: Iterable[str]):
         """Restrict gold_rows() and gold() to the given splits inside the context."""
-        previous = self._allowed_splits
-        self._allowed_splits = frozenset(allowed_splits)
+        previous, allowed = self._allowed_splits, frozenset(allowed_splits)
+        _split_codes(allowed)
+        self._allowed_splits = allowed
         try:
             yield self
         finally:
@@ -285,7 +295,7 @@ class KnowledgeDataset:
         items, splits, labels = self._columns[kind]
         rows = np.asarray(rows, dtype=np.intp)
         if self._allowed_splits is not None:
-            bad = ~np.isin(splits[rows], [SPLIT_CODE[s] for s in self._allowed_splits if s in SPLIT_CODE])
+            bad = ~np.isin(splits[rows], _split_codes(self._allowed_splits))
             if bad.any():
                 item = items[rows[np.argmax(bad)]]
                 raise LabelAccessError(
@@ -300,8 +310,7 @@ class KnowledgeDataset:
 
     def rows_in(self, kind: str, *splits: str) -> np.ndarray:
         """Rows of the items of class ``kind`` in the given splits, in key order."""
-        codes = [SPLIT_CODE[s] for s in splits if s in SPLIT_CODE]
-        return np.flatnonzero(np.isin(self._columns[kind][1], codes))
+        return np.flatnonzero(np.isin(self._columns[kind][1], _split_codes(splits)))
 
     def gold(self, item, attribute: Attribute) -> RelationValue:
         kind, row = self._locate(item)
@@ -357,14 +366,11 @@ def _check_items(name: str, items: list, keys: list, splits: np.ndarray, labels:
 
 
 def _read_rows(path, n_columns: int) -> Iterator[tuple[int, list[str]]]:
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != n_columns:
-                raise ValueError(f"{path}: line {lineno}: expected {n_columns} columns, got {len(parts)}")
-            yield lineno, parts
+    for lineno, line in zip(*data_lines(path)):
+        parts = line.split("\t")
+        if len(parts) != n_columns:
+            raise ValueError(f"{path}: line {lineno}: expected {n_columns} columns, got {len(parts)}")
+        yield lineno, parts
 
 
 def load_dataset(frame_file, pair_file) -> KnowledgeDataset:

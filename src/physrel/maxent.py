@@ -10,8 +10,10 @@ random ones.
 from __future__ import annotations
 
 import logging
+import math
 from collections import Counter
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,12 +34,14 @@ class TrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.l2_lambda < 0:
-            raise ValueError("l2_lambda must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        if not (0 <= self.l2_lambda < math.inf):  # nan fails too
+            raise ValueError(f"l2_lambda must be finite and >= 0, not {self.l2_lambda!r}")
+        if not (0 < self.learning_rate < math.inf):
+            raise ValueError(f"learning_rate must be finite and > 0, not {self.learning_rate!r}")
+        for name, least in (("epochs", 1), ("rng_seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or isinstance(value, bool) or value < least:
+                raise ValueError(f"{name} must be an int >= {least}, not {value!r}")
 
 
 @dataclass

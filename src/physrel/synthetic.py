@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ATTRIBUTES, Attribute, RelationValue, TOKEN_OF_RELATION, flip
+from .core import ATTRIBUTES, Attribute, RelationValue, TOKEN_OF_RELATION, flip, format_frame_key
 from .harness import DataPaths, OBJECT_EMBEDDING_DIM, VERB_EMBEDDING_DIM
 
 PREPOSITIONS = ("into", "onto", "over", "with")
@@ -207,7 +207,7 @@ def generate_world(
     # frames; a few flipped duplicates exercise orientation-conflict
     # resolution in the builder.
     cooc_lines = []
-    frame_keys = [f"{v}:{t}:{p or '-'}" for v, t, p in frames]
+    frame_keys = [format_frame_key(*frame) for frame in frames]
     dominant_of = {fk: verbs.index(fk.split(":")[0]) < n_verbs // 2 for fk in frame_keys}
     for pair in pairs:
         x, y = pair

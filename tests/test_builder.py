@@ -23,7 +23,6 @@ from physrel.builder import (
     flipped_table,
     frames_link,
     make_nodes,
-    seed_table,
     train_models,
 )
 from physrel.core import ATTRIBUTES, Attribute, FrameNode, ObjectPairNode, RelationValue
@@ -68,9 +67,9 @@ def test_flipped_table_entries():
 
 
 def test_seed_rows():
-    assert np.array_equal(seed_table(GT), [0.7, 0.1, 0.2])
-    assert np.array_equal(seed_table(EQ), [0.15, 0.7, 0.15])
-    assert np.array_equal(seed_table(LT), [0.2, 0.1, 0.7])
+    assert np.array_equal(SOFT_ONE[GT], [0.7, 0.1, 0.2])
+    assert np.array_equal(SOFT_ONE[EQ], [0.15, 0.7, 0.15])
+    assert np.array_equal(SOFT_ONE[LT], [0.2, 0.1, 0.7])
 
 
 # -- nodes, seed, emb --
@@ -123,7 +122,7 @@ def test_seed_only_build_gives_uniform_dev_marginals():
     result = run_bp(b.graph, BPConfig())
     seed_node = variable(b.graph, ObjectPairNode("ant", "zebra", SIZE))
     dev_node = variable(b.graph, ObjectPairNode("car", "house", SIZE))
-    assert np.allclose(result.marginals[seed_node], seed_table(LT))
+    assert np.allclose(result.marginals[seed_node], SOFT_ONE[LT])
     assert np.allclose(result.marginals[dev_node], [1 / 3, 1 / 3, 1 / 3])
 
 
@@ -766,6 +765,7 @@ def test_build_config_text_is_pinned():
         ("mystery=1", r"line 2: unknown config key"),
         ("pmi_threshold", r"line 2: expected key=value"),
         ("attr_agreement_threshold=nan", r"attr_agreement_threshold must be finite"),
+        ("emb_objects=true", r"line 3: 'emb_objects' is set twice"),
     ],
 )
 def test_build_config_file_names_the_bad_line(tmp_path, bad_line, message):

@@ -126,6 +126,16 @@ def test_a_bp_eps_that_is_not_finite_fails_before_any_work(world, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "build", "infer"])
+def test_a_negative_rng_seed_fails_before_any_work(tmp_path, capsys, command):
+    # The data directory does not exist: the seed is checked before anything is read.
+    out = tmp_path / "out"
+    argv = [command, "--data-dir", str(tmp_path / "missing"), "--out-dir", str(out), "--rng-seed", "-1"]
+    assert main(argv) == 1
+    assert "rng_seed must be an int >= 0, not -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "grid, message",
     [

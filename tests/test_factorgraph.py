@@ -140,6 +140,13 @@ def test_bp_config_rejects_a_convergence_eps_that_is_not_finite(eps):
         BPConfig(convergence_eps=eps)
 
 
+@pytest.mark.parametrize("field, value", [("convergence_eps", True), ("damping", False), ("damping", True)])
+def test_bp_config_rejects_bools(field, value):
+    # convergence_eps=True would run BP with eps 1.
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        BPConfig(**{field: value})
+
+
 @pytest.mark.parametrize("cap", [2.5, 3.0, True, "3", None])
 def test_bp_config_rejects_a_max_iterations_that_is_not_an_int(cap):
     with pytest.raises(ValueError, match="max_iterations"):

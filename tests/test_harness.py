@@ -1,4 +1,4 @@
-"""Experiment driver: decisions, baselines, tasks, ablations, tuning, CLI."""
+"""Experiment driver: baselines, tasks, ablations, tuning, CLI."""
 import json
 
 import numpy as np
@@ -15,7 +15,6 @@ from physrel.harness import (
     baseline_emb_maxent,
     baseline_majority,
     baseline_random,
-    decide,
     build_graph,
     infer,
     load_world,
@@ -31,14 +30,6 @@ from test_maxent import load_model
 
 SIZE, WEIGHT = Attribute.SIZE, Attribute.WEIGHT
 GT, EQ, LT = RelationValue.GT, RelationValue.EQ, RelationValue.LT
-
-
-def test_decide_argmax_and_tie_break():
-    assert decide([0.5, 0.2, 0.3]) is GT
-    assert decide([0.2, 0.2, 0.6]) is LT
-    assert decide([0.4, 0.4, 0.2]) is GT  # tie breaks toward lower index
-    assert decide([0.3, 0.3, 0.4]) is LT
-    assert decide([1 / 3, 1 / 3, 1 / 3]) is GT
 
 
 def test_task_spec_validation():
@@ -170,7 +161,7 @@ def test_run_task_seed_nodes_dominated_by_their_seeds(world):
     for item in ds.pairs_in("seed"):
         for attribute in (a for a in ATTRIBUTES if ds.has_label(item, a)):
             belief = result.beliefs[item.node(attribute)]
-            assert decide(belief) is ds.gold(item, attribute)
+            assert np.argmax(belief) == ds.gold(item, attribute)
             checked += 1
     assert checked > 0
 

@@ -372,6 +372,24 @@ def test_restrict_filters_splits():
     assert len(sub.pairs) == 1
 
 
+def test_unknown_split_names_are_rejected():
+    ds = make_dataset(
+        frames=[("throw", "dobj", None, "seed", {SIZE: GT})],
+        pairs=[("ant", "zebra", "dev", {SIZE: LT})],
+    )
+    with pytest.raises(ValueError, match="unknown split 'tset'"):
+        ds.restrict({"seed", "tset"}, {"seed"})
+    with pytest.raises(ValueError, match="unknown split 'tset'"):
+        ds.restrict({"seed"}, ["dev", "tset"])
+    with pytest.raises(ValueError, match="unknown split 'tset'"):
+        ds.rows_in("pairs", "dev", "tset")
+    with pytest.raises(ValueError, match="unknown split 'tset'"):
+        with ds.audit_label_access({"seed", "tset"}):
+            pass
+    assert ds.gold(ds.pairs[0], SIZE) is LT  # no guard left behind
+    assert ds.rows_in("pairs", "dev").tolist() == [0] and ds.rows_in("pairs").tolist() == []
+
+
 def test_has_label_is_public_but_gold_is_guarded():
     ds = make_dataset(pairs=[("ant", "zebra", "test", {SIZE: LT})])
     item = ds.pairs[0]

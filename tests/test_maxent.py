@@ -304,6 +304,37 @@ def test_softmax_of_log2_scores():
     assert np.allclose(predict_proba(model, np.array([1.0])), [0.5, 0.25, 0.25])
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("l2_lambda", -0.1),
+        ("l2_lambda", float("nan")),
+        ("l2_lambda", float("inf")),
+        ("learning_rate", 0.0),
+        ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")),
+        ("epochs", 0),
+        ("epochs", 2.5),
+        ("epochs", True),
+        ("epochs", "3"),
+        ("rng_seed", -1),
+        ("rng_seed", 1.5),
+        ("rng_seed", True),
+        ("rng_seed", None),
+    ],
+)
+def test_train_config_rejects_values_it_cannot_train_with(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_edge_values_train():
+    examples = matrix(separable_examples())
+    numpy_ints = train(*examples, TrainConfig(l2_lambda=0.0, epochs=np.int64(1), rng_seed=np.int64(0)))
+    ints = train(*examples, TrainConfig(l2_lambda=0.0, epochs=1))
+    assert np.array_equal(numpy_ints.weights, ints.weights)
+
+
 def test_predict_proba_is_valid_belief():
     rng = np.random.default_rng(4)
     model = MaxentModel(rng.normal(size=(3, 6)), rng.normal(size=3))
