@@ -28,6 +28,7 @@ from .harness import (
     baseline_majority,
     baseline_random,
     build_graph,
+    check_random_baseline,
     prepare,
     run_ablation,
     run_task,
@@ -58,17 +59,11 @@ def _spec(args) -> TaskSpec:
 
 
 def _build_cfg(args) -> BuildConfig:
-    if args.config:
-        return BuildConfig.from_file(args.config)
-    return BuildConfig()
+    return BuildConfig.from_file(args.config) if args.config else BuildConfig()
 
 
 def _bp_cfg(args) -> BPConfig:
-    return BPConfig(
-        max_iterations=args.bp_max_iterations,
-        convergence_eps=args.bp_eps,
-        damping=args.bp_damping,
-    )
+    return BPConfig(max_iterations=args.bp_max_iterations, convergence_eps=args.bp_eps, damping=args.bp_damping)
 
 
 def _train_cfg(args) -> TrainConfig:
@@ -136,11 +131,13 @@ def cmd_infer(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    bp_cfg = _bp_cfg(args)  # rejects bad --bp-* values whichever algorithm runs
+    # Every flag is checked before any work, whichever algorithm runs.
+    bp_cfg, train_cfg = _bp_cfg(args), _train_cfg(args)
+    check_random_baseline(args.rng_seed, args.resamples)
     paths = DataPaths.from_dir(args.data_dir)
     spec = _spec(args)
     if args.algorithm == "model":
-        result = run_task(spec, _build_cfg(args), bp_cfg, paths, _train_cfg(args))
+        result = run_task(spec, _build_cfg(args), bp_cfg, paths, train_cfg)
         report, files = result.report, _run_files(result)
         if not result.bp.converged:
             print(
@@ -150,13 +147,11 @@ def cmd_eval(args) -> int:
             )
     else:
         if args.algorithm == "random":
-            report = baseline_random(
-                assemble_task_dataset(paths, spec), spec, rng_seed=args.rng_seed, resamples=args.resamples
-            )
+            report = baseline_random(assemble_task_dataset(paths, spec), spec, train_cfg.rng_seed, args.resamples)
         elif args.algorithm == "majority":
             report = baseline_majority(assemble_task_dataset(paths, spec), spec)
         else:
-            prepared = prepare(spec, paths, _train_cfg(args))
+            prepared = prepare(spec, paths, train_cfg)
             report = baseline_emb_maxent(prepared.dataset, spec, prepared.models)
         files = _report_files(report)
     write_outputs(args.out_dir, files)
@@ -165,14 +160,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    result = run_ablation(
-        _spec(args),
-        _build_cfg(args),
-        None if args.component == "none" else args.component,
-        _bp_cfg(args),
-        DataPaths.from_dir(args.data_dir),
-        _train_cfg(args),
-    )
+    component = None if args.component == "none" else args.component
+    paths = DataPaths.from_dir(args.data_dir)
+    result = run_ablation(_spec(args), _build_cfg(args), component, _bp_cfg(args), paths, _train_cfg(args))
     summary = {
         "component": result.component,
         "full_overall": result.full.overall,
@@ -227,9 +217,7 @@ def _default_grid() -> list[BuildConfig]:
 
 def cmd_tune(args) -> int:
     grid = _grid_from_file(args.grid) if args.grid else _default_grid()
-    result = tune_thresholds(
-        _spec(args), grid, DataPaths.from_dir(args.data_dir), _bp_cfg(args), _train_cfg(args)
-    )
+    result = tune_thresholds(_spec(args), grid, DataPaths.from_dir(args.data_dir), _bp_cfg(args), _train_cfg(args))
     table = "".join(f"# dev_overall={score:.6f}\n{text}\n" for text, score in result.table)
     out = write_outputs(args.out_dir, {"best_config.cfg": result.best.to_text(), "tune_table.txt": table})
     print(f"best dev overall={result.best_score:.4f}; config written to {out / 'best_config.cfg'}")

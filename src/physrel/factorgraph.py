@@ -35,8 +35,8 @@ BP_BLOCK = 16384
 # steadily clamped) before run_bp freezes them: each freeze recomputes the
 # frozen sums from scratch, so it waits for a batch worth that cost.
 BP_FREEZE = 0.01
-# Factor records dump_graph formats and load_graph parses at a time, which
-# bounds the Python objects each holds at once.
+# Factor records dump_graph formats and load_graph parses (and adds to the
+# graph) at a time, which bounds the Python objects and arrays each holds at once.
 TEXT_BLOCK = 16384
 # The line breaks str.splitlines knows besides "\n"; no node key or factor kind
 # may hold one.
@@ -592,7 +592,7 @@ def _breaks(text: str) -> bool:
 
 
 def load_graph(text: str) -> FactorGraph:
-    """Parse :func:`dump_graph` output, adding every factor in one bulk call.
+    """Parse :func:`dump_graph` output, adding each block of factor records to the graph as it is parsed.
 
     Lines are split as ``str.splitlines`` splits them. Blank, whitespace-only
     and ``#`` lines are skipped. A record is ``var<TAB>id<TAB>node`` or
@@ -629,19 +629,17 @@ def load_graph(text: str) -> FactorGraph:
                     raise ValueError(f"line {first + index}: malformed or duplicate record")
                 graph.add_variable(parts[2])
             for start in range(lo, hi, TEXT_BLOCK):
-                bad = parsed.add(lines[start : min(start + TEXT_BLOCK, hi)], graph.n_variables)
+                bad = parsed.add(lines[start : min(start + TEXT_BLOCK, hi)], graph)
                 if bad is not None:
                     raise ValueError(f"line {first + start + bad}: malformed or duplicate record")
             at = hi
         pos, first = end, first + len(lines)
-    factors = np.concatenate([np.zeros((0, 4), np.int64), *parsed.chunks])
-    graph.add_factors(list(parsed.kinds), factors[:, 0], factors[:, 1:3], factors[:, 3], parsed.rows, parsed.bank)
     return graph
 
 
 class _FactorColumns:
-    """The factor records :func:`load_graph` has read, as column chunks, and
-    what each distinct kind, value text and scope id parsed to."""
+    """What each distinct kind, value text and scope id :func:`load_graph` has
+    read parsed to; each block of factor records goes straight to the graph."""
 
     def __init__(self):
         self.kinds: dict[str, int] = {}  # kind -> kind id, in first-seen order
@@ -653,11 +651,10 @@ class _FactorColumns:
         # every variable v defined so far, so only other texts go through int().
         self.ids: dict[str, int] = {}
         self.n_variables = 0
-        self.chunks: list[np.ndarray] = []  # (k, 4): kind id, scope a, scope b or -1, table id
-        self.n = 0
+        self.n = 0  # factor records added
 
-    def add(self, lines: list[str], n_variables: int) -> Optional[int]:
-        """Append ``factor`` lines; return the index of the first malformed one, if any."""
+    def add(self, lines: list[str], graph: FactorGraph) -> Optional[int]:
+        """Add ``factor`` lines to ``graph``; return the index of the first malformed one, if any."""
         tabs = list(map(str.count, lines, repeat("\t")))
         k = len(lines) if tabs.count(4) == len(lines) else [t == 4 for t in tabs].index(False)
         if k == 0:
@@ -668,19 +665,26 @@ class _FactorColumns:
         del fields
         expected = list(map(str, range(self.n, self.n + k)))
         bad = np.zeros(k, bool) if ids == expected else np.not_equal(ids, expected)
-        new = range(self.n_variables, n_variables)
+        new = range(self.n_variables, graph.n_variables)
         self.ids.update(zip(map(str, new), new))
-        self.n_variables = n_variables
+        self.n_variables = graph.n_variables
         code = _lookup(self.tables, values, self._table)
         commas = np.fromiter(map(str.count, scopes, repeat(",")), np.int64, k)
         variables = _lookup(self.ids, ",".join(scopes).split(","), _variable_id)
         first = np.cumsum(commas + 1) - commas - 1  # the index of each line's first token
         a, b = variables[first], variables[first + np.minimum(commas, 1)]
-        bad |= (code % 4 != commas + 1) | (np.minimum(a, b) < 0) | (np.maximum(a, b) >= n_variables)
+        bad |= (code % 4 != commas + 1) | (np.minimum(a, b) < 0) | (np.maximum(a, b) >= graph.n_variables)
         if bad.any() or k < len(lines):
             return int(np.argmax(bad)) if bad.any() else k
         kind_ids = _lookup(self.kinds, kinds, lambda text: len(self.kinds))
-        self.chunks.append(np.column_stack([kind_ids, a, np.where(commas, b, -1), code // 4]))
+        # Only the tables this block uses go with it, in code order, which is
+        # first-seen order within each arity, so the bank keeps that order.
+        codes, inverse = np.unique(code, return_inverse=True)
+        unary = codes % 4 == 1
+        rows = [self.rows[i] for i in (codes[unary] // 4).tolist()]
+        bank = [self.bank[i] for i in (codes[~unary] // 4).tolist()]
+        table_ids = np.where(unary, np.cumsum(unary), np.cumsum(~unary))[inverse] - 1
+        graph.add_factors(list(self.kinds), kind_ids, np.column_stack([a, np.where(commas, b, -1)]), table_ids, rows, bank)
         self.n += k
         return None
 

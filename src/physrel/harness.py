@@ -222,10 +222,16 @@ def _fingerprint(*chunks: str) -> str:
 # -- baselines --
 
 
-def baseline_random(dataset: KnowledgeDataset, spec: TaskSpec, rng_seed: int = 0, resamples: int = 1) -> AccuracyReport:
-    """Uniform choice among the three values; expected accuracy 1/3."""
+def check_random_baseline(rng_seed: int, resamples: int) -> None:
+    """Raise ValueError for a seed TrainConfig rejects or fewer than one resample."""
+    TrainConfig(rng_seed=rng_seed)
     if resamples < 1:
         raise ValueError(f"resamples must be >= 1, got {resamples}")
+
+
+def baseline_random(dataset: KnowledgeDataset, spec: TaskSpec, rng_seed: int = 0, resamples: int = 1) -> AccuracyReport:
+    """Uniform choice among the three values; expected accuracy 1/3."""
+    check_random_baseline(rng_seed, resamples)
     _, _, gold = _eval_labels(dataset, spec)
     rng = np.random.default_rng(rng_seed)
     accs: dict[str, float] = {}

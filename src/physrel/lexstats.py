@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from .core import ATTRIBUTES, RELATION_TOKENS, Attribute, FrameNode, ObjectPairNode, RelationValue, ordered_pair
-from .core import format_frame_key, relation_from_token
+from .core import FLIP_INDEX, format_frame_key, relation_from_token
 
 logger = logging.getLogger(__name__)
 
@@ -412,7 +412,7 @@ def _load_labels(path, name: str) -> tuple[list, list]:
                 raise ValueError(f"frames of verb {key[0]!r} span multiple splits")
             if labels[row][column] >= 0:
                 raise ValueError(f"duplicate label for {key} / {ATTRIBUTES[column]}")
-            labels[row][column] = 2 - relation if swapped else relation  # flip: GT <-> LT
+            labels[row][column] = FLIP_INDEX[relation] if swapped else relation
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return items, labels

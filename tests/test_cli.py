@@ -136,6 +136,20 @@ def test_a_negative_rng_seed_fails_before_any_work(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("algorithm", ["model", "random", "majority", "emb-maxent"])
+@pytest.mark.parametrize(
+    "flag, message", [("--rng-seed", "rng_seed must be an int >= 0, not -1"), ("--resamples", "resamples must be >= 1")]
+)
+def test_eval_checks_seed_and_resamples_before_any_work(tmp_path, capsys, algorithm, flag, message):
+    # The data directory does not exist: both flags are checked, whichever
+    # algorithm runs, before anything is read.
+    out = tmp_path / "out"
+    argv = ["eval", "--algorithm", algorithm, "--data-dir", str(tmp_path / "missing"), "--out-dir", str(out)]
+    assert main(argv + [flag, "-1"]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "grid, message",
     [

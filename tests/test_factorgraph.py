@@ -775,3 +775,62 @@ def test_load_names_the_malformed_line(bad_line):
     load_graph(text)
     with pytest.raises(ValueError, match=r"^line 6: "):
         load_graph(text + bad_line + "\n" + "factor\t3\tk\t1\t1 1 1\n")
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, factorgraph.TEXT_BLOCK])
+def test_load_keeps_first_seen_order_whatever_the_block(monkeypatch, block):
+    # Kinds and tables are passed to add_factors in an order other than the
+    # one their factors first use; the loaded graph has first-seen order, and
+    # with blocks of 1-3 lines each block holds only a few of the 40 tables.
+    rng = np.random.default_rng(47)
+    g = FactorGraph()
+    for i in range(12):
+        g.add_variable(f"v{i}")
+    tables = rng.uniform(0.05, 2.0, (40, 3, 3))
+    b = 90
+    first = rng.integers(0, 12, b)
+    scopes = np.column_stack([first, (first + rng.integers(1, 12, b)) % 12])
+    table_ids = rng.permutation(np.arange(b) % 40)
+    g.add_factors(["z", "a", "m"], rng.integers(0, 3, b), scopes, table_ids, binary_tables=tables)
+    g.add_factors(["seed"], np.zeros(12), np.column_stack([np.arange(12), np.full(12, -1)]), np.arange(12) % 3,
+                  unary_tables=rng.uniform(0.1, 1.0, (3, 3)))
+    text = dump_graph(g)
+    fields = [line.split("\t") for line in text.splitlines() if line.startswith("factor\t")]
+    expected = run_bp(load_graph(text), BPConfig(max_iterations=20)).marginals  # at the default block
+    monkeypatch.setattr(factorgraph, "TEXT_BLOCK", block)
+    loaded = load_graph(text)
+    assert loaded.kinds == list(dict.fromkeys(f[2] for f in fields)) != g.kinds
+    bank_text = [" ".join(map(repr, t.ravel().tolist())) for t in loaded.bank]
+    assert bank_text == list(dict.fromkeys(f[4] for f in fields if "," in f[3]))
+    assert len(loaded.bank) == len(g.bank) and not all(map(np.array_equal, loaded.bank, g.bank))
+    assert dump_graph(loaded) == text
+    assert np.array_equal(run_bp(loaded, BPConfig(max_iterations=20)).marginals, expected)
+
+
+def test_load_memory_peak_does_not_grow_with_the_factor_count(monkeypatch):
+    # Each block of factor records goes straight into the graph, so what
+    # load_graph holds beyond the graph it returns is about one block's worth.
+    monkeypatch.setattr(factorgraph, "TEXT_BLOCK", 1024)
+    n = 20_000
+    extra = []
+    for b in (25_000, 100_000):
+        rng = np.random.default_rng(43)
+        g = FactorGraph()
+        for i in range(n):
+            g.add_variable(i)
+        first = rng.integers(0, n, b)
+        scopes = np.column_stack([first, (first + rng.integers(1, n, b)) % n])
+        g.add_factors(["sim"], np.zeros(b), scopes, rng.integers(0, 2, b), binary_tables=[SOFT_ONE, flipped_table(SOFT_ONE)])
+        g.add_factors(["seed"], np.zeros(n), np.column_stack([np.arange(n), np.full(n, -1)]), np.arange(n) % 2,
+                      unary_tables=[[0.2, 0.3, 0.5], [0.5, 0.3, 0.2]])
+        text = dump_graph(g)
+        del g
+        tracemalloc.start()
+        try:
+            loaded = load_graph(text)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.n_variables == n
+        extra.append(peak - retained)
+    assert extra[1] - extra[0] < 2**20

@@ -259,6 +259,11 @@ def test_baseline_random_rejects_resamples_below_one(world, tmp_path, capsys, re
     assert not (tmp_path / "report.json").exists()
 
 
+def test_baseline_random_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="rng_seed must be an int >= 0, not -1"):
+        baseline_random(majority_dataset(), TaskSpec(task="objects", eval_split="dev"), rng_seed=-1)
+
+
 def test_run_result_times_every_stage(world):
     spec = TaskSpec(task="objects", cross_seed_fraction="20", eval_split="dev")
     result = run_task(spec, BuildConfig(), BPConfig(), world.paths)
