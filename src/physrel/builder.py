@@ -2,9 +2,9 @@
 
 Node set: one variable per usable (dataset item, attribute), numbered once
 by :func:`make_nodes`; an attribute that labels no item has no node. Each
-family then appends its factors to the graph in one bulk call; the graph is
-the only record of them, and the build report is counted from it. Factor
-families, each behind its own kind tag so ablations can switch them:
+family then hands each chunk of its factors to the graph as soon as it is made;
+the graph is the only record of them, and the build report is counted from it.
+Factor families, each behind its own kind tag so ablations can switch them:
 
 * ``seed``    unary, gold-label row of the soft-1 matrix, seed split only
 * ``emb``     unary, classifier probabilities, every node
@@ -93,6 +93,12 @@ class BuildConfig:
 
     def enabled(self, kind: str) -> bool:
         return kind in self.enabled_factor_kinds
+
+    def unary_classes(self) -> tuple[list[str], list[str]]:
+        """The item classes (of ``KINDS``) whose nodes take seed factors, and those whose nodes take emb factors."""
+        seeded = [kind for kind, on in zip(KINDS, (self.seed_frames, self.seed_objects)) if on and self.enabled("seed")]
+        embedded = [kind for kind, on in zip(KINDS, (self.emb_frames, self.emb_objects)) if on and self.enabled("emb")]
+        return seeded, embedded
 
     def to_text(self) -> str:
         """One ``key=value`` line per field, in declaration order."""
@@ -208,12 +214,6 @@ SOFT, FLIPPED = 0, 1
 BINARY_TABLES = (SOFT_ONE, flipped_table(SOFT_ONE))
 
 
-def factor_rows(kind: str, a, b=-1, table=SOFT) -> np.ndarray:
-    """Factors as (kind code, var a, var b or -1 if unary, table id) rows; b and table broadcast."""
-    a, b, table = np.broadcast_arrays(np.asarray(a, dtype=np.int64), b, table)
-    return np.column_stack([np.full(len(a), FACTOR_KINDS.index(kind)), a, b, table]).astype(np.int64)
-
-
 @dataclass
 class Build:
     graph: FactorGraph
@@ -229,10 +229,13 @@ class Build:
         counts = np.bincount(self.graph.columns()[0], minlength=len(self.graph.kinds))
         return {kind: int(n) for kind, n in zip(self.graph.kinds, counts) if n}
 
-    def add(self, chunks: Sequence[np.ndarray], rows: Sequence = ()) -> None:
-        """Add :func:`factor_rows` chunks in order, unary table ids indexing ``rows``."""
-        factors = np.concatenate([np.zeros((0, 4), np.int64), *chunks])
-        self.graph.add_factors(FACTOR_KINDS, factors[:, 0], factors[:, 1:3], factors[:, 3], rows, BINARY_TABLES)
+    def add(self, kind, a, b=-1, table=SOFT, rows: Sequence = ()) -> None:
+        """Add one chunk of factors of ``kind`` (a ``FACTOR_KINDS`` name, or each factor's index into it) on
+        variables ``a`` and ``b`` (-1 for a unary factor); ``b``, ``table`` and ``kind`` broadcast against ``a``.
+        A unary factor's table id indexes ``rows``, a binary one's ``BINARY_TABLES``."""
+        kind = FACTOR_KINDS.index(kind) if isinstance(kind, str) else kind
+        a, b, table, kind = np.broadcast_arrays(np.asarray(a, dtype=np.int64), b, table, kind)
+        self.graph.add_factors(FACTOR_KINDS, kind, np.column_stack([a, b]), table, rows, BINARY_TABLES)
 
     def report_tsv(self) -> str:
         report = self.report
@@ -270,13 +273,11 @@ def add_seed_and_emb_factors(
     Factors run attribute by attribute, frames then pairs, in item order;
     an item's seed factor comes before its emb factor.
     """
-    seeded = [kind for kind, on in zip(KINDS, (cfg.seed_frames, cfg.seed_objects)) if on and cfg.enabled("seed")]
-    embedded = [kind for kind, on in zip(KINDS, (cfg.emb_frames, cfg.emb_objects)) if on and cfg.enabled("emb")]
+    seeded, embedded = cfg.unary_classes()
     if embedded and models is None:
         raise ValueError("emb factors requested but no trained models supplied")
     features = {kind: featurize_items(kind, getattr(dataset, kind), models.embeddings) for kind in embedded}
     kind_codes = np.array([FACTOR_KINDS.index("seed"), FACTOR_KINDS.index("emb")])
-    factors, tables = [], []
     with dataset.audit_label_access({"seed"}):
         for column, attribute in enumerate(ATTRIBUTES):
             for kind, variables in zip(KINDS, build.item_vars):
@@ -292,11 +293,7 @@ def add_seed_and_emb_factors(
                     present[:, 1] = True
                     table[:, 1] = models.proba(kind, features[kind][rows], attribute)
                 node, slot = np.nonzero(present)
-                factors.append(np.column_stack([kind_codes[slot], variables[rows[node], column]]))
-                tables.append(table[present])
-    factors = np.concatenate([np.zeros((0, 2), np.int64), *factors])
-    rows = np.concatenate([np.zeros((0, N_VALUES)), *tables])
-    build.add([np.column_stack([factors, np.full(len(rows), -1), np.arange(len(rows))])], rows)
+                build.add(kind_codes[slot], variables[rows[node], column], -1, np.arange(len(node)), table[present])
     return build
 
 
@@ -334,7 +331,7 @@ def add_selectional_preference_factors(build: Build, stats: CooccurrenceStats, c
     frame_vars, pair_vars = build.item_vars[0][frames], build.item_vars[1][pairs]
     both = (frame_vars >= 0) & (pair_vars >= 0)
     table = np.broadcast_to(tables[:, None], both.shape)[both]
-    build.add([factor_rows("selpref", frame_vars[both], pair_vars[both], table)])
+    build.add("selpref", frame_vars[both], pair_vars[both], table)
     return build
 
 
@@ -373,28 +370,26 @@ def add_similarity_factors(build: Build, emb: Embeddings, cfg: BuildConfig) -> B
     similar_verbs = np.nonzero(np.triu(similar_pairs(emb.verbs, verbs, cfg.verb_sim_threshold), 1))
     similar_objects = np.nonzero(np.triu(similar_pairs(emb.objects, objects, cfg.obj_sim_threshold), 1))
 
-    chunks = []
     for frame_vars, pair_vars in zip(build.item_vars[0].T, build.item_vars[1].T):
         if cfg.enabled("framesim"):
             a, b = frame_vars[linked].T
-            chunks.append(factor_rows("framesim", a[(a >= 0) & (b >= 0)], b[(a >= 0) & (b >= 0)]))
+            build.add("framesim", a[(a >= 0) & (b >= 0)], b[(a >= 0) & (b >= 0)])
         if cfg.enabled("verbsim"):
             # For each similar verb pair (u, v), u before v: a link between their frames of one shape.
             var_at = np.full((len(verbs), len(shapes)), -1, dtype=np.int64)
             var_at[verb_of, shape_of] = frame_vars
             u, v = similar_verbs
             both = (var_at[u] >= 0) & (var_at[v] >= 0)
-            chunks.append(factor_rows("verbsim", var_at[u][both], var_at[v][both]))
+            build.add("verbsim", var_at[u][both], var_at[v][both])
         if cfg.enabled("objsim"):
-            chunks.append(_object_similarity_factors(x_of, y_of, pair_vars, len(objects), similar_objects))
-    build.add(chunks, [SOFT_ONE[RelationValue.EQ]])
+            _object_similarity_factors(build, x_of, y_of, pair_vars, len(objects), similar_objects)
     return build
 
 
-def _object_similarity_factors(x_of, y_of, variables, n_objects: int, similar) -> np.ndarray:
-    """For each similar object pair (x, y), x before y: an EQ nudge (unary
-    row 0) on the pair's own node, then a link between (x, z) and (y, z) for
-    every shared comparator z in order, flipped when z sits between x and y."""
+def _object_similarity_factors(build: Build, x_of, y_of, variables, n_objects: int, similar) -> None:
+    """Add, for each similar object pair (x, y), x before y: an EQ nudge on
+    the pair's own node, then a link between (x, z) and (y, z) for every
+    shared comparator z in order, flipped when z sits between x and y."""
     var_of = np.full((n_objects, n_objects), -1, dtype=np.int64)
     var_of[x_of, y_of] = var_of[y_of, x_of] = variables
     x, y = similar
@@ -403,7 +398,8 @@ def _object_similarity_factors(x_of, y_of, variables, n_objects: int, similar) -
     x, y, z, direct = x[p], y[p], col - 1, col == 0
     a = np.where(direct, var_of[x, y], var_of[x, z])
     b = np.where(direct, -1, var_of[y, z])
-    return factor_rows("objsim", a, b, np.where(direct, 0, np.where((x < z) == (y < z), SOFT, FLIPPED)))
+    tables = np.where(direct, 0, np.where((x < z) == (y < z), SOFT, FLIPPED))
+    build.add("objsim", a, b, tables, [SOFT_ONE[RelationValue.EQ]])
 
 
 def add_attribute_factors(build: Build, dataset: KnowledgeDataset, cfg: BuildConfig) -> Build:
@@ -411,7 +407,6 @@ def add_attribute_factors(build: Build, dataset: KnowledgeDataset, cfg: BuildCon
     attribute pair that labels no seed frame in common gets no factor."""
     with dataset.audit_label_access({"seed"}):
         gold = dataset.gold_rows("frames", dataset.rows_in("frames", "seed"))
-    chunks = []
     for i, j in combinations(range(len(ATTRIBUTES)), 2):
         shared = (gold[:, i] >= 0) & (gold[:, j] >= 0)
         n_shared = int(shared.sum())
@@ -421,8 +416,7 @@ def add_attribute_factors(build: Build, dataset: KnowledgeDataset, cfg: BuildCon
             continue
         var_a, var_b = build.item_vars[0][:, i], build.item_vars[0][:, j]
         both = (var_a >= 0) & (var_b >= 0)
-        chunks.append(factor_rows("attrsim", var_a[both], var_b[both]))
-    build.add(chunks)
+        build.add("attrsim", var_a[both], var_b[both])
     return build
 
 
@@ -438,7 +432,7 @@ def build(
     start = time.perf_counter()
     result = make_nodes(dataset)
     result.timings["nodes"] = time.perf_counter() - start
-    if cfg.enabled("seed") or cfg.enabled("emb"):
+    if any(cfg.unary_classes()):
         _timed(result, "seed_emb", add_seed_and_emb_factors, dataset, models, cfg)
     if cfg.enabled("selpref"):
         if stats is None:
@@ -456,4 +450,7 @@ def build(
 def _timed(result: Build, stage: str, add, *args) -> None:
     start = time.perf_counter()
     add(result, *args)
+    # A stage adds many small chunks among its larger temporaries; joining them as those
+    # are freed keeps the heap from being left in scattered pieces for later stages.
+    result.graph.columns()
     result.timings[stage] = time.perf_counter() - start

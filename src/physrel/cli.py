@@ -43,7 +43,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--task", choices=("frames", "objects"), default="frames")
     parser.add_argument("--cross", choices=("5", "20"), default="5", help="cross-domain seed profile")
     parser.add_argument("--eval-split", choices=("dev", "test"), default="dev")
-    parser.add_argument("--config", help="BuildConfig key=value file")
     parser.add_argument("--rng-seed", type=int, default=0)
 
 
@@ -70,13 +69,19 @@ def _train_cfg(args) -> TrainConfig:
     return TrainConfig(rng_seed=args.rng_seed)
 
 
+# Characters written per call, so no whole file is held encoded at once.
+WRITE_SLICE = 1 << 20
+
+
 def write_outputs(out_dir, files: Mapping[str, str]) -> Path:
-    """Create ``out_dir`` and write each file name's text into it as UTF-8.
-    Every file the package writes goes through here."""
+    """Create ``out_dir`` and write each file name's text into it as UTF-8, ``WRITE_SLICE``
+    characters at a time. Every file the package writes goes through here."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
-        (out / name).write_text(text, encoding="utf-8")
+        with open(out / name, "w", encoding="utf-8") as f:
+            for start in range(0, len(text), WRITE_SLICE):
+                f.write(text[start : start + WRITE_SLICE])
     return out
 
 
@@ -237,6 +242,8 @@ def main(argv=None) -> int:
 
     for p in (p_train, p_build, p_infer, p_eval, p_ablate, p_tune):
         _add_common(p)
+    for p in (p_build, p_infer, p_eval, p_ablate):
+        p.add_argument("--config", help="BuildConfig key=value file")
     for p in (p_infer, p_eval, p_ablate, p_tune):
         _add_bp(p)
     p_eval.add_argument("--algorithm", choices=("model", "random", "majority", "emb-maxent"), default="model")

@@ -124,8 +124,8 @@ class FactorGraph:
         -1 in column 1 for a unary factor). Its table is ``unary_tables[table_ids[i]]``
         (3 values) if unary, else ``binary_tables[table_ids[i]]`` (3x3), which the
         bank keeps once however many factors share it. Raises ValueError naming
-        the first factor with an unknown kind, variable or table, or a table
-        that is not strictly positive.
+        the first factor with an unknown kind, variable or table, a binary
+        scope whose two ends are one variable, or a table that is not strictly positive.
         """
         kind_ids, table_ids = (np.array(ids, dtype=np.int64).reshape(-1) for ids in (kind_ids, table_ids))
         scopes = np.array(scopes, dtype=np.int64).reshape(-1, 2)
@@ -139,6 +139,7 @@ class FactorGraph:
 
         check("unknown kind", (kind_ids < 0) | (kind_ids >= len(kinds)))
         check("unknown variable", (scopes[:, 0] < 0) | (scopes[:, 1] < -1) | (scopes >= self.n_variables).any(axis=1))
+        check("both ends are one variable", scopes[:, 0] == scopes[:, 1])
         check("unknown table", (table_ids < 0) | (table_ids >= np.where(unary, len(rows), len(tables))))
         positive = np.concatenate([(rows > 0).all(axis=1), (tables > 0).all(axis=(1, 2))])
         check("table not strictly positive", ~positive[np.where(unary, table_ids, len(rows) + table_ids)])
@@ -599,7 +600,7 @@ def load_graph(text: str) -> FactorGraph:
     ``factor<TAB>id<TAB>kind<TAB>scope<TAB>values``, and its id must be its
     position among the records of its type. A scope is one or two
     comma-separated variable ids, each as ``int()`` reads it, of variables
-    defined on earlier lines. Values are 3 (unary) or 9 (binary)
+    defined on earlier lines, two of them distinct. Values are 3 (unary) or 9 (binary)
     whitespace-separated ``float()`` texts, all positive. A node may appear
     only once. Malformed input raises ValueError naming its first bad line.
     """
@@ -674,6 +675,8 @@ class _FactorColumns:
         first = np.cumsum(commas + 1) - commas - 1  # the index of each line's first token
         a, b = variables[first], variables[first + np.minimum(commas, 1)]
         bad |= (code % 4 != commas + 1) | (np.minimum(a, b) < 0) | (np.maximum(a, b) >= graph.n_variables)
+        b = np.where(commas, b, -1)  # -1 for a unary factor
+        bad |= a == b
         if bad.any() or k < len(lines):
             return int(np.argmax(bad)) if bad.any() else k
         kind_ids = _lookup(self.kinds, kinds, lambda text: len(self.kinds))
@@ -684,7 +687,7 @@ class _FactorColumns:
         rows = [self.rows[i] for i in (codes[unary] // 4).tolist()]
         bank = [self.bank[i] for i in (codes[~unary] // 4).tolist()]
         table_ids = np.where(unary, np.cumsum(unary), np.cumsum(~unary))[inverse] - 1
-        graph.add_factors(list(self.kinds), kind_ids, np.column_stack([a, np.where(commas, b, -1)]), table_ids, rows, bank)
+        graph.add_factors(list(self.kinds), kind_ids, np.column_stack([a, b]), table_ids, rows, bank)
         self.n += k
         return None
 

@@ -348,8 +348,7 @@ def build_graph(prepared: Prepared, cfg: BuildConfig) -> Build:
     """Assemble the graph for one config with only seed labels readable;
     classifiers are trained only when the config attaches their factors."""
     with prepared.dataset.audit_label_access({"seed"}):
-        needs_models = cfg.enabled("emb") and (cfg.emb_frames or cfg.emb_objects)
-        models = prepared.models if needs_models else None
+        models = prepared.models if cfg.unary_classes()[1] else None
         return build(prepared.dataset, prepared.emb, prepared.stats, models, cfg)
 
 
@@ -446,7 +445,7 @@ def run_ablation(
 class TuneResult:
     best: BuildConfig
     best_score: float
-    table: list[tuple[str, float]]  # (config text, dev overall) per candidate
+    table: list[tuple[str, float]]  # (config text, dev overall) per distinct candidate
 
 
 def tune_thresholds(
@@ -456,20 +455,12 @@ def tune_thresholds(
     bp_cfg: BPConfig = BPConfig(),
     train_cfg: TrainConfig = TrainConfig(),
 ) -> TuneResult:
-    """Exhaustive dev-set search; ties break toward the lexicographically
-    smaller config text."""
-    candidates = list(grid)
+    """Exhaustive dev-set search, each distinct config text scored once; ties
+    break toward the lexicographically smaller config text."""
+    candidates = {cfg.to_text(): cfg for cfg in grid}
     if not candidates:
         raise ValueError("empty tuning grid")
     prepared = prepare(replace(spec, eval_split="dev"), paths, train_cfg)
-    best_cfg: Optional[BuildConfig] = None
-    best_score = -1.0
-    table: list[tuple[str, float]] = []
-    for cfg in sorted(candidates, key=lambda c: c.to_text()):
-        result = infer(prepared, cfg, bp_cfg)
-        score = result.report.overall
-        table.append((cfg.to_text(), score))
-        if score > best_score:
-            best_cfg = cfg
-            best_score = score
-    return TuneResult(best_cfg, best_score, table)
+    table = [(text, infer(prepared, cfg, bp_cfg).report.overall) for text, cfg in sorted(candidates.items())]
+    best_text, best_score = max(table, key=lambda row: row[1])  # the first of equal scores
+    return TuneResult(candidates[best_text], best_score, table)

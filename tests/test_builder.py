@@ -1,5 +1,6 @@
 """Graph assembly: the soft-1 constant, orientation handling, factor gating."""
 import re
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -18,7 +19,6 @@ from physrel.builder import (
     add_selectional_preference_factors,
     add_similarity_factors,
     build,
-    factor_rows,
     featurize_items,
     flipped_table,
     frames_link,
@@ -27,8 +27,10 @@ from physrel.builder import (
 )
 from physrel.core import ATTRIBUTES, Attribute, FrameNode, ObjectPairNode, RelationValue
 from physrel.factorgraph import BPConfig, dump_graph, run_bp
+from physrel.harness import DataPaths, TaskSpec, prepare
 from physrel.lexstats import CooccurrenceStats, EmbeddingStore, Embeddings, similar_pairs
 from physrel.maxent import TrainConfig, predict_proba
+from physrel.synthetic import generate_world
 from conftest import cooccurrence, cosine, entries, entry_row, factors, make_dataset, one_descent_per_model, pmi, variable
 
 SIZE, WEIGHT, SPEED, STRENGTH = Attribute.SIZE, Attribute.WEIGHT, Attribute.SPEED, Attribute.STRENGTH
@@ -303,7 +305,7 @@ def test_selpref_matches_the_reference_walk(data):
     frame_vars, pair_vars = expected.item_vars[0][frames], expected.item_vars[1][pair_rows]
     both = (frame_vars >= 0) & (pair_vars >= 0)
     table = np.broadcast_to(tables[:, None], both.shape)[both]
-    expected.add([factor_rows("selpref", frame_vars[both], pair_vars[both], table)])
+    expected.add("selpref", frame_vars[both], pair_vars[both], table)
 
     cfg = BuildConfig(pmi_threshold=threshold)
     actual = add_selectional_preference_factors(make_nodes(ds), stats, cfg)
@@ -394,6 +396,24 @@ def test_similarity_threshold_above_all_cosines_gives_no_factors():
     b = make_nodes(ds)
     add_similarity_factors(b, emb, BuildConfig(obj_sim_threshold=1.1, verb_sim_threshold=1.1))
     assert kind_counts(b)["objsim"] == 0 and kind_counts(b)["verbsim"] == 0
+
+
+def test_similarity_factors_go_to_the_graph_chunk_by_chunk(tmp_path):
+    # Each attribute's factors go to the graph as they are made, so the stage
+    # holds little beyond the factors it keeps.
+    generate_world(tmp_path, n_objects=60, n_verbs=20, n_pairs=900)
+    spec = TaskSpec(task="objects", cross_seed_fraction="20", eval_split="test")
+    prepared = prepare(spec, DataPaths.from_dir(tmp_path))
+    nodes = make_nodes(prepared.dataset)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        add_similarity_factors(nodes, prepared.emb, BuildConfig())
+        retained, peak = (m - start for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert nodes.report["verbsim"] and nodes.report["framesim"] and nodes.report["objsim"]
+    assert peak - retained <= 1.5 * retained
 
 
 def test_similar_pairs_follow_the_scalar_cosine_rule():

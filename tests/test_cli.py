@@ -4,13 +4,14 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import physrel
 from physrel.builder import BuildConfig
-from physrel.cli import _default_grid, _grid_from_file, main
+from physrel.cli import _default_grid, _grid_from_file, main, write_outputs
 from physrel.core import ATTRIBUTES
 from physrel.harness import TaskSpec, assemble_task_dataset, load_world
 from physrel.maxent import save_model
@@ -99,6 +100,43 @@ def test_predictions_have_a_header_and_one_row_per_scored_relation(outputs):
     rows = read(outputs["eval"], "predictions.tsv").splitlines()
     assert rows[0] == "node\tgold\tpredicted\tp_gt\tp_eq\tp_lt"
     assert len(rows) - 1 == sum(json.loads(read(outputs["eval"], "report.json"))["counts"].values())
+
+
+def test_tune_table_lists_each_distinct_default_config_once(outputs):
+    # The default grid holds BuildConfig() twice (obj_sim_threshold 0.7 is the default).
+    distinct = {cfg.to_text() for cfg in _default_grid()}
+    table = read(outputs["tune"], "tune_table.txt")
+    assert len(distinct) == 5 < len(_default_grid())
+    assert table.count("# dev_overall=") == len(distinct)
+
+
+def test_write_outputs_writes_a_slice_at_a_time(tmp_path):
+    # Writing a graph dump holds about one slice of it, not a whole encoded copy.
+    text = "factor\t0\tk\t0,1\t0.7 0.1 0.2 0.15 0.7 0.15 0.2 0.1 0.7\n" * 200_000
+    assert len(text) >= 8 * 2**20
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        write_outputs(tmp_path / "sliced", {"graph.txt": text})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 3 * 2**20
+    # The bytes are those of one write_text call, for text outside ASCII too.
+    other = "var\t0\t\u00e9\u20ac\U0001f600\r\n" * 300_000
+    write_outputs(tmp_path / "sliced", {"other.txt": other})
+    for name, whole in (("graph.txt", text), ("other.txt", other)):
+        (tmp_path / name).write_text(whole, encoding="utf-8")
+        assert (tmp_path / "sliced" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["train", "tune"])
+def test_config_is_rejected_where_no_build_config_is_read(tmp_path, command):
+    argv = [command, "--data-dir", str(tmp_path), "--out-dir", str(tmp_path / "out"), "--config", "/no/such.cfg"]
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_bp_flags_are_rejected_where_bp_does_not_run(world, tmp_path, capsys):

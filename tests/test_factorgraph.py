@@ -1,4 +1,5 @@
 """Factor graph and BP: message math, tree exactness, robustness."""
+import contextlib
 import re
 import tracemalloc
 
@@ -122,6 +123,27 @@ def test_add_factor_validations():
         g.add_factor([], np.ones(3))
     with pytest.raises(ValueError):
         g.add_variable("a")  # duplicate node
+
+
+def test_a_binary_factor_needs_two_distinct_variables():
+    g = FactorGraph()
+    a, b = g.add_variable("a"), g.add_variable("b")
+    with pytest.raises(ValueError, match=r"^factor 0 of the batch: both ends are one variable$"):
+        g.add_factor([a, a], SOFT_ONE)
+    with pytest.raises(ValueError, match=r"^factor 1 of the batch: both ends are one variable$"):
+        g.add_factors(["sim"], [0, 0], [[a, b], [b, b]], [0, 0], binary_tables=[SOFT_ONE])
+    assert len(g.columns()[0]) == 0  # a rejected batch adds nothing
+
+
+def test_bp_and_exact_never_see_a_factor_on_one_variable_twice():
+    # A factor on [v, v] would feed v's own belief back to it as evidence.
+    g = FactorGraph()
+    v = g.add_variable("a")
+    g.add_factor([v], [0.7, 0.1, 0.2])
+    with contextlib.suppress(ValueError):
+        g.add_factor([v, v], SOFT_ONE)
+    assert np.allclose(exact_marginals(g)[v], [0.7, 0.1, 0.2])
+    assert np.allclose(run_bp(g).marginals[v], [0.7, 0.1, 0.2])
 
 
 def test_bp_config_validation():
@@ -759,6 +781,8 @@ def test_load_rejects_malformed_lines():
         "factor\t2\tk\t0,1,0\t" + " ".join(["1"] * 9),  # arity 3
         "factor\t2\tk\tzero\t1 1 1",  # non-integer scope
         "factor\t2\tk\t0,-1\t" + " ".join(["1"] * 9),  # negative variable id
+        "factor\t2\tk\t1,1\t" + " ".join(["1"] * 9),  # both ends one variable
+        "factor\t2\tk\t0,-0\t" + " ".join(["1"] * 9),  # both ends one variable, spelled twice
         "factor\t2\tk\t0,7\t" + " ".join(["1"] * 9),  # unknown variable
         "factor\t2\tk\t1\t0.5 0.0 0.5",  # non-positive table
         "factor\t2\tk\t1\t0.5 x 0.5",  # non-numeric value

@@ -360,6 +360,20 @@ def test_tune_prefers_dominating_config(world):
     assert result.best_score > 0.8
 
 
+def test_tune_scores_a_config_listed_twice_once(world, monkeypatch):
+    scored = []
+
+    def counting_infer(prepared, cfg, bp_cfg):
+        scored.append(cfg)
+        return infer(prepared, cfg, bp_cfg)
+
+    monkeypatch.setattr(harness, "infer", counting_infer)
+    spec = TaskSpec(task="objects", cross_seed_fraction="5")
+    result = tune_thresholds(spec, [BuildConfig(), BuildConfig(obj_sim_threshold=0.7)], world.paths, BPConfig())
+    assert scored == [BuildConfig()]
+    assert [text for text, _ in result.table] == [BuildConfig().to_text()]
+
+
 def test_tune_empty_grid_rejected(world):
     with pytest.raises(ValueError):
         tune_thresholds(TaskSpec(), [], world.paths, BPConfig())

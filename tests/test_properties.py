@@ -36,7 +36,7 @@ def graphs(draw) -> FactorGraph:
         graph.add_variable(node)
     n = graph.n_variables
     for _ in range(draw(st.integers(0, 8))):
-        scope = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2))
+        scope = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
         table = draw(st.lists(positive, min_size=3 ** len(scope), max_size=3 ** len(scope)))
         graph.add_factor(scope, np.reshape(table, (3,) * len(scope)), kind=draw(names))
     return graph
@@ -64,8 +64,9 @@ def many_factor_graphs(draw) -> FactorGraph:
     kinds = draw(st.lists(st.text("ab%sd()", min_size=1, max_size=6), min_size=1, max_size=4, unique=True))
     rows = draw(st.lists(st.lists(positive, min_size=3, max_size=3), min_size=1, max_size=4))
     tables = draw(st.lists(st.lists(positive, min_size=9, max_size=9), min_size=1, max_size=4))
-    ids = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
-    a, b = draw(ids), draw(ids)
+    a = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    # A binary factor's second end is any variable but its first.
+    b = [(x + step) % n for x, step in zip(a, draw(st.lists(st.integers(1, n - 1), min_size=m, max_size=m)))]
     table_ids = [draw(st.integers(0, len(rows if u else tables) - 1)) for u in unary]
     graph.add_factors(
         kinds,
@@ -126,7 +127,7 @@ def reference_load_graph(text: str) -> FactorGraph:
                 store.append(values)
                 tables[parts[4]] = (1 if store is rows else 2, len(store) - 1)
             arity, table_id = tables[parts[4]]
-            if len(scope) != arity or min(scope) < 0 or max(scope) >= graph.n_variables:
+            if len(scope) != arity or min(scope) < 0 or max(scope) >= graph.n_variables or len(set(scope)) != arity:
                 raise ValueError
         except (ValueError, KeyError):
             raise ValueError(f"line {lineno}: malformed or duplicate record") from None
