@@ -265,14 +265,13 @@ def make_nodes(dataset: KnowledgeDataset) -> Build:
     return Build(graph, dataset, item_vars)
 
 
-def add_seed_and_emb_factors(
-    build: Build, dataset: KnowledgeDataset, models: Optional[TrainedModels], cfg: BuildConfig
-) -> Build:
+def add_seed_and_emb_factors(build: Build, models: Optional[TrainedModels], cfg: BuildConfig) -> None:
     """Unary factors: soft-1 gold rows on seed nodes, classifier rows everywhere.
 
     Factors run attribute by attribute, frames then pairs, in item order;
     an item's seed factor comes before its emb factor.
     """
+    dataset = build.dataset
     seeded, embedded = cfg.unary_classes()
     if embedded and models is None:
         raise ValueError("emb factors requested but no trained models supplied")
@@ -294,10 +293,9 @@ def add_seed_and_emb_factors(
                     table[:, 1] = models.proba(kind, features[kind][rows], attribute)
                 node, slot = np.nonzero(present)
                 build.add(kind_codes[slot], variables[rows[node], column], -1, np.arange(len(node)), table[present])
-    return build
 
 
-def add_selectional_preference_factors(build: Build, stats: CooccurrenceStats, cfg: BuildConfig) -> Build:
+def add_selectional_preference_factors(build: Build, stats: CooccurrenceStats, cfg: BuildConfig) -> None:
     """Frame <-> pair factors gated by PMI over text co-occurrence.
 
     The stored pair node is canonical; when the canonical order reverses the
@@ -332,7 +330,6 @@ def add_selectional_preference_factors(build: Build, stats: CooccurrenceStats, c
     both = (frame_vars >= 0) & (pair_vars >= 0)
     table = np.broadcast_to(tables[:, None], both.shape)[both]
     build.add("selpref", frame_vars[both], pair_vars[both], table)
-    return build
 
 
 # Coarse role equivalence for the within-verb frame link: the second slot of
@@ -348,7 +345,7 @@ def frames_link(frame_type_a: str, frame_type_b: str) -> bool:
     return ra == rb
 
 
-def add_similarity_factors(build: Build, emb: Embeddings, cfg: BuildConfig) -> Build:
+def add_similarity_factors(build: Build, emb: Embeddings, cfg: BuildConfig) -> None:
     """Verb-, frame-, and object-similarity factors.
 
     Verb and object similarity, and which frames of a verb link, are computed
@@ -383,7 +380,6 @@ def add_similarity_factors(build: Build, emb: Embeddings, cfg: BuildConfig) -> B
             build.add("verbsim", var_at[u][both], var_at[v][both])
         if cfg.enabled("objsim"):
             _object_similarity_factors(build, x_of, y_of, pair_vars, len(objects), similar_objects)
-    return build
 
 
 def _object_similarity_factors(build: Build, x_of, y_of, variables, n_objects: int, similar) -> None:
@@ -402,9 +398,10 @@ def _object_similarity_factors(build: Build, x_of, y_of, variables, n_objects: i
     build.add("objsim", a, b, tables, [SOFT_ONE[RelationValue.EQ]])
 
 
-def add_attribute_factors(build: Build, dataset: KnowledgeDataset, cfg: BuildConfig) -> Build:
+def add_attribute_factors(build: Build, cfg: BuildConfig) -> None:
     """Cross-attribute frame coupling, gated on seed-label agreement; an
     attribute pair that labels no seed frame in common gets no factor."""
+    dataset = build.dataset
     with dataset.audit_label_access({"seed"}):
         gold = dataset.gold_rows("frames", dataset.rows_in("frames", "seed"))
     for i, j in combinations(range(len(ATTRIBUTES)), 2):
@@ -417,7 +414,6 @@ def add_attribute_factors(build: Build, dataset: KnowledgeDataset, cfg: BuildCon
         var_a, var_b = build.item_vars[0][:, i], build.item_vars[0][:, j]
         both = (var_a >= 0) & (var_b >= 0)
         build.add("attrsim", var_a[both], var_b[both])
-    return build
 
 
 def build(
@@ -433,7 +429,7 @@ def build(
     result = make_nodes(dataset)
     result.timings["nodes"] = time.perf_counter() - start
     if any(cfg.unary_classes()):
-        _timed(result, "seed_emb", add_seed_and_emb_factors, dataset, models, cfg)
+        _timed(result, "seed_emb", add_seed_and_emb_factors, models, cfg)
     if cfg.enabled("selpref"):
         if stats is None:
             raise ValueError("selpref factors requested but no co-occurrence stats supplied")
@@ -443,7 +439,7 @@ def build(
             raise ValueError("similarity factors requested but no embeddings supplied")
         _timed(result, "similarity", add_similarity_factors, emb, cfg)
     if cfg.enabled("attrsim"):
-        _timed(result, "attrsim", add_attribute_factors, dataset, cfg)
+        _timed(result, "attrsim", add_attribute_factors, cfg)
     return result
 
 

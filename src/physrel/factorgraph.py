@@ -125,7 +125,7 @@ class FactorGraph:
         (3 values) if unary, else ``binary_tables[table_ids[i]]`` (3x3), which the
         bank keeps once however many factors share it. Raises ValueError naming
         the first factor with an unknown kind, variable or table, a binary
-        scope whose two ends are one variable, or a table that is not strictly positive.
+        scope whose two ends are one variable, or a table that is not finite and strictly positive.
         """
         kind_ids, table_ids = (np.array(ids, dtype=np.int64).reshape(-1) for ids in (kind_ids, table_ids))
         scopes = np.array(scopes, dtype=np.int64).reshape(-1, 2)
@@ -141,8 +141,9 @@ class FactorGraph:
         check("unknown variable", (scopes[:, 0] < 0) | (scopes[:, 1] < -1) | (scopes >= self.n_variables).any(axis=1))
         check("both ends are one variable", scopes[:, 0] == scopes[:, 1])
         check("unknown table", (table_ids < 0) | (table_ids >= np.where(unary, len(rows), len(tables))))
-        positive = np.concatenate([(rows > 0).all(axis=1), (tables > 0).all(axis=(1, 2))])
-        check("table not strictly positive", ~positive[np.where(unary, table_ids, len(rows) + table_ids)])
+        valid = np.concatenate([(rows > 0).all(axis=1), (tables > 0).all(axis=(1, 2))])
+        valid &= np.concatenate([np.isfinite(rows).all(axis=1), np.isfinite(tables).all(axis=(1, 2))])
+        check("table not finite and strictly positive", ~valid[np.where(unary, table_ids, len(rows) + table_ids)])
 
         kind_map = np.array([self._kinds.setdefault(k, len(self._kinds)) for k in kinds] + [0])
         self.kinds = list(self._kinds)
@@ -257,8 +258,8 @@ def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
     frozen factor's skipped messages only change below 2**-55. So with
     ``convergence_eps`` >= 2**-55 the iterations are the same, and so is
     every residual but a last one below 2**-55; every belief is the same but
-    for a clamped variable's entries below delta. The damped path keeps
-    every factor live.
+    for a clamped variable's entries below delta. A damped run freezes
+    nothing.
     """
     n = graph.n_variables
     if n == 0:
@@ -270,8 +271,6 @@ def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
     binary = np.flatnonzero(~unary)
     binary = binary[np.argsort(table[binary], kind="stable")]
     tids, b = table[binary], len(binary)
-    if b == 0:
-        return BPResult(_normalize_rows_log(base.T), True, 1, [0.0])
     edge_var = np.concatenate([scope[binary, 0], scope[binary, 1]])
     # Blocks of at most BP_BLOCK factors, each cut into runs that share a bank table.
     starts = np.flatnonzero(np.diff(tids, prepend=-1))
@@ -281,12 +280,6 @@ def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
         cuts = [lo, *starts[(starts > lo) & (starts < hi)].tolist(), hi]
         blocks.append((lo, hi, [(s - lo, e - lo, int(tids[s])) for s, e in zip(cuts, cuts[1:])]))
     del binary, tids, starts  # of the layout, only edge_var and the blocks outlive set-up
-    # Per block, the runs (start, end, table) and the two end variables of its
-    # live factors, and the span of variable ids each end takes.
-    live = [
-        ([(s, e, graph.bank[t]) for s, e, t in runs], *_ends_and_spans(edge_var[lo:hi], edge_var[b + lo : b + hi]))
-        for lo, hi, runs in blocks
-    ]
 
     f2v = [np.full((N_VALUES, 2 * (hi - lo)), 1.0 / N_VALUES) for lo, hi, _ in blocks]
     v2f = [block.copy() for block in f2v]
@@ -306,16 +299,15 @@ def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
         old[:, cols] = raw
         return largest
 
-    frozen = None if config.damping else _Frozen(graph.bank, blocks, edge_var, base)
+    frozen = _Frozen(graph.bank, blocks, edge_var, base)
     totals = base + np.log(1.0 / N_VALUES) * np.bincount(edge_var, minlength=n)
     residuals: list[float] = []
     for _ in range(config.max_iterations):
         scaled = np.exp(totals - totals.max(axis=0))
-        if frozen is not None:
-            frozen.release(totals, scaled, live, f2v, v2f)
-        totals = (base if frozen is None else frozen.start).copy()
+        frozen.release(totals, scaled, f2v, v2f)
+        totals = frozen.start.copy()
         delta = 0.0
-        for (runs, first, second, spans), to_var, to_factor in zip(live, f2v, v2f):
+        for (runs, first, second, spans), to_var, to_factor in zip(frozen.live, f2v, v2f):
             k = len(first)
             if k == 0:  # every factor of the block is frozen
                 continue
@@ -343,11 +335,10 @@ def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
         residuals.append(float(delta))
         if delta < config.convergence_eps:
             break
-        if frozen is not None:
-            frozen.freeze(scaled, live, f2v, v2f)
+        if not config.damping:
+            frozen.freeze(f2v, v2f)
 
-    if frozen is not None and frozen.masks is not None:
-        frozen.restore(totals, np.exp(totals - totals.max(axis=0)), f2v)
+    frozen.restore(totals, np.exp(totals - totals.max(axis=0)), f2v)
     marginals = _normalize_rows_log(totals.T)
     for var in np.flatnonzero(~np.isfinite(marginals).all(axis=1))[:1].tolist():
         raise ValueError(
@@ -359,31 +350,40 @@ def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
 
 
 class _Frozen:
-    """The binary factors :func:`run_bp` has frozen, and what it needs to
-    return them to their blocks.
+    """The binary factors :func:`run_bp` has frozen, the layout of the live
+    ones, and what it needs to return frozen factors to their blocks.
 
-    Before the first freeze it holds per variable only its clamp (int8) and
-    whether that clamp is steady (bool); from then on also a bool mask of the
-    live factors per block, the argmax each frozen factor's ends froze at,
-    the last iteration's scaled totals and the starting totals.
+    It holds per block a bool mask of its live factors and their layout in
+    ``live``; per variable its clamp (int8), whether that clamp is steady
+    (bool) and the argmax its frozen factors froze at (``held``, -1 for
+    none); the last iteration's scaled totals and the starting totals. Every
+    factor starts live, and nothing is held until the first freeze.
     """
 
     def __init__(self, bank: list[np.ndarray], blocks: list, edge_var: np.ndarray, base: np.ndarray):
-        ratio = max(float(t.max()) / float(t.min()) for t in bank)
+        ratio = max((float(t.max()) / float(t.min()) for t in bank), default=1.0)
         self.delta = 2.0**-56 / ratio / ratio  # ratio**2 would raise OverflowError
         # messages[t, 0][:, a] is what table t sends its slot-0 end while the
         # slot-1 end is clamped at a, normalized as run_bp's update does;
         # messages[t, 1] likewise for slot 1.
-        self.messages = np.stack([(t / ((t[0] + t[1]) + t[2]), t.T / ((t.T[0] + t.T[1]) + t.T[2])) for t in bank])
+        messages = [(t / ((t[0] + t[1]) + t[2]), t.T / ((t.T[0] + t.T[1]) + t.T[2])) for t in bank]
+        self.messages = np.reshape(messages, (-1, 2, N_VALUES, N_VALUES))
         self.bank, self.blocks, self.edge_var, self.base = bank, blocks, edge_var, base
         self.start = base  # base plus the logs of the frozen factors' messages
-        self.masks: Optional[list[np.ndarray]] = None  # per block, its live factors; None before the first freeze
+        # Per block, its live factors: a read-only all-True view until freeze
+        # copies it to clear some, since allocated masks would raise BP's peak.
+        self.masks = [np.broadcast_to(True, hi - lo) for lo, hi, _ in blocks]
+        # Per block, the runs (start, end, table) and the two end variables of
+        # its live factors, and the span of variable ids each end takes.
+        self.live: list = [None] * len(blocks)
+        for j in range(len(blocks)):
+            self._relayout(j)
         # Per variable, the argmax of its clamp (-1: none), and whether it was
         # clamped at the same argmax in the iteration before (steady).
         self.clamped = np.full(base.shape[1], -1, np.int8)
         self.steady = np.zeros(base.shape[1], bool)
         self.grew = False  # whether a variable became steady in this iteration
-        self.held = self.scaled = None
+        self.held, self.scaled = self.clamped.copy(), None
 
     def _clamp(self, scaled: np.ndarray) -> None:
         hot = (scaled >= self.delta).view(np.int8)
@@ -392,7 +392,7 @@ class _Frozen:
         self.grew = bool((steady > self.steady).any())
         self.clamped, self.steady = clamped, steady
 
-    def _ends(self, j: int, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _ends(self, j: int, cols) -> tuple[np.ndarray, np.ndarray]:
         lo, hi, _ = self.blocks[j]
         b = len(self.edge_var) // 2
         return self.edge_var[lo:hi][cols], self.edge_var[b + lo : b + hi][cols]
@@ -405,11 +405,13 @@ class _Frozen:
         ends = self._ends(j, cols)
         return np.concatenate([self.messages[tid, slot, :, argmax[ends[1 - slot]]].T for slot in slots], axis=1)
 
-    def _relayout(self, j: int, live: list) -> None:
+    def _relayout(self, j: int) -> None:
         mask = self.masks[j]
         before = np.concatenate([[0], np.cumsum(mask)])  # live factors before each column
         runs = [(int(before[s]), int(before[e]), self.bank[t]) for s, e, t in self.blocks[j][2] if before[e] > before[s]]
-        live[j] = (runs, *_ends_and_spans(*self._ends(j, mask)))
+        ends = self._ends(j, slice(None) if mask.all() else mask)  # an all-live block's ends are views
+        spans = tuple((int(v.min()), int(v.max()) + 1) if len(v) else (0, 0) for v in ends)
+        self.live[j] = (runs, *ends, spans)
 
     def _refresh(self) -> None:
         """Recompute ``held`` and ``start`` from the frozen set."""
@@ -425,10 +427,11 @@ class _Frozen:
                 self.start += _sum_by_variable(variables, np.log(self._constants(j, cols, self.clamped, (slot,))), n)
 
     def restore(self, totals: np.ndarray, scaled: np.ndarray, f2v: list) -> np.ndarray:
-        """The variables no longer clamped at the argmax their frozen factors
-        froze at. Their ``totals`` and ``scaled`` columns are summed again, in
-        place, as the loop sums them with every factor live: block by block,
-        the frozen factors' constant logs among the live ones in column order."""
+        """Clamp each variable by ``scaled``; return the variables no longer
+        clamped at the argmax their frozen factors froze at. Their ``totals``
+        and ``scaled`` columns are summed again, in place, as the loop sums
+        them with every factor live: block by block, the frozen factors'
+        constant logs among the live ones in column order."""
         self._clamp(scaled)
         moved = (self.held >= 0) & (self.clamped != self.held)
         if not moved.any():
@@ -448,11 +451,10 @@ class _Frozen:
         scaled[:, moved] = np.exp(exact[:, moved] - exact[:, moved].max(axis=0))
         return moved
 
-    def release(self, totals: np.ndarray, scaled: np.ndarray, live: list, f2v: list, v2f: list) -> None:
-        """Return to their blocks the frozen factors with an end that is no
-        longer clamped at the argmax it froze at (see :meth:`restore`)."""
-        if self.masks is None:
-            return
+    def release(self, totals: np.ndarray, scaled: np.ndarray, f2v: list, v2f: list) -> None:
+        """Clamp each variable by this iteration's ``scaled``, and return to
+        their blocks the frozen factors with an end that is no longer clamped
+        at the argmax it froze at (see :meth:`restore`)."""
         previous, self.scaled = self.scaled, scaled
         moved = self.restore(totals, scaled, f2v)
         if not moved.any():
@@ -475,41 +477,30 @@ class _Frozen:
                 full[:, old], full[:, np.concatenate([back, back])] = arrays[j], values
                 arrays[j] = full[:, kept]
             mask |= back
-            self._relayout(j, live)
+            self._relayout(j)
         self._refresh()
 
-    def freeze(self, scaled: np.ndarray, live: list, f2v: list, v2f: list) -> None:
+    def freeze(self, f2v: list, v2f: list) -> None:
         """Freeze the live factors whose ends are both steady, once they are
         BP_FREEZE of all binary factors. Their factor-to-variable messages
         were the constants in this iteration and the one before, as the
         frozen factors' always are."""
-        if self.masks is None:
-            self._clamp(scaled)  # release has not done it for this iteration
         if not self.grew:  # then no live factor became freezable
             return
-        counts = [np.count_nonzero(self.steady[first] & self.steady[second]) for _, first, second, _ in live]
+        counts = [np.count_nonzero(self.steady[first] & self.steady[second]) for _, first, second, _ in self.live]
         if sum(counts) == 0 or sum(counts) < BP_FREEZE * len(self.edge_var) / 2:
             return
-        if self.masks is None:
-            self.masks = [np.ones(hi - lo, bool) for lo, hi, _ in self.blocks]
         # Blocks that keep the fewest live factors go first: they free more
         # than their compacted arrays take, which bounds the peak.
-        for j in sorted(np.flatnonzero(counts).tolist(), key=lambda j: len(live[j][1]) - counts[j]):
-            _, first, second, _ = live[j]
+        for j in sorted(np.flatnonzero(counts).tolist(), key=lambda j: len(self.live[j][1]) - counts[j]):
+            _, first, second, _ = self.live[j]
             frozen = self.steady[first] & self.steady[second]
             keep = np.concatenate([~frozen, ~frozen])
             f2v[j], v2f[j] = f2v[j][:, keep], v2f[j][:, keep]
-            self.masks[j][np.flatnonzero(self.masks[j])[frozen]] = False
-            self._relayout(j, live)
-        self.scaled = scaled
+            mask = self.masks[j] = self.masks[j].copy()  # writable, even where it was a view
+            mask[np.flatnonzero(mask)[frozen]] = False
+            self._relayout(j)
         self._refresh()
-
-
-def _ends_and_spans(first: np.ndarray, second: np.ndarray) -> tuple:
-    """The two end variables of a block's live factors, and per end the
-    half-open span of variable ids it takes ((0, 0) if it has none)."""
-    spans = tuple((int(v.min()), int(v.max()) + 1) if len(v) else (0, 0) for v in (first, second))
-    return first, second, spans
 
 
 def _normalize_rows_log(log_rows: np.ndarray) -> np.ndarray:
@@ -601,7 +592,7 @@ def load_graph(text: str) -> FactorGraph:
     position among the records of its type. A scope is one or two
     comma-separated variable ids, each as ``int()`` reads it, of variables
     defined on earlier lines, two of them distinct. Values are 3 (unary) or 9 (binary)
-    whitespace-separated ``float()`` texts, all positive. A node may appear
+    whitespace-separated ``float()`` texts, all finite and positive. A node may appear
     only once. Malformed input raises ValueError naming its first bad line.
     """
     graph = FactorGraph()
@@ -698,7 +689,7 @@ class _FactorColumns:
         except ValueError:
             return 0
         arity = _ARITY.get(len(values), 0)
-        if not arity or not all(map((0.0).__lt__, values)):  # nan is not positive either
+        if not arity or not all(map((0.0).__lt__, values)) or math.inf in values:  # nan is not positive either
             return 0
         store = self.rows if arity == 1 else self.bank
         store.append(values)

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from .core import ATTRIBUTES, RELATION_TOKENS, Attribute, FrameNode, ObjectPairNode, RelationValue, ordered_pair
-from .core import FLIP_INDEX, format_frame_key, relation_from_token
+from .core import FLIP_INDEX, format_frame_key, frame_type_index, relation_from_token
 
 logger = logging.getLogger(__name__)
 
@@ -398,6 +398,7 @@ def _load_labels(path, name: str) -> tuple[list, list]:
                 raise ValueError(f"unknown split {split!r}")
             if name == "frame":
                 verb, frame_type, prep = key_columns
+                frame_type_index(frame_type)  # raises for an unregistered frame type
                 key, swapped = (verb, frame_type, "" if prep == "-" else prep), False
             else:
                 lo, hi, swapped = ordered_pair(*key_columns)

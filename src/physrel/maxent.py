@@ -34,9 +34,9 @@ class TrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not (0 <= self.l2_lambda < math.inf):  # nan fails too
+        if isinstance(self.l2_lambda, bool) or not (0 <= self.l2_lambda < math.inf):  # nan fails too
             raise ValueError(f"l2_lambda must be finite and >= 0, not {self.l2_lambda!r}")
-        if not (0 < self.learning_rate < math.inf):
+        if isinstance(self.learning_rate, bool) or not (0 < self.learning_rate < math.inf):
             raise ValueError(f"learning_rate must be finite and > 0, not {self.learning_rate!r}")
         for name, least in (("epochs", 1), ("rng_seed", 0)):
             value = getattr(self, name)

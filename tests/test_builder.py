@@ -308,7 +308,8 @@ def test_selpref_matches_the_reference_walk(data):
     expected.add("selpref", frame_vars[both], pair_vars[both], table)
 
     cfg = BuildConfig(pmi_threshold=threshold)
-    actual = add_selectional_preference_factors(make_nodes(ds), stats, cfg)
+    actual = make_nodes(ds)
+    add_selectional_preference_factors(actual, stats, cfg)
     assert dump_graph(actual.graph) == dump_graph(expected.graph)
     for *_, frame_key, evidence, value in links:
         assert pmi(stats, frame_key, evidence) == values[entry_row(stats, frame_key, evidence)] == value
@@ -504,14 +505,14 @@ def agreement_dataset(weight_labels):
 def test_attrsim_links_when_agreement_high():
     ds = agreement_dataset([GT, GT, GT, GT])
     b = make_nodes(ds)
-    add_attribute_factors(b, ds, BuildConfig(min_shared_seed_frames=2))
+    add_attribute_factors(b, BuildConfig(min_shared_seed_frames=2))
     assert kind_counts(b)["attrsim"] == 4  # one per shared frame
 
 
 def test_attrsim_skips_low_agreement():
     ds = agreement_dataset([GT, GT, LT, LT])
     b = make_nodes(ds)
-    add_attribute_factors(b, ds, BuildConfig(min_shared_seed_frames=2))
+    add_attribute_factors(b, BuildConfig(min_shared_seed_frames=2))
     assert kind_counts(b)["attrsim"] == 0
 
 
@@ -527,7 +528,7 @@ def test_attrsim_agreement_counts_only_frames_seeded_in_both():
         ]
     )
     b = make_nodes(ds)
-    add_attribute_factors(b, ds, BuildConfig(min_shared_seed_frames=2))
+    add_attribute_factors(b, BuildConfig(min_shared_seed_frames=2))
     # Agreement over shared-seeded frames is 2/2 = 100%; links added for the
     # frames present in both graphs (v0 and v1 only).
     assert kind_counts(b)["attrsim"] == 2
@@ -536,7 +537,7 @@ def test_attrsim_agreement_counts_only_frames_seeded_in_both():
 def test_attrsim_requires_min_shared_frames():
     ds = agreement_dataset([GT])
     b = make_nodes(ds)
-    add_attribute_factors(b, ds, BuildConfig(min_shared_seed_frames=10))
+    add_attribute_factors(b, BuildConfig(min_shared_seed_frames=10))
     assert kind_counts(b)["attrsim"] == 0
 
 

@@ -2,6 +2,7 @@
 subcommands share are written the same way by both, and tuning grid files."""
 import json
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -172,6 +173,16 @@ def test_a_negative_rng_seed_fails_before_any_work(tmp_path, capsys, command):
     assert main(argv) == 1
     assert "rng_seed must be an int >= 0, not -1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_an_unregistered_frame_type_is_named_with_its_file_and_line(world, tmp_path, capsys):
+    data = shutil.copytree(world.paths.frames_5.parent, tmp_path / "data")
+    frames = data / "frames_5.tsv"
+    line = frames.read_text().count("\n") + 1
+    with frames.open("a") as f:
+        f.write("think\tccomp\t-\tsize\t>\tseed\n")
+    assert main(["eval", "--data-dir", str(data), "--out-dir", str(tmp_path / "out")]) == 1
+    assert f"frames_5.tsv: line {line}: unregistered frame type 'ccomp'\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("algorithm", ["model", "random", "majority", "emb-maxent"])

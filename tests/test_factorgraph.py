@@ -115,6 +115,11 @@ def test_add_factor_validations():
     v = g.add_variable("a")
     with pytest.raises(ValueError):
         g.add_factor([v], [0.5, 0.0, 0.5])  # zero entry
+    with pytest.raises(ValueError, match=r"^factor 0 of the batch: table not finite and strictly positive$"):
+        g.add_factor([v], [0.5, np.inf, 0.5])  # infinite entry
+    w = g.add_variable("b")
+    with pytest.raises(ValueError, match=r"^factor 1 of the batch: table not finite and strictly positive$"):
+        g.add_factors(["sim"], [0, 0], [[v, w], [v, w]], [0, 1], binary_tables=[SOFT_ONE, SOFT_ONE * np.inf])
     with pytest.raises(ValueError):
         g.add_factor([v], np.ones((3, 3)))  # arity/table mismatch
     with pytest.raises(ValueError):
@@ -382,8 +387,11 @@ def test_residuals_trace_every_iteration():
     assert stopped == {True, False}
     unary_only = FactorGraph()
     unary_only.add_factor([unary_only.add_variable("a")], [0.2, 0.3, 0.5])
-    result = run_bp(unary_only, BPConfig())
-    assert result.converged and result.residuals == [0.0] and result.iterations == 1
+    unary_only.add_variable("b")  # a variable without any factor is uniform
+    for config in (BPConfig(), BPConfig(damping=0.5)):
+        result = run_bp(unary_only, config)
+        assert result.converged and result.residuals == [0.0] and result.iterations == 1
+        assert np.allclose(result.marginals, [[0.2, 0.3, 0.5], [1 / 3] * 3], rtol=0, atol=1e-15)
 
 
 def test_run_bp_deterministic():
@@ -442,6 +450,15 @@ def test_bp_names_the_first_variable_whose_belief_is_not_finite():
     for a, b in zip(chain, chain[1:]):
         g.add_factor([a, b], rng.permutation(np.logspace(300, -300, 9)).reshape(3, 3))
     with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"^belief of variable 0 \('v0'\) is not finite"):
+        run_bp(g, BPConfig())
+
+
+def test_a_graph_without_binary_factors_gets_the_finiteness_check():
+    # The row's sum overflows, so its normalized log is -inf everywhere and
+    # the belief is nan, as it would be with a binary factor on the variable.
+    g = FactorGraph()
+    g.add_factor([g.add_variable("a")], [1e308, 1e308, 1.0])
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"^belief of variable 0 \('a'\) is not finite"):
         run_bp(g, BPConfig())
 
 
@@ -785,6 +802,8 @@ def test_load_rejects_malformed_lines():
         "factor\t2\tk\t0,-0\t" + " ".join(["1"] * 9),  # both ends one variable, spelled twice
         "factor\t2\tk\t0,7\t" + " ".join(["1"] * 9),  # unknown variable
         "factor\t2\tk\t1\t0.5 0.0 0.5",  # non-positive table
+        "factor\t2\tk\t1\t0.5 inf 0.5",  # infinite unary table
+        "factor\t2\tk\t0,1\t" + " ".join(["1"] * 8 + ["inf"]),  # infinite binary table
         "factor\t2\tk\t1\t0.5 x 0.5",  # non-numeric value
         "factor\t2\tk\t1",  # missing column
         "var\t2\ta",  # duplicate variable

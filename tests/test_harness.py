@@ -234,8 +234,8 @@ def test_every_bulk_label_read_is_audited(world, monkeypatch):
     monkeypatch.setattr(ds, "rows_in", lambda kind, *splits: np.arange(len(getattr(ds, kind))))
     reads = {
         "training": lambda: train_models(ds, emb),
-        "seed factors": lambda: add_seed_and_emb_factors(b, ds, models, BuildConfig()),
-        "attrsim": lambda: add_attribute_factors(b, ds, BuildConfig()),
+        "seed factors": lambda: add_seed_and_emb_factors(b, models, BuildConfig()),
+        "attrsim": lambda: add_attribute_factors(b, BuildConfig()),
         "majority baseline": lambda: baseline_majority(ds, spec),
     }
     for name, read in reads.items():

@@ -309,6 +309,13 @@ def test_load_dataset_rejects_unknown_tokens(tmp_path):
             load_dataset(frame_file, pair_file)
 
 
+def test_load_dataset_names_the_line_of_an_unregistered_frame_type(tmp_path):
+    frame_file, pair_file = write_files(tmp_path)
+    frame_file.write_text("throw\tdobj\t-\tsize\t>\tseed\n# a comment\nthink\tccomp\t-\tsize\t>\tseed\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(frame_file))}: line 3: unregistered frame type 'ccomp'$"):
+        load_dataset(frame_file, pair_file)
+
+
 def test_frames_partitioned_by_verb(tmp_path):
     frame_file, pair_file = write_files(tmp_path)
     frame_file.write_text(

@@ -310,9 +310,12 @@ def test_softmax_of_log2_scores():
         ("l2_lambda", -0.1),
         ("l2_lambda", float("nan")),
         ("l2_lambda", float("inf")),
+        ("l2_lambda", True),
+        ("l2_lambda", False),
         ("learning_rate", 0.0),
         ("learning_rate", float("nan")),
         ("learning_rate", float("inf")),
+        ("learning_rate", True),
         ("epochs", 0),
         ("epochs", 2.5),
         ("epochs", True),

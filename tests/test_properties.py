@@ -1,4 +1,5 @@
 """Property tests of the text formats: graph dumps, label, embedding and co-occurrence files."""
+import math
 import re
 import string
 from unittest.mock import patch
@@ -122,7 +123,7 @@ def reference_load_graph(text: str) -> FactorGraph:
             if parts[4] not in tables:
                 values = [float(x) for x in parts[4].split()]
                 store = {3: rows, 9: bank}[len(values)]
-                if not all(x > 0 for x in values):
+                if not all(0 < x < math.inf for x in values):
                     raise ValueError
                 store.append(values)
                 tables[parts[4]] = (1 if store is rows else 2, len(store) - 1)
