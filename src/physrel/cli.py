@@ -12,11 +12,11 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .builder import BuildConfig, FACTOR_KINDS
 from .core import TOKEN_OF_RELATION
-from .factorgraph import BPConfig, dump_graph
+from .factorgraph import BPConfig, graph_text
 from .harness import (
     AccuracyReport,
     DataPaths,
@@ -73,15 +73,17 @@ def _train_cfg(args) -> TrainConfig:
 WRITE_SLICE = 1 << 20
 
 
-def write_outputs(out_dir, files: Mapping[str, str]) -> Path:
-    """Create ``out_dir`` and write each file name's text into it as UTF-8, ``WRITE_SLICE``
-    characters at a time. Every file the package writes goes through here."""
+def write_outputs(out_dir, files: Mapping[str, str | Iterable[str]]) -> Path:
+    """Create ``out_dir`` and write each file name's text into it as UTF-8, ``WRITE_SLICE`` characters
+    at a time. A text is a ``str`` or an iterable of the ``str`` pieces it joins, each written as it
+    comes, so ``graph.txt`` is never held whole. Every file the package writes goes through here."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
         with open(out / name, "w", encoding="utf-8") as f:
-            for start in range(0, len(text), WRITE_SLICE):
-                f.write(text[start : start + WRITE_SLICE])
+            for piece in [text] if isinstance(text, str) else text:
+                for start in range(0, len(piece), WRITE_SLICE):
+                    f.write(piece[start : start + WRITE_SLICE])
     return out
 
 
@@ -117,7 +119,7 @@ def cmd_build(args) -> int:
     cfg = _build_cfg(args)
     result = build_graph(prepare(_spec(args), DataPaths.from_dir(args.data_dir), _train_cfg(args)), cfg)
     report = result.report_tsv()
-    write_outputs(args.out_dir, {"graph.txt": dump_graph(result.graph), "build_report.tsv": report})
+    write_outputs(args.out_dir, {"graph.txt": graph_text(result.graph), "build_report.tsv": report})
     print(report, end="")
     return 0
 
@@ -129,7 +131,7 @@ def cmd_infer(args) -> int:
         lines.append(f"{node.key}\t{p[0]:.6f}\t{p[1]:.6f}\t{p[2]:.6f}")
     files = {**_run_files(result), "marginals.tsv": "\n".join(lines) + "\n"}
     files["timings.json"] = json.dumps(result.timings, indent=2) + "\n"
-    write_outputs(args.out_dir, {**files, "graph.txt": dump_graph(result.build.graph)})
+    write_outputs(args.out_dir, {**files, "graph.txt": graph_text(result.build.graph)})
     report = result.report
     print(f"converged={report.converged} iterations={report.iterations} residual={report.residual!r}")
     return 0

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from itertools import repeat
 from numbers import Integral
-from typing import Hashable, Optional, Sequence
+from typing import Hashable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -35,9 +35,9 @@ BP_BLOCK = 16384
 # steadily clamped) before run_bp freezes them: each freeze recomputes the
 # frozen sums from scratch, so it waits for a batch worth that cost.
 BP_FREEZE = 0.01
-# Factor records dump_graph formats and load_graph parses (and adds to the
-# graph) at a time, which bounds the Python objects and arrays each holds at once.
-TEXT_BLOCK = 16384
+# Factor records graph_text formats and load_graph parses (and adds to the
+# graph) at a time, which bounds the Python strings and arrays each holds at once.
+TEXT_BLOCK = 4096
 # The line breaks str.splitlines knows besides "\n"; no node key or factor kind
 # may hold one.
 LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
@@ -536,12 +536,17 @@ def exact_marginals(graph: FactorGraph) -> np.ndarray:
 
 
 def dump_graph(graph: FactorGraph) -> str:
-    """Line-oriented text form: one variable or factor per line.
+    """Line-oriented text form, one variable or factor per line: :func:`graph_text`'s pieces joined."""
+    return "".join(graph_text(graph))
 
-    Node keys are rendered with str(); loading reconstructs them as strings.
-    A node key or a factor's kind holding a tab or a line break
-    ``str.splitlines`` knows raises ValueError. Identical graphs dump
-    byte-identically.
+
+def graph_text(graph: FactorGraph) -> Iterator[str]:
+    """:func:`dump_graph`'s text in pieces: the variable lines, then each ``TEXT_BLOCK``
+    factor lines, formatted only when the iterator reaches them.
+
+    Node keys are rendered with str(); loading reconstructs them as strings. A node
+    key or a factor's kind holding a tab or a line break ``str.splitlines`` knows
+    raises ValueError at the call, before any piece. Identical graphs dump byte-identically.
     """
     kind, scope, table, rows = graph.columns()
     values = [" ".join(map(repr, t)) for t in rows.tolist() + [t.ravel().tolist() for t in graph.bank]]
@@ -565,17 +570,18 @@ def dump_graph(graph: FactorGraph) -> str:
         raise ValueError(f"factor {fid}: kind {graph.kinds[kind[fid]]!r} holds a tab or a line break")
     second_text = [f",{v}" for v in range(n)] + [""]
     value_text = [f"\t{v}\n" for v in values]
-    blocks = [variables]
-    for lo in range(0, len(kind), TEXT_BLOCK):
-        hi = min(lo + TEXT_BLOCK, len(kind))
-        fields = [None] * (5 * (hi - lo))
-        fields[0::5] = range(lo, hi)
-        fields[1::5] = map(kind_text.__getitem__, kind[lo:hi].tolist())
-        fields[2::5] = scope[lo:hi, 0].tolist()
-        fields[3::5] = map(second_text.__getitem__, scope[lo:hi, 1].tolist())
-        fields[4::5] = map(value_text.__getitem__, value_of[lo:hi].tolist())
-        blocks.append(("factor\t%d%s%d%s%s" * (hi - lo)) % tuple(fields))
-    return "".join(blocks)
+    def pieces():  # a generator, so the checks above run at the call
+        yield variables
+        for lo in range(0, len(kind), TEXT_BLOCK):
+            hi = min(lo + TEXT_BLOCK, len(kind))
+            fields = [None] * (5 * (hi - lo))
+            fields[0::5] = range(lo, hi)
+            fields[1::5] = map(kind_text.__getitem__, kind[lo:hi].tolist())
+            fields[2::5] = scope[lo:hi, 0].tolist()
+            fields[3::5] = map(second_text.__getitem__, scope[lo:hi, 1].tolist())
+            fields[4::5] = map(value_text.__getitem__, value_of[lo:hi].tolist())
+            yield ("factor\t%d%s%d%s%s" * (hi - lo)) % tuple(fields)
+    return pieces()
 
 
 def _breaks(text: str) -> bool:

@@ -12,7 +12,7 @@ import pytest
 
 import physrel
 from physrel.builder import BuildConfig
-from physrel.cli import _default_grid, _grid_from_file, main, write_outputs
+from physrel.cli import WRITE_SLICE, _default_grid, _grid_from_file, main, write_outputs
 from physrel.core import ATTRIBUTES
 from physrel.harness import TaskSpec, assemble_task_dataset, load_world
 from physrel.maxent import save_model
@@ -123,10 +123,16 @@ def test_write_outputs_writes_a_slice_at_a_time(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak - start <= 3 * 2**20
-    # The bytes are those of one write_text call, for text outside ASCII too.
+    # The bytes are those of one write_text call, for text outside ASCII too,
+    # and for a text given as pieces: longer than a slice, empty, or with
+    # characters outside ASCII and "\r\n".
     other = "var\t0\t\u00e9\u20ac\U0001f600\r\n" * 300_000
-    write_outputs(tmp_path / "sliced", {"other.txt": other})
-    for name, whole in (("graph.txt", text), ("other.txt", other)):
+    cut = WRITE_SLICE + 7
+    pieces = ["", text[:cut], "", "\u00e9\r\n\U0001f600", text[cut:], "", other[: 2 * WRITE_SLICE + 1], ""]
+    files = {"other.txt": other, "pieces.txt": (p for p in pieces), "listed.txt": pieces[3:6], "empty.txt": []}
+    write_outputs(tmp_path / "sliced", files)
+    joined = {"pieces.txt": "".join(pieces), "listed.txt": "".join(pieces[3:6]), "empty.txt": ""}
+    for name, whole in (("graph.txt", text), ("other.txt", other), *joined.items()):
         (tmp_path / name).write_text(whole, encoding="utf-8")
         assert (tmp_path / "sliced" / name).read_bytes() == (tmp_path / name).read_bytes()
 

@@ -10,6 +10,7 @@ from scipy.special import logsumexp
 from conftest import factors, reference_dump_graph, reference_run_bp
 from physrel import factorgraph
 from physrel.builder import SOFT_ONE, BuildConfig, flipped_table
+from physrel.cli import write_outputs
 from physrel.factorgraph import (
     BPConfig,
     BPResult,
@@ -17,6 +18,7 @@ from physrel.factorgraph import (
     FactorGraph,
     dump_graph,
     exact_marginals,
+    graph_text,
     load_graph,
     run_bp,
 )
@@ -850,6 +852,20 @@ def test_load_keeps_first_seen_order_whatever_the_block(monkeypatch, block):
     assert np.array_equal(run_bp(loaded, BPConfig(max_iterations=20)).marginals, expected)
 
 
+def similarity_graph(n: int, b: int) -> FactorGraph:
+    """``n`` variables, each with a seed row, and ``b`` binary factors between random distinct ends."""
+    rng = np.random.default_rng(43)
+    g = FactorGraph()
+    for i in range(n):
+        g.add_variable(i)
+    first = rng.integers(0, n, b)
+    scopes = np.column_stack([first, (first + rng.integers(1, n, b)) % n])
+    g.add_factors(["sim"], np.zeros(b), scopes, rng.integers(0, 2, b), binary_tables=[SOFT_ONE, flipped_table(SOFT_ONE)])
+    g.add_factors(["seed"], np.zeros(n), np.column_stack([np.arange(n), np.full(n, -1)]), np.arange(n) % 2,
+                  unary_tables=[[0.2, 0.3, 0.5], [0.5, 0.3, 0.2]])
+    return g
+
+
 def test_load_memory_peak_does_not_grow_with_the_factor_count(monkeypatch):
     # Each block of factor records goes straight into the graph, so what
     # load_graph holds beyond the graph it returns is about one block's worth.
@@ -857,15 +873,7 @@ def test_load_memory_peak_does_not_grow_with_the_factor_count(monkeypatch):
     n = 20_000
     extra = []
     for b in (25_000, 100_000):
-        rng = np.random.default_rng(43)
-        g = FactorGraph()
-        for i in range(n):
-            g.add_variable(i)
-        first = rng.integers(0, n, b)
-        scopes = np.column_stack([first, (first + rng.integers(1, n, b)) % n])
-        g.add_factors(["sim"], np.zeros(b), scopes, rng.integers(0, 2, b), binary_tables=[SOFT_ONE, flipped_table(SOFT_ONE)])
-        g.add_factors(["seed"], np.zeros(n), np.column_stack([np.arange(n), np.full(n, -1)]), np.arange(n) % 2,
-                      unary_tables=[[0.2, 0.3, 0.5], [0.5, 0.3, 0.2]])
+        g = similarity_graph(n, b)
         text = dump_graph(g)
         del g
         tracemalloc.start()
@@ -877,3 +885,23 @@ def test_load_memory_peak_does_not_grow_with_the_factor_count(monkeypatch):
         assert loaded.n_variables == n
         extra.append(peak - retained)
     assert extra[1] - extra[0] < 2**20
+
+
+def test_writing_a_dump_holds_one_block_of_its_text(monkeypatch, tmp_path):
+    # write_outputs writes each piece graph_text formats before the next is
+    # made, so the peak of writing graph.txt does not grow with the factor
+    # count (0.6 MiB more for the per-factor value ids); dump_graph's whole
+    # text would add 9.5 MiB between the two.
+    monkeypatch.setattr(factorgraph, "TEXT_BLOCK", 1024)
+    peaks = []
+    for b in (25_000, 100_000):
+        g = similarity_graph(20_000, b)
+        g.columns()  # join the chunks before tracing
+        tracemalloc.start()
+        try:
+            write_outputs(tmp_path / str(b), {"graph.txt": graph_text(g)})
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / str(b) / "graph.txt").read_text(encoding="utf-8") == dump_graph(g)
+    assert peaks[1] - peaks[0] < 2**20

@@ -19,7 +19,7 @@ from physrel.core import (
     relation_from_token,
 )
 from physrel import factorgraph
-from physrel.factorgraph import FactorGraph, dump_graph, load_graph
+from physrel.factorgraph import LINE_BREAKS, FactorGraph, dump_graph, graph_text, load_graph
 from physrel.lexstats import SPLITS, FrameItem, load_cooccurrence, load_dataset, load_embeddings
 from conftest import entries, reference_dump_graph, save_dataset
 
@@ -84,10 +84,30 @@ def many_factor_graphs(draw) -> FactorGraph:
 @given(many_factor_graphs())
 def test_dump_matches_the_line_at_a_time_reference(graph):
     # Small blocks put block edges, and a short last block, among the factors.
+    # graph_text gives the variable lines as one piece, then each block of
+    # factor lines as one piece; joined, they are the dump.
     expected = reference_dump_graph(graph)
+    m = len(graph.columns()[0])
     for block in (1, 2, 3, 7, factorgraph.TEXT_BLOCK):
         with patch.object(factorgraph, "TEXT_BLOCK", block):
-            assert dump_graph(graph) == expected
+            pieces = list(graph_text(graph))
+            assert "".join(pieces) == dump_graph(graph) == expected
+        assert pieces[0].count("\n") == graph.n_variables
+        assert [p.count("\n") for p in pieces[1:]] == [min(block, m - lo) for lo in range(0, m, block)]
+
+
+@PROPERTY_SETTINGS
+@given(many_factor_graphs(), st.data())
+def test_graph_text_checks_keys_and_kinds_when_called(graph, data):
+    # A bad node key or kind raises at the call, before any piece is asked
+    # for, so a writer that calls graph_text first opens no file.
+    bad = data.draw(st.sampled_from("\t\n" + LINE_BREAKS))
+    if data.draw(st.booleans()):
+        match = f"variable {graph.add_variable(f'key{bad}')}: node key "
+    else:
+        match = f"factor {graph.add_factor([0], [0.2, 0.3, 0.5], kind=f'kind{bad}')}: kind "
+    with pytest.raises(ValueError, match=match):
+        graph_text(graph)
 
 
 @PROPERTY_SETTINGS
