@@ -101,8 +101,9 @@ class BuildConfig:
         return seeded, embedded
 
     def to_text(self) -> str:
-        """One ``key=value`` line per field, in declaration order."""
-        return "".join(f"{f.name}={_format_value(getattr(self, f.name))}\n" for f in fields(self))
+        """One ``key=value`` line per field, in declaration order, each value as
+        its field's type (its default's) spells it: equal configs have one text."""
+        return "".join(f"{f.name}={_format_value(type(f.default), getattr(self, f.name))}\n" for f in fields(self))
 
     @classmethod
     def from_file(cls, path) -> "BuildConfig":
@@ -141,10 +142,10 @@ class BuildConfig:
         return field_type(text)
 
 
-def _format_value(value) -> str:
-    if isinstance(value, frozenset):
+def _format_value(field_type: type, value) -> str:
+    if field_type is frozenset:
         return ",".join(sorted(value))
-    return repr(float(value) if isinstance(value, float) else value)  # np.float64 too
+    return repr(field_type(value))  # a float field's int or np.float64 as a float
 
 
 # -- trained classifier bundle --

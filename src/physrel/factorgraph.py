@@ -180,9 +180,20 @@ class BPResult:
         return self.marginals[var_id]
 
 
-def _sum_by_variable(variables: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """(3, n) per-variable sums of the (3, k) value-major ``values``."""
-    return np.stack([np.bincount(variables, weights=row, minlength=n) for row in values], dtype=float)
+def _add_logs(totals: np.ndarray, variables: np.ndarray, logs: np.ndarray, low: int, high: int) -> None:
+    """Add the (3, k) value-major ``logs`` into the (3, n) ``totals`` of their
+    ``variables``, which lie in [low, high), each variable's summed in column
+    order: the one order of every per-variable sum of logs in BP."""
+    for value in range(N_VALUES):
+        totals[value, low:high] += np.bincount(variables, logs[value], high)[low:]
+
+
+def _normalize(messages: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Divide each column of the value-major ``messages`` by its sum
+    ``(m0 + m1) + m2``, in place, summing into ``out`` if given; return them."""
+    total = np.add(messages[0], messages[1], out=out)
+    messages /= np.add(total, messages[2], out=total)
+    return messages
 
 
 def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
@@ -217,8 +228,8 @@ def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
     of a bank table (a rho so large that delta underflows to 0 clamps
     nothing); that entry is its argmax a, where s_a = 1. Then both sums of a
     factor update round away what lies below delta, so a factor with table
-    T whose other end is clamped at a sends exactly ``normalize(T[:, a])``
-    (slot 0; ``T[a, :]`` for slot 1), as :func:`update` normalizes:
+    T whose other end is clamped at a sends exactly ``T[:, a]`` (slot 0;
+    ``T[a, :]`` for slot 1) normalized by :func:`_normalize`:
 
     - The message m the factor last sent the variable is uniform or a
       normalized mix of T's columns, so m_a / m_j <= rho. The
@@ -243,23 +254,24 @@ def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
     with no frozen factor sums its logs exactly as before; the logs of the
     frozen factors' constant messages are summed once into each variable's
     starting total, again whenever the frozen set changes. At the start of
-    each later iteration, a frozen factor with an end no longer clamped at
-    the argmax it froze at returns to its block, holding the constants as
-    its factor-to-variable messages and, as its variable-to-factor messages,
-    those of the previous iteration, recomputed from that iteration's scaled
-    totals, so the residual counts their change exactly.
+    each later iteration and after the last, a frozen factor with an end no
+    longer clamped at the argmax it froze at returns to its block, holding
+    the constants as its factor-to-variable messages and, as its
+    variable-to-factor messages, those of the previous iteration, recomputed
+    from that iteration's scaled totals (so the residual counts their change
+    exactly), and every total is summed again.
 
     What freezing can move: a variable with frozen factors sums its logs in
     another order. While it stays clamped at the argmax it froze at, that
     moves only entries of its scaled total below delta, so entries of its
-    messages below 2**-55; once it does not, its totals are summed again in
-    the loop's order before they are used, and so are the last totals. Every
-    other message is computed from the same numbers in the same order, and a
-    frozen factor's skipped messages only change below 2**-55. So with
-    ``convergence_eps`` >= 2**-55 the iterations are the same, and so is
-    every residual but a last one below 2**-55; every belief is the same but
-    for a clamped variable's entries below delta. A damped run freezes
-    nothing.
+    messages below 2**-55; once it does not, it has no frozen factor left,
+    and its totals are summed again in the loop's order before they are
+    used, and so are the last totals. Every other message is computed from
+    the same numbers in the same order, and a frozen factor's skipped
+    messages only change below 2**-55. So with ``convergence_eps`` >=
+    2**-55 the iterations are the same, and so is every residual but a last
+    one below 2**-55; every belief is the same but for a clamped variable's
+    entries below delta. A damped run freezes nothing.
     """
     n = graph.n_variables
     if n == 0:
@@ -267,7 +279,8 @@ def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
     _, scope, table, rows = graph.columns()
     unary = scope[:, 1] == -1
     # Constant per-variable log contribution from unary factors.
-    base = _sum_by_variable(scope[unary, 0], np.log(rows / rows.sum(axis=1, keepdims=True))[table[unary]].T, n)
+    base = np.zeros((N_VALUES, n))
+    _add_logs(base, scope[unary, 0], np.log(rows / rows.sum(axis=1, keepdims=True))[table[unary]].T, 0, n)
     binary = np.flatnonzero(~unary)
     binary = binary[np.argsort(table[binary], kind="stable")]
     tids, b = table[binary], len(binary)
@@ -289,8 +302,7 @@ def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
     def update(old: np.ndarray, cols: slice, raw: np.ndarray) -> float:
         """Normalize ``raw``, damp it into ``old[:, cols]``; return the largest change."""
         k = raw.shape[1]
-        np.add(np.add(raw[0], raw[1], out=row[:k]), raw[2], out=row[:k])
-        raw /= row[:k]
+        _normalize(raw, row[:k])
         if config.damping:  # at 0 the blend would leave raw bit-identical
             raw *= 1.0 - config.damping
             raw += np.multiply(old[:, cols], config.damping, out=blend[:, :k])
@@ -327,18 +339,15 @@ def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
                 for s, e, table in runs:
                     np.matmul(table.T if flip else table, to_factor[:, opposite][:, s:e], out=raw[:, s:e])
                 delta = max(delta, update(to_var, cols, raw))
-                logs = np.log(raw, out=raw)  # raw holds what update stored in to_var
-                # Summed per variable, then added only where the block's
-                # variables lie: the rest would add 0.
-                for value in range(N_VALUES):
-                    totals[value, low:high] += np.bincount(variables, logs[value], high)[low:]
+                # raw holds what update stored in to_var.
+                _add_logs(totals, variables, np.log(raw, out=raw), low, high)
         residuals.append(float(delta))
         if delta < config.convergence_eps:
             break
         if not config.damping:
             frozen.freeze(f2v, v2f)
 
-    frozen.restore(totals, np.exp(totals - totals.max(axis=0)), f2v)
+    frozen.release(totals, np.exp(totals - totals.max(axis=0)), f2v, v2f)
     marginals = _normalize_rows_log(totals.T)
     for var in np.flatnonzero(~np.isfinite(marginals).all(axis=1))[:1].tolist():
         raise ValueError(
@@ -364,9 +373,9 @@ class _Frozen:
         ratio = max((float(t.max()) / float(t.min()) for t in bank), default=1.0)
         self.delta = 2.0**-56 / ratio / ratio  # ratio**2 would raise OverflowError
         # messages[t, 0][:, a] is what table t sends its slot-0 end while the
-        # slot-1 end is clamped at a, normalized as run_bp's update does;
+        # slot-1 end is clamped at a, normalized as run_bp's messages are;
         # messages[t, 1] likewise for slot 1.
-        messages = [(t / ((t[0] + t[1]) + t[2]), t.T / ((t.T[0] + t.T[1]) + t.T[2])) for t in bank]
+        messages = [(_normalize(t.copy()), _normalize(t.T.copy())) for t in bank]
         self.messages = np.reshape(messages, (-1, 2, N_VALUES, N_VALUES))
         self.bank, self.blocks, self.edge_var, self.base = bank, blocks, edge_var, base
         self.start = base  # base plus the logs of the frozen factors' messages
@@ -424,39 +433,17 @@ class _Frozen:
             cols = np.flatnonzero(~mask)
             for slot, variables in enumerate(self._ends(j, cols)):
                 self.held[variables] = self.clamped[variables]
-                self.start += _sum_by_variable(variables, np.log(self._constants(j, cols, self.clamped, (slot,))), n)
-
-    def restore(self, totals: np.ndarray, scaled: np.ndarray, f2v: list) -> np.ndarray:
-        """Clamp each variable by ``scaled``; return the variables no longer
-        clamped at the argmax their frozen factors froze at. Their ``totals``
-        and ``scaled`` columns are summed again, in place, as the loop sums
-        them with every factor live: block by block, the frozen factors'
-        constant logs among the live ones in column order."""
-        self._clamp(scaled)
-        moved = (self.held >= 0) & (self.clamped != self.held)
-        if not moved.any():
-            return moved
-        n = self.base.shape[1]
-        exact = self.base.copy()
-        for j, mask in enumerate(self.masks):
-            column = np.cumsum(mask) - 1  # of each live factor in the block's arrays
-            for slot, variables in enumerate(self._ends(j, slice(None))):
-                cols = np.flatnonzero(moved[variables])
-                if len(cols):
-                    logs, is_live = np.empty((N_VALUES, len(cols))), mask[cols]
-                    logs[:, is_live] = f2v[j][:, slot * (column[-1] + 1) + column[cols[is_live]]]
-                    logs[:, ~is_live] = self._constants(j, cols[~is_live], self.held, (slot,))
-                    exact += _sum_by_variable(variables[cols], np.log(logs), n)
-        totals[:, moved] = exact[:, moved]
-        scaled[:, moved] = np.exp(exact[:, moved] - exact[:, moved].max(axis=0))
-        return moved
+                _add_logs(self.start, variables, np.log(self._constants(j, cols, self.clamped, (slot,))), 0, n)
 
     def release(self, totals: np.ndarray, scaled: np.ndarray, f2v: list, v2f: list) -> None:
         """Clamp each variable by this iteration's ``scaled``, and return to
         their blocks the frozen factors with an end that is no longer clamped
-        at the argmax it froze at (see :meth:`restore`)."""
+        at the argmax it froze at; then sum ``totals`` and ``scaled`` again,
+        in place, as the loop does. A moved variable has no frozen factor
+        left, so its totals are exactly the loop's with every factor live."""
         previous, self.scaled = self.scaled, scaled
-        moved = self.restore(totals, scaled, f2v)
+        self._clamp(scaled)
+        moved = (self.held >= 0) & (self.clamped != self.held)
         if not moved.any():
             return
         for j, (lo, hi, _) in enumerate(self.blocks):
@@ -469,8 +456,7 @@ class _Frozen:
             # computed the loop's way from its scaled totals.
             cols = np.flatnonzero(back)
             sent = self._constants(j, cols, self.held)
-            heard = np.concatenate([previous[:, ends] for ends in self._ends(j, cols)], axis=1) / sent
-            heard /= (heard[0] + heard[1]) + heard[2]
+            heard = _normalize(np.concatenate([previous[:, ends] for ends in self._ends(j, cols)], axis=1) / sent)
             old, kept = np.concatenate([mask, mask]), np.concatenate([mask | back, mask | back])
             for arrays, values in ((f2v, sent), (v2f, heard)):
                 full = np.empty((N_VALUES, 2 * (hi - lo)))
@@ -479,6 +465,11 @@ class _Frozen:
             mask |= back
             self._relayout(j)
         self._refresh()
+        totals[:] = self.start
+        for (_, first, second, spans), to_var in zip(self.live, f2v):
+            for variables, logs, (low, high) in zip((first, second), np.hsplit(np.log(to_var), 2), spans):
+                _add_logs(totals, variables, logs, low, high)
+        np.exp(totals - totals.max(axis=0), out=scaled)
 
     def freeze(self, f2v: list, v2f: list) -> None:
         """Freeze the live factors whose ends are both steady, once they are

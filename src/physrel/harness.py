@@ -14,6 +14,7 @@ import json
 import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
+from numbers import Integral
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -223,8 +224,10 @@ def _fingerprint(*chunks: str) -> str:
 
 
 def check_random_baseline(rng_seed: int, resamples: int) -> None:
-    """Raise ValueError for a seed TrainConfig rejects or fewer than one resample."""
+    """Raise ValueError for a seed TrainConfig rejects, or a resample count that is not an int or is below one."""
     TrainConfig(rng_seed=rng_seed)
+    if not isinstance(resamples, Integral) or isinstance(resamples, bool):
+        raise ValueError(f"resamples must be an int, not {resamples!r}")
     if resamples < 1:
         raise ValueError(f"resamples must be >= 1, got {resamples}")
 

@@ -11,7 +11,7 @@ from physrel.harness import DataPaths
 from physrel.lexstats import SPLITS, CooccurrenceStats, FrameItem, KnowledgeDataset, PairItem
 from physrel.builder import NODE_CLASSES, featurize_items
 from physrel import factorgraph
-from physrel.factorgraph import BPConfig, BPResult, _normalize_rows_log, _sum_by_variable
+from physrel.factorgraph import BPConfig, BPResult, _normalize_rows_log
 from physrel.maxent import TrainConfig, gradients, train
 from physrel.synthetic import generate_world
 
@@ -203,6 +203,11 @@ def reference_dump_graph(graph) -> str:
         for fid, (k, (a, b), t) in enumerate(zip(kind.tolist(), scope.tolist(), value_of.tolist()))
     ]
     return "".join(lines)
+
+
+def _sum_by_variable(variables: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """(3, n) per-variable sums of the (3, k) value-major ``values``."""
+    return np.stack([np.bincount(variables, weights=row, minlength=n) for row in values], dtype=float)
 
 
 def reference_run_bp(graph, config: BPConfig = BPConfig(), scaled_trace: Optional[list] = None) -> BPResult:

@@ -765,6 +765,7 @@ def test_build_config_edge_values_round_trip(tmp_path, cfg):
     path.write_text(cfg.to_text(), encoding="utf-8")
     assert BuildConfig.from_file(path) == cfg
     assert hash(BuildConfig.from_file(path)) == hash(cfg)
+    assert BuildConfig.from_file(path).to_text() == cfg.to_text()  # equal configs, one text and fingerprint
 
 
 def test_build_config_text_is_pinned():

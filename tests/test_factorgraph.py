@@ -23,6 +23,7 @@ from physrel.factorgraph import (
     run_bp,
 )
 from physrel.harness import TaskSpec, build_graph, prepare
+from physrel.synthetic import generate_world
 
 UNIFORM = np.full(3, 1 / 3)
 
@@ -674,6 +675,29 @@ def test_golden_world_bp_matches_the_reference(world, spec):
     for config in (BPConfig(), BPConfig(damping=0.5)):
         reference, result = assert_matches_reference(g, config)
         assert np.array_equal(result.marginals, reference.marginals)
+
+
+@pytest.mark.parametrize(
+    "seed, shape, traffic",
+    [
+        (0, (60, 30, 600), {3: (0, 0), 4: (1, 1), 100: (1, 1)}),
+        (2, (60, 30, 600), {4: (1, 1), 5: (1, 2), 100: (1, 2)}),
+        (3, (60, 60, 900), {3: (1, 0), 4: (2, 1), 9: (2, 1), 10: (2, 2), 11: (2, 2), 12: (2, 3), 100: (2, 3)}),
+    ],
+)
+def test_builder_graphs_that_freeze_and_release_match_the_reference(tmp_path, frozen, seed, shape, traffic):
+    # Unlike the 30-object world's, these graphs' BP freezes factors and
+    # releases some: ``traffic`` maps an iteration cap to the freezes and
+    # releases of the run. A cap with one release more than the cap before
+    # ends its run with that release.
+    n_objects, n_verbs, n_pairs = shape
+    world = generate_world(tmp_path, seed, n_objects, n_verbs, n_pairs)
+    g = build_graph(prepare(TaskSpec("objects", "20", "test"), world.paths), BuildConfig()).graph
+    for cap, (freezes, releases) in traffic.items():
+        frozen.clear()
+        assert_matches_reference(g, BPConfig(max_iterations=cap))
+        steps = np.diff([0, *sizes(frozen)])
+        assert (np.count_nonzero(steps > 0), np.count_nonzero(steps < 0)) == (freezes, releases)
 
 
 def test_damped_bp_freezes_nothing(frozen):

@@ -1,5 +1,6 @@
 """Experiment driver: baselines, tasks, ablations, tuning, CLI."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -259,6 +260,12 @@ def test_baseline_random_rejects_resamples_below_one(world, tmp_path, capsys, re
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("resamples", [True, 2.5, "3", None])
+def test_baseline_random_rejects_resamples_that_are_not_an_int(resamples):
+    with pytest.raises(ValueError, match=f"^resamples must be an int, not {re.escape(repr(resamples))}$"):
+        baseline_random(majority_dataset(), TaskSpec(task="objects", eval_split="dev"), resamples=resamples)
+
+
 def test_baseline_random_rejects_a_negative_seed():
     with pytest.raises(ValueError, match="rng_seed must be an int >= 0, not -1"):
         baseline_random(majority_dataset(), TaskSpec(task="objects", eval_split="dev"), rng_seed=-1)
@@ -369,9 +376,11 @@ def test_tune_scores_a_config_listed_twice_once(world, monkeypatch):
 
     monkeypatch.setattr(harness, "infer", counting_infer)
     spec = TaskSpec(task="objects", cross_seed_fraction="5")
-    result = tune_thresholds(spec, [BuildConfig(), BuildConfig(obj_sim_threshold=0.7)], world.paths, BPConfig())
-    assert scored == [BuildConfig()]
-    assert [text for text, _ in result.table] == [BuildConfig().to_text()]
+    # 0.7 is the default; an int threshold equals its float, and so must their texts.
+    grid = [BuildConfig(), *(BuildConfig(obj_sim_threshold=t) for t in (0.7, 1, 1.0))]
+    result = tune_thresholds(spec, grid, world.paths, BPConfig())
+    assert scored == [BuildConfig(), BuildConfig(obj_sim_threshold=1)]
+    assert [text for text, _ in result.table] == [cfg.to_text() for cfg in scored]
 
 
 def test_tune_empty_grid_rejected(world):
