@@ -22,6 +22,7 @@ deduplicated.
 """
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field, fields
 from itertools import combinations, repeat
@@ -82,7 +83,7 @@ class BuildConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an int or a float, not {value!r}")
-            if not np.isfinite(value):
+            if not abs(value) <= sys.float_info.max:  # also an int too large for a float
                 raise ValueError(f"{name} must be finite")
         shared = self.min_shared_seed_frames
         if type(shared) is not int or shared < 0:

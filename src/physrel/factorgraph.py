@@ -36,7 +36,8 @@ BP_BLOCK = 16384
 # frozen sums from scratch, so it waits for a batch worth that cost.
 BP_FREEZE = 0.01
 # Factor records graph_text formats and load_graph parses (and adds to the
-# graph) at a time, which bounds the Python strings and arrays each holds at once.
+# graph) at a time, and rows of a synthetic label file formatted at a time,
+# which bounds the Python strings and arrays each holds at once.
 TEXT_BLOCK = 4096
 # The line breaks str.splitlines knows besides "\n"; no node key or factor kind
 # may hold one.

@@ -739,6 +739,7 @@ def test_build_config_validation():
         ("min_shared_seed_frames", "3"),
         ("verb_sim_threshold", True),
         ("obj_sim_threshold", False),
+        ("obj_sim_threshold", 10**400),
         ("pmi_threshold", "0.5"),
         ("attr_agreement_threshold", True),
         ("enabled_factor_kinds", ["seed"]),
