@@ -207,21 +207,7 @@ def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
     message underflows to 0) raises ValueError naming the first such
     variable. Unary-factor messages are constant (the normalized potential)
     and sent exactly from the start, so damping only touches binary-factor
-    messages.
-
-    Binary factors are ordered by bank table and cut into blocks of at most
-    BP_BLOCK. Each block keeps its messages in two value-major ``(3, 2k)``
-    arrays, one per direction: column e < k is slot 0 of its factor e and
-    column k + e its slot 1. Arrays of one block's size fit in memory the
-    build freed, where two graph-sized arrays would each take new pages.
-    Each variable's total (its unary term plus the log of every incoming
-    message) stays in the log domain. An iteration exponentiates the totals
-    once, shifted so each variable's largest value is 1, then updates
-    BP_BLOCK factors at a time: a variable-to-factor message is the scaled
-    total divided by the edge's own incoming message, and each run of
-    factors that shares a bank table is marginalized against that one 3x3
-    table. The logs of the fresh factor-to-variable messages are summed into
-    the next iteration's totals block by block.
+    messages. :class:`_Frozen` holds BP's state; its ``sweep`` is one iteration.
 
     Undamped, a factor whose two ends are clamped is frozen. A variable is
     clamped when exactly one entry of its scaled total s is at least
@@ -266,7 +252,7 @@ def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
     another order. While it stays clamped at the argmax it froze at, that
     moves only entries of its scaled total below delta, so entries of its
     messages below 2**-55; once it does not, it has no frozen factor left,
-    and its totals are summed again in the loop's order before they are
+    and its totals are summed again in the sweep's order before they are
     used, and so are the last totals. Every other message is computed from
     the same numbers in the same order, and a frozen factor's skipped
     messages only change below 2**-55. So with ``convergence_eps`` >=
@@ -274,82 +260,17 @@ def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
     one below 2**-55; every belief is the same but for a clamped variable's
     entries below delta. A damped run freezes nothing.
     """
-    n = graph.n_variables
-    if n == 0:
-        raise ValueError("graph has no variables")
-    _, scope, table, rows = graph.columns()
-    unary = scope[:, 1] == -1
-    # Constant per-variable log contribution from unary factors.
-    base = np.zeros((N_VALUES, n))
-    _add_logs(base, scope[unary, 0], np.log(rows / rows.sum(axis=1, keepdims=True))[table[unary]].T, 0, n)
-    binary = np.flatnonzero(~unary)
-    binary = binary[np.argsort(table[binary], kind="stable")]
-    tids, b = table[binary], len(binary)
-    edge_var = np.concatenate([scope[binary, 0], scope[binary, 1]])
-    # Blocks of at most BP_BLOCK factors, each cut into runs that share a bank table.
-    starts = np.flatnonzero(np.diff(tids, prepend=-1))
-    blocks = []
-    for lo in range(0, b, BP_BLOCK):
-        hi = min(lo + BP_BLOCK, b)
-        cuts = [lo, *starts[(starts > lo) & (starts < hi)].tolist(), hi]
-        blocks.append((lo, hi, [(s - lo, e - lo, int(tids[s])) for s, e in zip(cuts, cuts[1:])]))
-    del binary, tids, starts  # of the layout, only edge_var and the blocks outlive set-up
-
-    f2v = [np.full((N_VALUES, 2 * (hi - lo)), 1.0 / N_VALUES) for lo, hi, _ in blocks]
-    v2f = [block.copy() for block in f2v]
-    new, row = np.empty((N_VALUES, BP_BLOCK)), np.empty(BP_BLOCK)
-    blend = np.empty((N_VALUES, BP_BLOCK)) if config.damping else None
-
-    def update(old: np.ndarray, cols: slice, raw: np.ndarray) -> float:
-        """Normalize ``raw``, damp it into ``old[:, cols]``; return the largest change."""
-        k = raw.shape[1]
-        _normalize(raw, row[:k])
-        if config.damping:  # at 0 the blend would leave raw bit-identical
-            raw *= 1.0 - config.damping
-            raw += np.multiply(old[:, cols], config.damping, out=blend[:, :k])
-        change = np.subtract(raw, old[:, cols], out=old[:, cols])  # old is overwritten next
-        largest = max(change.max(), -change.min())
-        old[:, cols] = raw
-        return largest
-
-    frozen = _Frozen(graph.bank, blocks, edge_var, base)
-    totals = base + np.log(1.0 / N_VALUES) * np.bincount(edge_var, minlength=n)
+    bp = _Frozen(graph, config.damping)
     residuals: list[float] = []
     for _ in range(config.max_iterations):
-        scaled = np.exp(totals - totals.max(axis=0))
-        frozen.release(totals, scaled, f2v, v2f)
-        totals = frozen.start.copy()
-        delta = 0.0
-        for (runs, first, second, spans), to_var, to_factor in zip(frozen.live, f2v, v2f):
-            k = len(first)
-            if k == 0:  # every factor of the block is frozen
-                continue
-            raw = new[:, :k]
-            slot0, slot1 = slice(0, k), slice(k, 2 * k)
-            slots = ((slot0, slot1, first, False), (slot1, slot0, second, True))
-            for cols, _, variables, _ in slots:
-                # Variable -> factor: the product of every message the
-                # variable receives, divided by the one this factor sent.
-                for value in range(N_VALUES):
-                    np.take(scaled[value], variables, out=raw[value])
-                raw /= to_var[:, cols]
-                delta = max(delta, update(to_factor, cols, raw))
-            # Factor -> variable: marginalize the table against the message
-            # arriving at the opposite slot.
-            for (cols, opposite, variables, flip), (low, high) in zip(slots, spans):
-                for s, e, table in runs:
-                    np.matmul(table.T if flip else table, to_factor[:, opposite][:, s:e], out=raw[:, s:e])
-                delta = max(delta, update(to_var, cols, raw))
-                # raw holds what update stored in to_var.
-                _add_logs(totals, variables, np.log(raw, out=raw), low, high)
-        residuals.append(float(delta))
-        if delta < config.convergence_eps:
+        bp.release()
+        residuals.append(bp.sweep())
+        if residuals[-1] < config.convergence_eps:
             break
         if not config.damping:
-            frozen.freeze(f2v, v2f)
-
-    frozen.release(totals, np.exp(totals - totals.max(axis=0)), f2v, v2f)
-    marginals = _normalize_rows_log(totals.T)
+            bp.freeze()
+    bp.release()
+    marginals = _normalize(bp.scaled).T
     for var in np.flatnonzero(~np.isfinite(marginals).all(axis=1))[:1].tolist():
         raise ValueError(
             f"belief of variable {var} ({graph.node_of(var)!r}) is not finite: "
@@ -360,25 +281,64 @@ def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
 
 
 class _Frozen:
-    """The binary factors :func:`run_bp` has frozen, the layout of the live
-    ones, and what it needs to return frozen factors to their blocks.
+    """The state of one :func:`run_bp` run: the messages of the live binary
+    factors, the totals, the factors it has frozen, and what it needs to
+    return frozen factors to their blocks.
+
+    Binary factors are ordered by bank table and cut into blocks of at most
+    BP_BLOCK. Each block keeps its messages in two value-major ``(3, 2k)``
+    arrays, ``f2v`` and ``v2f`` by direction: column e < k is slot 0 of its
+    factor e and column k + e its slot 1. Arrays of one block's size fit in
+    memory the build freed, where two graph-sized arrays would each take new
+    pages. Each variable's total (its unary term plus the log of every
+    incoming message) stays in the log domain. An iteration exponentiates
+    the totals once, shifted so each variable's largest value is 1, then
+    updates BP_BLOCK factors at a time: a variable-to-factor message is the
+    scaled total divided by the edge's own incoming message, and each run of
+    factors that shares a bank table is marginalized against that one 3x3
+    table. The logs of the fresh factor-to-variable messages are summed into
+    the next iteration's totals block by block.
 
     It holds per block a bool mask of its live factors and their layout in
     ``live``; per variable its clamp (int8), whether that clamp is steady
     (bool) and the argmax its frozen factors froze at (``held``, -1 for
-    none); the last iteration's scaled totals and the starting totals. Every
+    none); the totals, their last scaling and the starting totals. Every
     factor starts live, and nothing is held until the first freeze.
     """
 
-    def __init__(self, bank: list[np.ndarray], blocks: list, edge_var: np.ndarray, base: np.ndarray):
-        ratio = max((float(t.max()) / float(t.min()) for t in bank), default=1.0)
+    def __init__(self, graph: FactorGraph, damping: float):
+        n = graph.n_variables
+        if n == 0:
+            raise ValueError("graph has no variables")
+        _, scope, table, rows = graph.columns()
+        unary = scope[:, 1] == -1
+        # Constant per-variable log contribution from unary factors.
+        base = np.zeros((N_VALUES, n))
+        _add_logs(base, scope[unary, 0], np.log(rows / rows.sum(axis=1, keepdims=True))[table[unary]].T, 0, n)
+        binary = np.flatnonzero(~unary)
+        binary = binary[np.argsort(table[binary], kind="stable")]
+        tids, b = table[binary], len(binary)
+        edge_var = np.concatenate([scope[binary, 0], scope[binary, 1]])
+        # Blocks of at most BP_BLOCK factors, each cut into runs that share a bank table.
+        starts = np.flatnonzero(np.diff(tids, prepend=-1))
+        blocks = []
+        for lo in range(0, b, BP_BLOCK):
+            hi = min(lo + BP_BLOCK, b)
+            cuts = [lo, *starts[(starts > lo) & (starts < hi)].tolist(), hi]
+            blocks.append((lo, hi, [(s - lo, e - lo, int(tids[s])) for s, e in zip(cuts, cuts[1:])]))
+        del binary, tids, starts  # of the layout, only edge_var and the blocks outlive set-up
+        self.f2v = [np.full((N_VALUES, 2 * (hi - lo)), 1.0 / N_VALUES) for lo, hi, _ in blocks]
+        self.v2f = [block.copy() for block in self.f2v]
+        self.new, self.row = np.empty((N_VALUES, BP_BLOCK)), np.empty(BP_BLOCK)  # scratch
+        self.damping, self.blend = damping, np.empty((N_VALUES, BP_BLOCK)) if damping else None
+        ratio = max((float(t.max()) / float(t.min()) for t in graph.bank), default=1.0)
         self.delta = 2.0**-56 / ratio / ratio  # ratio**2 would raise OverflowError
         # messages[t, 0][:, a] is what table t sends its slot-0 end while the
-        # slot-1 end is clamped at a, normalized as run_bp's messages are;
+        # slot-1 end is clamped at a, normalized as the sweep's messages are;
         # messages[t, 1] likewise for slot 1.
-        messages = [(_normalize(t.copy()), _normalize(t.T.copy())) for t in bank]
+        messages = [(_normalize(t.copy()), _normalize(t.T.copy())) for t in graph.bank]
         self.messages = np.reshape(messages, (-1, 2, N_VALUES, N_VALUES))
-        self.bank, self.blocks, self.edge_var, self.base = bank, blocks, edge_var, base
+        self.bank, self.blocks, self.edge_var, self.base = graph.bank, blocks, edge_var, base
         self.start = base  # base plus the logs of the frozen factors' messages
         # Per block, its live factors: a read-only all-True view until freeze
         # copies it to clear some, since allocated masks would raise BP's peak.
@@ -390,13 +350,59 @@ class _Frozen:
             self._relayout(j)
         # Per variable, the argmax of its clamp (-1: none), and whether it was
         # clamped at the same argmax in the iteration before (steady).
-        self.clamped = np.full(base.shape[1], -1, np.int8)
-        self.steady = np.zeros(base.shape[1], bool)
+        self.clamped = np.full(n, -1, np.int8)
+        self.steady = np.zeros(n, bool)
         self.grew = False  # whether a variable became steady in this iteration
         self.held, self.scaled = self.clamped.copy(), None
+        self.totals = base + np.log(1.0 / N_VALUES) * np.bincount(edge_var, minlength=n)
 
-    def _clamp(self, scaled: np.ndarray) -> None:
-        hot = (scaled >= self.delta).view(np.int8)
+    def _scale(self, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The totals exponentiated, shifted so each variable's largest value is 1."""
+        return np.exp(self.totals - self.totals.max(axis=0), out=out)
+
+    def _update(self, old: np.ndarray, cols: slice, raw: np.ndarray) -> float:
+        """Normalize ``raw``, damp it into ``old[:, cols]``; return the largest change."""
+        k = raw.shape[1]
+        _normalize(raw, self.row[:k])
+        if self.damping:  # at 0 the blend would leave raw bit-identical
+            raw *= 1.0 - self.damping
+            raw += np.multiply(old[:, cols], self.damping, out=self.blend[:, :k])
+        change = np.subtract(raw, old[:, cols], out=old[:, cols])  # old is overwritten next
+        largest = max(change.max(), -change.min())
+        old[:, cols] = raw
+        return largest
+
+    def sweep(self) -> float:
+        """One flooding iteration over the live blocks from :meth:`release`'s
+        scaled totals; returns the largest change of any message."""
+        scaled, self.totals = self.scaled, self.start.copy()
+        delta = 0.0
+        for (runs, first, second, spans), to_var, to_factor in zip(self.live, self.f2v, self.v2f):
+            k = len(first)
+            if k == 0:  # every factor of the block is frozen
+                continue
+            raw = self.new[:, :k]
+            slot0, slot1 = slice(0, k), slice(k, 2 * k)
+            slots = ((slot0, slot1, first, False), (slot1, slot0, second, True))
+            for cols, _, variables, _ in slots:
+                # Variable -> factor: the product of every message the
+                # variable receives, divided by the one this factor sent.
+                for value in range(N_VALUES):
+                    np.take(scaled[value], variables, out=raw[value])
+                raw /= to_var[:, cols]
+                delta = max(delta, self._update(to_factor, cols, raw))
+            # Factor -> variable: marginalize the table against the message
+            # arriving at the opposite slot.
+            for (cols, opposite, variables, flip), (low, high) in zip(slots, spans):
+                for s, e, table in runs:
+                    np.matmul(table.T if flip else table, to_factor[:, opposite][:, s:e], out=raw[:, s:e])
+                delta = max(delta, self._update(to_var, cols, raw))
+                # raw holds what _update stored in to_var.
+                _add_logs(self.totals, variables, np.log(raw, out=raw), low, high)
+        return float(delta)
+
+    def _clamp(self) -> None:
+        hot = (self.scaled >= self.delta).view(np.int8)
         clamped = np.where(hot[0] + hot[1] + hot[2] == 1, hot[1] + 2 * hot[2], -1)
         steady = (clamped >= 0) & (clamped == self.clamped)
         self.grew = bool((steady > self.steady).any())
@@ -436,14 +442,14 @@ class _Frozen:
                 self.held[variables] = self.clamped[variables]
                 _add_logs(self.start, variables, np.log(self._constants(j, cols, self.clamped, (slot,))), 0, n)
 
-    def release(self, totals: np.ndarray, scaled: np.ndarray, f2v: list, v2f: list) -> None:
-        """Clamp each variable by this iteration's ``scaled``, and return to
-        their blocks the frozen factors with an end that is no longer clamped
-        at the argmax it froze at; then sum ``totals`` and ``scaled`` again,
-        in place, as the loop does. A moved variable has no frozen factor
-        left, so its totals are exactly the loop's with every factor live."""
-        previous, self.scaled = self.scaled, scaled
-        self._clamp(scaled)
+    def release(self) -> None:
+        """Scale the totals, clamp each variable by them, and return to their
+        blocks the frozen factors with an end that is no longer clamped at
+        the argmax it froze at; then sum the totals and scale them again, as
+        the sweep does. A moved variable has no frozen factor left, so its
+        totals are exactly the sweep's with every factor live."""
+        previous, self.scaled = self.scaled, self._scale()
+        self._clamp()
         moved = (self.held >= 0) & (self.clamped != self.held)
         if not moved.any():
             return
@@ -452,27 +458,27 @@ class _Frozen:
             back = ~mask & np.logical_or(*(moved[ends] for ends in self._ends(j, slice(None))))
             if not back.any():
                 continue
-            # What the loop would hold for them now: the constant messages,
+            # What the sweep would hold for them now: the constant messages,
             # and the variable-to-factor messages of the last iteration,
-            # computed the loop's way from its scaled totals.
+            # computed the sweep's way from its scaled totals.
             cols = np.flatnonzero(back)
             sent = self._constants(j, cols, self.held)
             heard = _normalize(np.concatenate([previous[:, ends] for ends in self._ends(j, cols)], axis=1) / sent)
             old, kept = np.concatenate([mask, mask]), np.concatenate([mask | back, mask | back])
-            for arrays, values in ((f2v, sent), (v2f, heard)):
+            for arrays, values in ((self.f2v, sent), (self.v2f, heard)):
                 full = np.empty((N_VALUES, 2 * (hi - lo)))
                 full[:, old], full[:, np.concatenate([back, back])] = arrays[j], values
                 arrays[j] = full[:, kept]
             mask |= back
             self._relayout(j)
         self._refresh()
-        totals[:] = self.start
-        for (_, first, second, spans), to_var in zip(self.live, f2v):
+        self.totals[:] = self.start
+        for (_, first, second, spans), to_var in zip(self.live, self.f2v):
             for variables, logs, (low, high) in zip((first, second), np.hsplit(np.log(to_var), 2), spans):
-                _add_logs(totals, variables, logs, low, high)
-        np.exp(totals - totals.max(axis=0), out=scaled)
+                _add_logs(self.totals, variables, logs, low, high)
+        self._scale(out=self.scaled)
 
-    def freeze(self, f2v: list, v2f: list) -> None:
+    def freeze(self) -> None:
         """Freeze the live factors whose ends are both steady, once they are
         BP_FREEZE of all binary factors. Their factor-to-variable messages
         were the constants in this iteration and the one before, as the
@@ -488,17 +494,11 @@ class _Frozen:
             _, first, second, _ = self.live[j]
             frozen = self.steady[first] & self.steady[second]
             keep = np.concatenate([~frozen, ~frozen])
-            f2v[j], v2f[j] = f2v[j][:, keep], v2f[j][:, keep]
+            self.f2v[j], self.v2f[j] = self.f2v[j][:, keep], self.v2f[j][:, keep]
             mask = self.masks[j] = self.masks[j].copy()  # writable, even where it was a view
             mask[np.flatnonzero(mask)[frozen]] = False
             self._relayout(j)
         self._refresh()
-
-
-def _normalize_rows_log(log_rows: np.ndarray) -> np.ndarray:
-    shifted = log_rows - log_rows.max(axis=1, keepdims=True)
-    p = np.exp(shifted)
-    return p / p.sum(axis=1, keepdims=True)
 
 
 def exact_marginals(graph: FactorGraph) -> np.ndarray:

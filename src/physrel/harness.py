@@ -146,7 +146,7 @@ class AccuracyReport:
     config_fingerprint: str
     converged: Optional[bool] = None
     iterations: Optional[int] = None
-    residual: Optional[float] = None  # BP's last largest message change
+    residual: Optional[float] = None  # BP's last largest message change, to 3 significant digits
 
     def to_tsv(self) -> str:
         lines = [
@@ -201,7 +201,9 @@ def _score(
         overall=overall,
         micro=correct / total if total else 0.0,
         config_fingerprint=fingerprint,
-        **({"converged": bp.converged, "iterations": bp.iterations, "residual": bp.residuals[-1]} if bp else {}),
+        # The residual's last digits move with the order of BP's float operations, which no report shows.
+        **({"converged": bp.converged, "iterations": bp.iterations, "residual": float(f"{bp.residuals[-1]:.3g}")}
+           if bp else {}),
     )
 
 

@@ -82,6 +82,8 @@ def _split_schedule(n: int) -> np.ndarray:
 
 def generate_world(out_dir, rng_seed: int = 0, n_objects: int = 30, n_verbs: int = 12, n_pairs: int = 140) -> World:
     max_pairs = n_objects * (n_objects - 1) // 2
+    if n_objects < 0:
+        raise ValueError(f"n_objects must be >= 0, not {n_objects}")
     if n_verbs < 1:
         raise ValueError(f"n_verbs must be >= 1, not {n_verbs}")
     if not 0 <= n_pairs <= max_pairs:

@@ -11,7 +11,7 @@ from physrel.harness import DataPaths
 from physrel.lexstats import SPLITS, CooccurrenceStats, FrameItem, KnowledgeDataset, PairItem
 from physrel.builder import NODE_CLASSES, featurize_items
 from physrel import factorgraph
-from physrel.factorgraph import BPConfig, BPResult, _normalize_rows_log
+from physrel.factorgraph import BPConfig, BPResult
 from physrel.maxent import TrainConfig, gradients, train
 from physrel.synthetic import generate_world
 
@@ -208,6 +208,12 @@ def reference_dump_graph(graph) -> str:
 def _sum_by_variable(variables: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     """(3, n) per-variable sums of the (3, k) value-major ``values``."""
     return np.stack([np.bincount(variables, weights=row, minlength=n) for row in values], dtype=float)
+
+
+def _normalize_rows_log(log_rows: np.ndarray) -> np.ndarray:
+    shifted = log_rows - log_rows.max(axis=1, keepdims=True)
+    p = np.exp(shifted)
+    return p / p.sum(axis=1, keepdims=True)
 
 
 def reference_run_bp(graph, config: BPConfig = BPConfig(), scaled_trace: Optional[list] = None) -> BPResult:

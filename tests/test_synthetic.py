@@ -128,6 +128,7 @@ def test_every_verb_gets_a_split_at_an_odd_verb_count(tmp_path, n_verbs):
         ({"n_verbs": -2}, "n_verbs"),
         ({"n_pairs": -1}, "n_pairs"),
         ({"n_objects": 5, "n_pairs": 11}, "n_pairs"),
+        ({"n_objects": -3, "n_pairs": 0}, "n_objects"),
     ],
 )
 def test_bad_sizes_are_rejected_before_any_file_is_written(tmp_path, sizes, name):
