@@ -146,7 +146,7 @@ class AccuracyReport:
     config_fingerprint: str
     converged: Optional[bool] = None
     iterations: Optional[int] = None
-    residual: Optional[float] = None  # BP's last largest message change, to 3 significant digits
+    residual: Optional[float] = None  # BP's last largest message change, cut to 3 significant digits
 
     def to_tsv(self) -> str:
         lines = [
@@ -201,10 +201,22 @@ def _score(
         overall=overall,
         micro=correct / total if total else 0.0,
         config_fingerprint=fingerprint,
-        # The residual's last digits move with the order of BP's float operations, which no report shows.
-        **({"converged": bp.converged, "iterations": bp.iterations, "residual": float(f"{bp.residuals[-1]:.3g}")}
+        **({"converged": bp.converged, "iterations": bp.iterations, "residual": _three_digits(bp.residuals[-1])}
            if bp else {}),
     )
+
+
+def _three_digits(residual: float) -> float:
+    """A residual (finite, >= 0) cut toward zero to 3 significant digits.
+
+    Its last digits move with the order of BP's float operations, which no
+    report shows. Cutting, not rounding, keeps a residual below
+    ``convergence_eps`` below it: the 800-digit text is exact (a double has
+    at most 767 significant digits), and the nearest double to the cut text
+    is at most ``residual``.
+    """
+    mantissa, exponent = f"{residual:.800e}".split("e")
+    return float(f"{mantissa[:4]}e{exponent}")
 
 
 def _eval_labels(dataset: KnowledgeDataset, spec: TaskSpec) -> tuple[str, np.ndarray, np.ndarray]:

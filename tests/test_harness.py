@@ -1,6 +1,7 @@
 """Experiment driver: baselines, tasks, ablations, tuning, CLI."""
 import json
 import re
+from decimal import ROUND_DOWN, Decimal
 
 import numpy as np
 import pytest
@@ -194,27 +195,45 @@ def test_report_residual_is_the_last_bp_residual(world):
     for bp_cfg in (BPConfig(), BPConfig(max_iterations=2)):
         result = infer(prepared, BuildConfig(), bp_cfg)
         report = result.report
-        last = float(f"{result.bp.residuals[-1]:.3g}")  # to the report's 3 significant digits
-        assert report.residual == last
-        assert report.converged == result.bp.converged == (result.bp.residuals[-1] < bp_cfg.convergence_eps)
-        assert f"residual\t{last!r}\n" in report.to_tsv()
-        assert json.loads(report.to_json())["residual"] == last
+        assert report.residual == cut_to_3_digits(result.bp.residuals[-1])
+        assert (report.residual < bp_cfg.convergence_eps) == report.converged == result.bp.converged
+        assert f"residual\t{report.residual!r}\n" in report.to_tsv()
+        assert json.loads(report.to_json())["residual"] == report.residual
         stopped.add(report.converged)
     assert stopped == {True, False}
     baseline = baseline_majority(prepared.dataset, prepared.spec)
     assert baseline.residual is None and "residual\tNone\n" in baseline.to_tsv()
 
 
+def cut_to_3_digits(value: float) -> float:
+    """``value`` cut toward zero to 3 significant digits, in exact decimal arithmetic."""
+    exact = Decimal(value)
+    return float(exact.quantize(Decimal(1).scaleb(exact.adjusted() - 2), rounding=ROUND_DOWN))
+
+
+def _bp_report(residual: float) -> harness.AccuracyReport:
+    gold = np.array([[0, 1, 2, -1, 0]])
+    residual = float(residual)
+    bp = BPResult(np.full((1, 3), 1 / 3), residual < BPConfig().convergence_eps, 52, [residual])
+    return harness._score(gold, gold, algorithm="model", spec=TaskSpec("objects", "20", "test"),
+                          fingerprint="0" * 16, bp=bp)  # fmt: skip
+
+
 def test_residuals_that_differ_in_their_last_bits_give_the_same_report():
     # As a reordering of BP's float operations leaves them.
-    gold, residual = np.array([[0, 1, 2, -1, 0]]), 8.7654321e-06
-    reports = [
-        harness._score(gold, gold, algorithm="model", spec=TaskSpec("objects", "20", "test"), fingerprint="0" * 16,
-                       bp=BPResult(np.full((1, 3), 1 / 3), True, 52, [value]))
-        for value in (residual, np.nextafter(residual, 1.0), residual * (1 - 2e-15))
-    ]
+    residual = 8.7654321e-06
+    reports = [_bp_report(value) for value in (residual, np.nextafter(residual, 1.0), residual * (1 - 2e-15))]
     assert len({report.to_tsv() for report in reports}) == len({report.to_json() for report in reports}) == 1
-    assert "residual\t8.77e-06\n" in reports[0].to_tsv() and '"residual": 8.77e-06' in reports[0].to_json()
+    assert "residual\t8.76e-06\n" in reports[0].to_tsv() and '"residual": 8.76e-06' in reports[0].to_json()
+
+
+@pytest.mark.parametrize(
+    "residual", [9.996e-06, float(np.nextafter(1e-05, 0.0)), 1e-05, 1.0049e-05, 0.0, 5e-324, 123456.0]
+)
+def test_the_reported_residual_is_below_eps_exactly_when_bp_converged(residual):
+    report = _bp_report(residual)
+    assert report.residual == cut_to_3_digits(residual) <= residual
+    assert (report.residual < BPConfig().convergence_eps) == report.converged
 
 
 def test_run_task_pair_belief_orientation(world):
@@ -526,8 +545,7 @@ def test_cli_bp_defaults_come_from_bp_config(world, tmp_path, capsys):
     out = tmp_path / "infer"
     assert main(["infer", "--data-dir", str(world.paths.frames_5.parent), "--out-dir", str(out), "--task", "objects"]) == 0
     report = json.loads((out / "report.json").read_text())
-    residual = float(f"{report['residual']:.3g}")  # 3 significant digits
-    expected = f"converged={report['converged']} iterations={report['iterations']} residual={residual!r}"
+    expected = f"converged={report['converged']} iterations={report['iterations']} residual={report['residual']!r}"
     assert capsys.readouterr().out.strip() == expected
 
 

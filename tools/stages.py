@@ -1,24 +1,24 @@
 """Stage timings of two source trees, run alternately, at both scales.
 
-    python tools/stages.py --parent PARENT_DIR --change CHANGE_DIR --rounds 5 --out BENCH_21.json
+    python tools/stages.py --parent PARENT_DIR --change CHANGE_DIR --out OUT.json
 
-Each tree is a checkout with the library under ``src/``. In every round,
-for each scale and seed, both trees run ``harness.run_task`` in a fresh
-interpreter each, in an order that alternates from round to round. Scales:
-``small`` is the 30-object world the tests use, ``paper`` is
+Each tree is a checkout with the library under ``src/``. In each of
+ROUNDS rounds, for each scale and seed, both trees run ``harness.run_task``
+in a fresh interpreter each, in an order that alternates from round to
+round. Scales: ``small`` is the 30-object world the tests use, ``paper`` is
 ``generate_world(n_objects=200, n_verbs=300, n_pairs=3600)``; seeds are 0,
-7 and 7919. Each process first runs one untimed ``run_task``, then
-``--repeat`` timed ones per task (``objects/20/test`` and ``frames/5/dev``),
-and records each run's ``RunResult.timings`` (seconds per stage), BP's
-iteration count, ``converged`` and BP's seconds per iteration. Both trees
-read the same world files, written once per scale and seed by the change
-tree's ``generate_world``. One BLAS thread per process.
+7 and 7919. Each process first runs one untimed ``run_task``, then REPEAT
+timed ones per task (``objects/20/test`` and ``frames/5/dev``), and records
+each run's ``RunResult.timings`` (seconds per stage), BP's iteration count,
+``converged`` and BP's seconds per iteration. Both trees read the same
+world files, written once per scale and seed by the change tree's
+``generate_world``. One BLAS thread per process.
 
 The output holds every run and, per scale, seed, task and stage, each
 tree's median, the median over rounds of the two trees' ratio, which
 cancels most of a shared host's drift between rounds, and the rounds in
-which the change's median was the lower; ``same_bp`` says whether every run of both trees gave the same
-iterations and ``converged``.
+which the change's median was the lower; ``same_bp`` says whether every
+run of both trees gave the same iterations and ``converged``.
 """
 import argparse
 import json
@@ -34,9 +34,11 @@ SCALES = {"small": {}, "paper": {"n_objects": 200, "n_verbs": 300, "n_pairs": 36
 SEEDS = (0, 7, 7919)
 TASKS = (("objects", "20", "test"), ("frames", "5", "dev"))
 TREES = ("parent", "change")
+ROUNDS = 10  # alternating pairs of processes per scale and seed
+REPEAT = 2  # timed run_task calls per task in each process
 
 
-def worker(world: str, repeat: int) -> None:
+def worker(world: str) -> None:
     """Print one JSON line per timed run_task on ``world``."""
     from physrel.builder import BuildConfig
     from physrel.factorgraph import BPConfig
@@ -45,7 +47,7 @@ def worker(world: str, repeat: int) -> None:
     paths = DataPaths.from_dir(world)
     run_task(TaskSpec(*TASKS[0]), BuildConfig(), BPConfig(), paths)  # imports, caches and first-touch pages
     for task in TASKS:
-        for rep in range(repeat):
+        for rep in range(REPEAT):
             result = run_task(TaskSpec(*task), BuildConfig(), BPConfig(), paths)
             bp = result.bp
             print(json.dumps({
@@ -91,16 +93,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, help="checkout of the change")
-    parser.add_argument("--rounds", type=int, default=5)
-    parser.add_argument("--repeat", type=int, default=2, help="timed runs per task in each process")
-    parser.add_argument("--out", type=Path, default=Path("BENCH_21.json"))
+    parser.add_argument("--out", type=Path, help="JSON file to write")
     parser.add_argument("--worker", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
-        worker(args.worker, args.repeat)
+        worker(args.worker)
         return 0
-    if args.parent is None or args.change is None or args.rounds < 1 or args.repeat < 1:
-        parser.error("--parent and --change are required; --rounds and --repeat must be >= 1")
+    if args.parent is None or args.change is None or args.out is None:
+        parser.error("--parent, --change and --out are required")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -110,11 +110,11 @@ def main(argv=None) -> int:
                 world = worlds[scale, seed] = Path(tmp) / f"{scale}-{seed}"
                 code = f"import physrel.synthetic as s; s.generate_world({str(world)!r}, {seed}, **{sizes!r})"
                 python(trees["change"], "-c", code)
-        for round_ in range(args.rounds):
+        for round_ in range(ROUNDS):
             order = TREES if round_ % 2 == 0 else TREES[::-1]
             for (scale, seed), world in worlds.items():
                 for tree in order:
-                    out = python(trees[tree], __file__, "--worker", str(world), "--repeat", str(args.repeat))
+                    out = python(trees[tree], __file__, "--worker", str(world))
                     for line in out.splitlines():
                         runs.append({"round": round_, "tree": tree, "scale": scale, "seed": seed, **json.loads(line)})
                 print(f"round {round_} {scale} seed {seed} done", file=sys.stderr)
@@ -122,7 +122,7 @@ def main(argv=None) -> int:
 
     bp = {(r["scale"], r["seed"], r["task"], r["iterations"], r["converged"]) for r in runs}
     result = {
-        "method": f"python tools/stages.py --rounds {args.rounds} --repeat {args.repeat}",
+        "method": f"python tools/stages.py: {ROUNDS} rounds, {REPEAT} timed runs per task and process",
         "host": {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": numpy.__version__},
         "same_bp": len(bp) == len({key[:3] for key in bp}),
         "summary": summarize(runs),
