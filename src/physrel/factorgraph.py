@@ -18,6 +18,11 @@ graphs; sum-product marginals agree with it exactly on trees.
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import signal
+import sys
+import traceback
 from dataclasses import dataclass
 from itertools import repeat
 from numbers import Integral
@@ -181,12 +186,18 @@ class BPResult:
         return self.marginals[var_id]
 
 
-def _add_logs(totals: np.ndarray, variables: np.ndarray, logs: np.ndarray, low: int, high: int) -> None:
-    """Add the (3, k) value-major ``logs`` into the (3, n) ``totals`` of their
-    ``variables``, which lie in [low, high), each variable's summed in column
-    order: the one order of every per-variable sum of logs in BP."""
-    for value in range(N_VALUES):
-        totals[value, low:high] += np.bincount(variables, logs[value], high)[low:]
+def _log_sums(variables: np.ndarray, logs: np.ndarray, low: int, high: int) -> tuple:
+    """``(low, high, sums)``: per value, the sum of the (3, k) value-major
+    ``logs`` of each of their ``variables``, which lie in [low, high), in
+    column order; with :func:`_add_logs`, the one order of every
+    per-variable sum of logs in BP."""
+    return low, high, [np.bincount(variables, logs[value], high)[low:] for value in range(N_VALUES)]
+
+
+def _add_logs(totals: np.ndarray, low: int, high: int, sums: list) -> None:
+    """Add :func:`_log_sums`' ``sums`` for [low, high) into the (3, n) ``totals``."""
+    for value, row in enumerate(sums):
+        totals[value, low:high] += row
 
 
 def _normalize(messages: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -208,6 +219,12 @@ def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
     variable. Unary-factor messages are constant (the normalized potential)
     and sent exactly from the start, so damping only touches binary-factor
     messages. :class:`_Frozen` holds BP's state; its ``sweep`` is one iteration.
+
+    With two blocks or more and two CPUs, run_bp forks a worker that owns
+    half of the blocks and runs this loop too, with every sum in the one
+    process's order (see :class:`_Frozen`). The worker never returns from
+    run_bp. The parent reaps it on every path, killing it first if the run
+    fails; a worker that dies makes the parent raise RuntimeError.
 
     Undamped, a factor whose two ends are clamped is frozen. A variable is
     clamped when exactly one entry of its scaled total s is at least
@@ -261,15 +278,21 @@ def run_bp(graph: FactorGraph, config: BPConfig = BPConfig()) -> BPResult:
     entries below delta. A damped run freezes nothing.
     """
     bp = _Frozen(graph, config.damping)
-    residuals: list[float] = []
-    for _ in range(config.max_iterations):
+    try:
+        bp.fork()
+        residuals: list[float] = []
+        for _ in range(config.max_iterations):
+            bp.release()
+            residuals.append(bp.sweep())
+            if residuals[-1] < config.convergence_eps:
+                break
+            if not config.damping:
+                bp.freeze()
         bp.release()
-        residuals.append(bp.sweep())
-        if residuals[-1] < config.convergence_eps:
-            break
-        if not config.damping:
-            bp.freeze()
-    bp.release()
+    except BaseException as error:
+        bp.end(error)
+        raise
+    bp.end()
     marginals = _normalize(bp.scaled).T
     for var in np.flatnonzero(~np.isfinite(marginals).all(axis=1))[:1].tolist():
         raise ValueError(
@@ -304,6 +327,16 @@ class _Frozen:
     (bool) and the argmax its frozen factors froze at (``held``, -1 for
     none); the totals, their last scaling and the starting totals. Every
     factor starts live, and nothing is held until the first freeze.
+
+    :meth:`fork` forks a worker if there are two blocks or more and two
+    CPUs (``os.sched_getaffinity``). The parent owns the first half of the
+    blocks (rounded up), the worker the rest; alone, one process owns all.
+    A process holds and updates the messages of its own blocks only (None
+    for the other's); all else is held, and evolves the same, in both. The
+    totals are summed in :meth:`_gather` in the one process's order, so
+    every number is bit for bit as one process computes it. The worker
+    never returns: it ends in ``os._exit``, also once the parent's end of
+    the pipe closes.
     """
 
     def __init__(self, graph: FactorGraph, damping: float):
@@ -314,7 +347,8 @@ class _Frozen:
         unary = scope[:, 1] == -1
         # Constant per-variable log contribution from unary factors.
         base = np.zeros((N_VALUES, n))
-        _add_logs(base, scope[unary, 0], np.log(rows / rows.sum(axis=1, keepdims=True))[table[unary]].T, 0, n)
+        logs = np.log(rows / rows.sum(axis=1, keepdims=True))[table[unary]].T
+        _add_logs(base, *_log_sums(scope[unary, 0], logs, 0, n))
         binary = np.flatnonzero(~unary)
         binary = binary[np.argsort(table[binary], kind="stable")]
         tids, b = table[binary], len(binary)
@@ -326,11 +360,8 @@ class _Frozen:
             hi = min(lo + BP_BLOCK, b)
             cuts = [lo, *starts[(starts > lo) & (starts < hi)].tolist(), hi]
             blocks.append((lo, hi, [(s - lo, e - lo, int(tids[s])) for s, e in zip(cuts, cuts[1:])]))
-        del binary, tids, starts  # of the layout, only edge_var and the blocks outlive set-up
-        self.f2v = [np.full((N_VALUES, 2 * (hi - lo)), 1.0 / N_VALUES) for lo, hi, _ in blocks]
-        self.v2f = [block.copy() for block in self.f2v]
-        self.new, self.row = np.empty((N_VALUES, BP_BLOCK)), np.empty(BP_BLOCK)  # scratch
-        self.damping, self.blend = damping, np.empty((N_VALUES, BP_BLOCK)) if damping else None
+        del logs, binary, tids, starts  # of the layout, only edge_var and the blocks outlive set-up
+        self.damping, self.worker, self.link, self.pending = damping, None, (), []
         ratio = max((float(t.max()) / float(t.min()) for t in graph.bank), default=1.0)
         self.delta = 2.0**-56 / ratio / ratio  # ratio**2 would raise OverflowError
         # messages[t, 0][:, a] is what table t sends its slot-0 end while the
@@ -356,6 +387,89 @@ class _Frozen:
         self.held, self.scaled = self.clamped.copy(), None
         self.totals = base + np.log(1.0 / N_VALUES) * np.bincount(edge_var, minlength=n)
 
+    def fork(self) -> None:
+        """Fork the worker if there are two blocks and two CPUs for it; then
+        allocate the messages and scratch of this process's blocks."""
+        half = len(self.blocks)
+        if half > 1 and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
+            half = (half + 1) // 2
+            self.shared = np.frombuffer(mmap.mmap(-1, 8 * (self.base.size + 1)), float)
+            down, up = os.pipe(), os.pipe()  # (read, write) to the worker, and to the parent
+            self.link = (*down, *up)  # for end to close, should the fork fail
+            for stream in filter(None, (sys.stdout, sys.stderr)):
+                stream.flush()
+            self.worker = os.fork()
+            keep = (up[0], down[1]) if self.worker else (down[0], up[1])  # (read, write)
+            for fd in set(self.link) - set(keep):
+                os.close(fd)
+            self.link = keep
+        mine = range(half) if self.worker != 0 else range(half, len(self.blocks))
+        self.f2v = [np.full((N_VALUES, 2 * (hi - lo)), 1.0 / N_VALUES) if j in mine else None
+                    for j, (lo, hi, _) in enumerate(self.blocks)]  # fmt: skip
+        self.v2f = [None if block is None else block.copy() for block in self.f2v]
+        self.new, self.row = np.empty((N_VALUES, BP_BLOCK)), np.empty(BP_BLOCK)  # scratch
+        self.blend = np.empty((N_VALUES, BP_BLOCK)) if self.damping else None
+
+    def end(self, error: Optional[BaseException] = None) -> None:
+        """In the worker, exit, with status 1 after an ``error``. In the
+        parent, reap the worker, killed first after an error, and raise if
+        it exited with another status than 0."""
+        failed = error is not None
+        if self.worker == 0:
+            try:
+                if failed:
+                    traceback.print_exception(error)
+                    sys.stderr.flush()
+            finally:
+                os._exit(int(failed))
+        for fd in self.link:
+            os.close(fd)
+        self.link = ()
+        if self.worker:
+            pid, self.worker = self.worker, None
+            if failed:
+                os.kill(pid, signal.SIGKILL)
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if status and not failed:
+                raise RuntimeError(f"BP worker process {pid} exited with status {status}")
+
+    def _add(self, variables: np.ndarray, logs: np.ndarray, low: int, high: int) -> None:
+        """Add one slot of a block's logs into the totals; the worker holds
+        their sums until :meth:`_gather` has the parent's."""
+        sums = _log_sums(variables, logs, low, high)
+        if self.worker == 0:
+            self.pending.append(sums)
+        else:
+            _add_logs(self.totals, *sums)
+
+    def _gather(self, delta: float) -> float:
+        """Complete the totals: the parent hands on its totals, which hold
+        its blocks' logs, and the worker adds its held sums onto them in
+        block order and hands them back. Return the largest change of both."""
+        if self.worker is None:  # one process owns every block
+            return delta
+        totals = self.shared[:-1].reshape(self.totals.shape)
+        if self.worker:
+            totals[:], self.shared[-1] = self.totals, delta
+            try:
+                os.write(self.link[1], b"+")
+                done = os.read(self.link[0], 1)
+            except OSError:
+                done = b""
+            if not done:
+                self.end()  # raises, unless the worker exited with status 0
+                raise RuntimeError("BP worker process exited before the run ended")
+            self.totals[:] = totals
+            return float(self.shared[-1])
+        if not os.read(self.link[0], 1):  # the parent is gone
+            os._exit(1)
+        for sums in self.pending:
+            _add_logs(totals, *sums)
+        self.totals, self.pending = totals.copy(), []
+        delta = self.shared[-1] = max(float(self.shared[-1]), delta)
+        os.write(self.link[1], b"+")
+        return delta
+
     def _scale(self, out: Optional[np.ndarray] = None) -> np.ndarray:
         """The totals exponentiated, shifted so each variable's largest value is 1."""
         return np.exp(self.totals - self.totals.max(axis=0), out=out)
@@ -379,7 +493,7 @@ class _Frozen:
         delta = 0.0
         for (runs, first, second, spans), to_var, to_factor in zip(self.live, self.f2v, self.v2f):
             k = len(first)
-            if k == 0:  # every factor of the block is frozen
+            if to_var is None or k == 0:  # the other process's block, or every factor is frozen
                 continue
             raw = self.new[:, :k]
             slot0, slot1 = slice(0, k), slice(k, 2 * k)
@@ -398,8 +512,8 @@ class _Frozen:
                     np.matmul(table.T if flip else table, to_factor[:, opposite][:, s:e], out=raw[:, s:e])
                 delta = max(delta, self._update(to_var, cols, raw))
                 # raw holds what _update stored in to_var.
-                _add_logs(self.totals, variables, np.log(raw, out=raw), low, high)
-        return float(delta)
+                self._add(variables, np.log(raw, out=raw), low, high)
+        return self._gather(float(delta))
 
     def _clamp(self) -> None:
         hot = (self.scaled >= self.delta).view(np.int8)
@@ -440,7 +554,8 @@ class _Frozen:
             cols = np.flatnonzero(~mask)
             for slot, variables in enumerate(self._ends(j, cols)):
                 self.held[variables] = self.clamped[variables]
-                _add_logs(self.start, variables, np.log(self._constants(j, cols, self.clamped, (slot,))), 0, n)
+                logs = np.log(self._constants(j, cols, self.clamped, (slot,)))
+                _add_logs(self.start, *_log_sums(variables, logs, 0, n))
 
     def release(self) -> None:
         """Scale the totals, clamp each variable by them, and return to their
@@ -458,24 +573,27 @@ class _Frozen:
             back = ~mask & np.logical_or(*(moved[ends] for ends in self._ends(j, slice(None))))
             if not back.any():
                 continue
-            # What the sweep would hold for them now: the constant messages,
-            # and the variable-to-factor messages of the last iteration,
-            # computed the sweep's way from its scaled totals.
-            cols = np.flatnonzero(back)
-            sent = self._constants(j, cols, self.held)
-            heard = _normalize(np.concatenate([previous[:, ends] for ends in self._ends(j, cols)], axis=1) / sent)
-            old, kept = np.concatenate([mask, mask]), np.concatenate([mask | back, mask | back])
-            for arrays, values in ((self.f2v, sent), (self.v2f, heard)):
-                full = np.empty((N_VALUES, 2 * (hi - lo)))
-                full[:, old], full[:, np.concatenate([back, back])] = arrays[j], values
-                arrays[j] = full[:, kept]
+            if self.f2v[j] is not None:  # a block of this process's
+                # What the sweep would hold for them now: the constant messages,
+                # and the variable-to-factor messages of the last iteration,
+                # computed the sweep's way from its scaled totals.
+                cols = np.flatnonzero(back)
+                sent = self._constants(j, cols, self.held)
+                heard = _normalize(np.concatenate([previous[:, ends] for ends in self._ends(j, cols)], axis=1) / sent)
+                old, kept = np.concatenate([mask, mask]), np.concatenate([mask | back, mask | back])
+                for arrays, values in ((self.f2v, sent), (self.v2f, heard)):
+                    full = np.empty((N_VALUES, 2 * (hi - lo)))
+                    full[:, old], full[:, np.concatenate([back, back])] = arrays[j], values
+                    arrays[j] = full[:, kept]
             mask |= back
             self._relayout(j)
         self._refresh()
         self.totals[:] = self.start
         for (_, first, second, spans), to_var in zip(self.live, self.f2v):
-            for variables, logs, (low, high) in zip((first, second), np.hsplit(np.log(to_var), 2), spans):
-                _add_logs(self.totals, variables, logs, low, high)
+            if to_var is not None:
+                for variables, logs, (low, high) in zip((first, second), np.hsplit(np.log(to_var), 2), spans):
+                    self._add(variables, logs, low, high)
+        self._gather(0.0)
         self._scale(out=self.scaled)
 
     def freeze(self) -> None:
@@ -493,8 +611,9 @@ class _Frozen:
         for j in sorted(np.flatnonzero(counts).tolist(), key=lambda j: len(self.live[j][1]) - counts[j]):
             _, first, second, _ = self.live[j]
             frozen = self.steady[first] & self.steady[second]
-            keep = np.concatenate([~frozen, ~frozen])
-            self.f2v[j], self.v2f[j] = self.f2v[j][:, keep], self.v2f[j][:, keep]
+            if self.f2v[j] is not None:  # a block of this process's
+                keep = np.concatenate([~frozen, ~frozen])
+                self.f2v[j], self.v2f[j] = self.f2v[j][:, keep], self.v2f[j][:, keep]
             mask = self.masks[j] = self.masks[j].copy()  # writable, even where it was a view
             mask[np.flatnonzero(mask)[frozen]] = False
             self._relayout(j)

@@ -125,7 +125,8 @@ def train(
     ``y`` of shape (n,) trains one model. ``y`` of shape (n, m) trains one
     model per column in one stacked descent, ``attribute`` naming one
     attribute per column, and returns the list of models: each is the model
-    its column alone would give, bit for bit.
+    its column alone would give, bit for bit. Weights or bias that end up
+    not finite (a feature so large that the descent overflows) raise.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
@@ -147,6 +148,10 @@ def train(
         weights -= cfg.learning_rate * grad_w
         bias -= cfg.learning_rate * grad_b
     attributes = attribute if y.ndim == 2 and attribute is not None else [attribute] * len(labels)
+    diverged = ~(np.isfinite(weights).all(axis=(1, 2)) & np.isfinite(bias).all(axis=1))
+    if diverged.any():
+        names = ", ".join(str(a) for a, bad in zip(attributes, diverged) if bad)
+        raise ValueError(f"training diverged for attribute(s) {names} of node class {node_class}: weights not finite")
     models = [MaxentModel(w, b, a, node_class) for w, b, a in zip(weights, bias, attributes)]
     return models if y.ndim == 2 else models[0]
 

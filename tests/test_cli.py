@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import physrel
@@ -169,6 +170,24 @@ def test_a_bp_eps_that_is_not_finite_fails_before_any_work(world, tmp_path, caps
     assert main(argv + (["--component", "selpref"] if command == "ablate" else [])) == 1
     assert "convergence_eps must be finite and > 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_huge_embedding_value_fails_in_training_and_says_where(world, tmp_path, capsys):
+    # 1e308 is finite, so the file loads; o01 is in a seed pair, and the
+    # descent overflows to weights that are not finite.
+    data = tmp_path / "world"
+    shutil.copytree(world.paths.frames_5.parent, data)
+    rows = (data / "embeddings_objects.txt").read_text().splitlines(keepends=True)
+    index = next(i for i, row in enumerate(rows) if row.startswith("o01 "))
+    word, _, *values = rows[index].split(" ")
+    rows[index] = " ".join([word, "1e308", *values])
+    (data / "embeddings_objects.txt").write_text("".join(rows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["infer", *TASK, "--data-dir", str(data), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: training diverged for attribute(s) size, weight, strength, rigidness, speed of node class "
+        "object-pair: weights not finite\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["train", "build", "infer"])

@@ -1,6 +1,8 @@
 """Factor graph and BP: message math, tree exactness, robustness."""
 import contextlib
+import os
 import re
+import signal
 import tracemalloc
 
 import numpy as np
@@ -703,6 +705,137 @@ def test_builder_graphs_that_freeze_and_release_match_the_reference(tmp_path, fr
 def test_damped_bp_freezes_nothing(frozen):
     assert_matches_reference(hub_graph(150, paths=200), BPConfig(damping=0.5))
     assert frozen == []
+
+
+# -- two processes: run_bp's worker owns the second half of the blocks --
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The worker pids os.fork returned in this process."""
+    pids = []
+    fork = os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in this process if the block runs ``seconds`` or longer."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(scope="module")
+def seed3_world(tmp_path_factory):
+    """The builder world whose undamped objects/20/test BP freezes twice and releases three times."""
+    return generate_world(tmp_path_factory.mktemp("seed3"), 3, 60, 60, 900)
+
+
+@pytest.mark.parametrize("damping", [0.0, 0.5])
+@pytest.mark.parametrize("spec", [TaskSpec("objects", "20", "test"), TaskSpec("frames", "5", "dev")])
+def test_two_processes_give_the_one_process_result_bit_for_bit(monkeypatch, forks, frozen, seed3_world, spec, damping):
+    monkeypatch.setattr(factorgraph, "BP_BLOCK", 64)
+    g = build_graph(prepare(spec, seed3_world.paths), BuildConfig()).graph
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    two = run_bp(g, BPConfig(damping=damping))
+    steps = np.diff([0, *sizes(frozen)])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    one = run_bp(g, BPConfig(damping=damping))
+    assert len(forks) == 1
+    assert (two.iterations, two.residuals, two.converged) == (one.iterations, one.residuals, one.converged)
+    assert np.array_equal(two.marginals, one.marginals)
+    if spec.task == "objects" and not damping:
+        assert (np.count_nonzero(steps > 0), np.count_nonzero(steps < 0)) == (2, 3)
+    assert_no_child_left()
+
+
+def hub_with_loops() -> FactorGraph:
+    """400 binary factors: one block at the default BP_BLOCK, seven at 64."""
+    g = hub_graph(300)
+    return add_loopy(g, np.random.default_rng(47), 40, 100, [SOFT_ONE, flipped_table(SOFT_ONE)])
+
+
+def test_run_bp_leaves_no_process_behind(monkeypatch, forks):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    run_bp(hub_with_loops())  # one block: one process
+    assert forks == []
+    monkeypatch.setattr(factorgraph, "BP_BLOCK", 64)
+    run_bp(hub_with_loops())
+    assert len(forks) == 1
+    assert_no_child_left()
+    # As in test_bp_names_the_first_variable_whose_belief_is_not_finite, in three blocks.
+    monkeypatch.setattr(factorgraph, "BP_BLOCK", 2)
+    g = FactorGraph()
+    chain = [g.add_variable(f"v{i}") for i in range(6)]
+    rng = np.random.default_rng(37)
+    for a, b in zip(chain, chain[1:]):
+        g.add_factor([a, b], rng.permutation(np.logspace(300, -300, 9)).reshape(3, 3))
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"^belief of variable 0 \('v0'\) is not finite"):
+        run_bp(g, BPConfig())
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def fail_in_second_sweep(monkeypatch, worker: bool, fail):
+    """Call ``fail`` in the second sweep of the worker, or of the parent."""
+    test, sweep, calls = os.getpid(), factorgraph._Frozen.sweep, []
+
+    def spy(self):
+        calls.append(None)
+        if (os.getpid() != test) == worker and len(calls) == 2:
+            fail()
+        return sweep(self)
+
+    monkeypatch.setattr(factorgraph._Frozen, "sweep", spy)
+
+
+def fail():
+    raise RuntimeError("a failure of one process")
+
+
+@pytest.mark.parametrize("kill, status", [(False, 1), (True, -signal.SIGKILL)])
+def test_a_worker_that_dies_makes_the_parent_raise(monkeypatch, capfd, forks, kill, status):
+    monkeypatch.setattr(factorgraph, "BP_BLOCK", 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    fail_in_second_sweep(monkeypatch, True, (lambda: os.kill(os.getpid(), signal.SIGKILL)) if kill else fail)
+    with deadline(10), pytest.raises(RuntimeError) as raised:
+        run_bp(hub_with_loops())
+    assert str(raised.value) == f"BP worker process {forks[0]} exited with status {status}"
+    # The worker printed why it failed; a killed one could not.
+    assert ("RuntimeError: a failure of one process" in capfd.readouterr().err) == (not kill)
+    assert_no_child_left()
+
+
+def test_a_failing_parent_kills_its_worker(monkeypatch, forks):
+    monkeypatch.setattr(factorgraph, "BP_BLOCK", 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    fail_in_second_sweep(monkeypatch, False, fail)
+    with deadline(10), pytest.raises(RuntimeError, match="^a failure of one process$"):
+        run_bp(hub_with_loops())
+    assert len(forks) == 1
+    assert_no_child_left()
 
 
 # -- exact enumeration oracle --

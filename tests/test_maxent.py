@@ -268,6 +268,19 @@ def test_train_input_validation():
         train(np.eye(3), [[GT, EQ], [LT, -1], [EQ, GT]])
 
 
+def test_train_rejects_weights_that_are_not_finite():
+    # A feature this large makes the descent overflow to weights that are
+    # not finite; stacked, every model that diverged is named.
+    X, labels = np.array([[1e308, 0.0], [0.0, 1.0], [1.0, 0.0]]), [[GT, GT], [LT, LT], [EQ, GT]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"^training diverged for attribute\(s\) size of node class frame: "):
+            train(X, [GT, LT, EQ], attribute=Attribute.SIZE, node_class="frame")
+        with pytest.raises(ValueError, match=r"attribute\(s\) size, speed of node class object-pair: "):
+            train(X, labels, attribute=[Attribute.SIZE, Attribute.SPEED], node_class="object-pair")
+    # The same labels train finite models from features of ordinary size.
+    train(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]), labels)
+
+
 def test_train_on_label_columns_equals_one_train_per_column():
     examples = separable_examples()
     X, y = matrix(examples)

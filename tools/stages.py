@@ -10,7 +10,9 @@ round. Scales: ``small`` is the 30-object world the tests use, ``paper`` is
 7 and 7919. Each process first runs one untimed ``run_task``, then REPEAT
 timed ones per task (``objects/20/test`` and ``frames/5/dev``), and records
 each run's ``RunResult.timings`` (seconds per stage), BP's iteration count,
-``converged`` and BP's seconds per iteration. Both trees read the same
+``converged`` and BP's seconds per iteration, and at its end its own peak
+RSS (``ru_maxrss``) and that of its reaped children (``RUSAGE_CHILDREN``:
+the BP worker processes ``run_bp`` forks, if any). Both trees read the same
 world files, written once per scale and seed by the change tree's
 ``generate_world``. One BLAS thread per process.
 
@@ -18,12 +20,15 @@ The output holds every run and, per scale, seed, task and stage, each
 tree's median, the median over rounds of the two trees' ratio, which
 cancels most of a shared host's drift between rounds, and the rounds in
 which the change's median was the lower; ``same_bp`` says whether every
-run of both trees gave the same iterations and ``converged``.
+run of both trees gave the same iterations and ``converged``;
+``peak_rss_median_mb`` gives, per scale, seed and tree, the median over processes of both peaks,
+and ``host`` the CPUs the runner may use.
 """
 import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -36,6 +41,8 @@ TASKS = (("objects", "20", "test"), ("frames", "5", "dev"))
 TREES = ("parent", "change")
 ROUNDS = 10  # alternating pairs of processes per scale and seed
 REPEAT = 2  # timed run_task calls per task in each process
+# A process's own peak RSS, and the largest of its reaped children's.
+PEAKS = {"self": resource.RUSAGE_SELF, "children": resource.RUSAGE_CHILDREN}
 
 
 def worker(world: str) -> None:
@@ -54,6 +61,8 @@ def worker(world: str) -> None:
                 "task": "/".join(task), "rep": rep, "timings": result.timings, "iterations": bp.iterations,
                 "converged": bp.converged, "bp_per_iteration": result.timings["bp"] / bp.iterations,
             }))  # fmt: skip
+    peaks = {key: resource.getrusage(who).ru_maxrss / 1024 for key, who in PEAKS.items()}
+    print(json.dumps({"peak_rss_mb": peaks}))
 
 
 def python(tree: Path, *args: str) -> str:
@@ -102,7 +111,7 @@ def main(argv=None) -> int:
     if args.parent is None or args.change is None or args.out is None:
         parser.error("--parent, --change and --out are required")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    runs = []
+    runs, processes = [], []
     with tempfile.TemporaryDirectory() as tmp:
         worlds = {}
         for scale, sizes in SCALES.items():
@@ -116,17 +125,28 @@ def main(argv=None) -> int:
                 for tree in order:
                     out = python(trees[tree], __file__, "--worker", str(world))
                     for line in out.splitlines():
-                        runs.append({"round": round_, "tree": tree, "scale": scale, "seed": seed, **json.loads(line)})
+                        record = {"round": round_, "tree": tree, "scale": scale, "seed": seed, **json.loads(line)}
+                        (processes if "peak_rss_mb" in record else runs).append(record)
                 print(f"round {round_} {scale} seed {seed} done", file=sys.stderr)
     import numpy
 
     bp = {(r["scale"], r["seed"], r["task"], r["iterations"], r["converged"]) for r in runs}
+    peaks: dict = {}  # per scale, seed and tree: each peak over the processes
+    for p in processes:
+        group = peaks.setdefault(f'{p["scale"]} seed {p["seed"]} {p["tree"]}', {})
+        for key, mb in p["peak_rss_mb"].items():
+            group.setdefault(key, []).append(mb)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     result = {
         "method": f"python tools/stages.py: {ROUNDS} rounds, {REPEAT} timed runs per task and process",
-        "host": {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": numpy.__version__},
+        "host": {
+            "nproc": os.cpu_count(), "usable_cpus": cpus, "python": platform.python_version(), "numpy": numpy.__version__
+        },
         "same_bp": len(bp) == len({key[:3] for key in bp}),
         "summary": summarize(runs),
+        "peak_rss_median_mb": {group: {k: statistics.median(v) for k, v in by.items()} for group, by in peaks.items()},
         "runs": runs,
+        "processes": processes,
     }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
