@@ -454,7 +454,7 @@ class _Frozen:
             try:
                 os.write(self.link[1], b"+")
                 done = os.read(self.link[0], 1)
-            except OSError:
+            except BrokenPipeError:  # the worker is gone
                 done = b""
             if not done:
                 self.end()  # raises, unless the worker exited with status 0

@@ -3,6 +3,7 @@ import contextlib
 import os
 import re
 import signal
+import time
 import tracemalloc
 
 import numpy as np
@@ -833,6 +834,17 @@ def test_a_failing_parent_kills_its_worker(monkeypatch, forks):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     fail_in_second_sweep(monkeypatch, False, fail)
     with deadline(10), pytest.raises(RuntimeError, match="^a failure of one process$"):
+        run_bp(hub_with_loops())
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_a_signal_that_stops_the_parent_waiting_for_its_worker_is_not_the_worker_s_failure(monkeypatch, forks):
+    # The alarm's TimeoutError (an OSError) reaches the caller as it is, and the sleeping worker is killed.
+    monkeypatch.setattr(factorgraph, "BP_BLOCK", 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    fail_in_second_sweep(monkeypatch, True, lambda: time.sleep(60))
+    with pytest.raises(TimeoutError, match="^still running after 1 s$"), deadline(1):
         run_bp(hub_with_loops())
     assert len(forks) == 1
     assert_no_child_left()
