@@ -772,6 +772,40 @@ def test_two_processes_give_the_one_process_result_bit_for_bit(monkeypatch, fork
     assert_no_child_left()
 
 
+def add_pairs(g: FactorGraph, rng, pairs: int) -> FactorGraph:
+    """``pairs`` STRONG factors, each between two new variables, one of
+    them with a random unary: their messages settle in the second iteration."""
+    ends = g.n_variables + np.arange(2 * pairs).reshape(pairs, 2)
+    for i in range(2 * pairs):
+        g.add_variable(f"pair{i}")
+    g.add_factors(["pair"], np.zeros(pairs), ends, np.zeros(pairs), binary_tables=[STRONG])
+    g.add_factors(["seed"], np.zeros(pairs), np.column_stack([ends[:, 0], np.full(pairs, -1)]), np.arange(pairs),
+                  unary_tables=rng.uniform(0.05, 2.0, (pairs, 3)))
+    return g
+
+
+@pytest.mark.parametrize("settled_first", [False, True])
+def test_both_processes_stop_on_the_larger_change_of_the_two(monkeypatch, forks, settled_first):
+    # Two blocks of loopy factors and two of pairs, at 64 factors a block:
+    # one process's blocks settle long before the other's, so a process
+    # that stopped on its own largest change would leave the other waiting.
+    monkeypatch.setattr(factorgraph, "BP_BLOCK", 64)
+    rng, g = np.random.default_rng(53), FactorGraph()
+    if settled_first:  # the pairs' table comes first in the bank, so their blocks are the parent's
+        add_loopy(add_pairs(g, rng, 128), rng, 40, 128, [SOFT_ONE])
+    else:
+        add_pairs(add_loopy(g, rng, 40, 128, [SOFT_ONE]), rng, 128)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with deadline(10):
+        two = run_bp(g)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    one = run_bp(g)
+    assert len(forks) == 1 and one.iterations > 5
+    assert (two.iterations, two.residuals, two.converged) == (one.iterations, one.residuals, one.converged)
+    assert np.array_equal(two.marginals, one.marginals)
+    assert_no_child_left()
+
+
 def hub_with_loops() -> FactorGraph:
     """400 binary factors: one block at the default BP_BLOCK, seven at 64."""
     g = hub_graph(300)
