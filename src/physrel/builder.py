@@ -271,7 +271,8 @@ def add_seed_and_emb_factors(build: Build, models: Optional[TrainedModels], cfg:
     """Unary factors: soft-1 gold rows on seed nodes, classifier rows everywhere.
 
     Factors run attribute by attribute, frames then pairs, in item order;
-    an item's seed factor comes before its emb factor.
+    an item's seed factor comes before its emb factor. A classifier row that is not
+    finite and strictly positive raises ValueError naming its item and attribute.
     """
     dataset = build.dataset
     seeded, embedded = cfg.unary_classes()
@@ -292,7 +293,12 @@ def add_seed_and_emb_factors(build: Build, models: Optional[TrainedModels], cfg:
                     table[present[:, 0], 0] = SOFT_ONE[gold]
                 if kind in embedded and len(rows):
                     present[:, 1] = True
-                    table[:, 1] = models.proba(kind, features[kind][rows], attribute)
+                    proba = table[:, 1] = models.proba(kind, features[kind][rows], attribute)
+                    if not 0 < proba.min() <= proba.max() < np.inf:  # nan fails too
+                        bad = ~((proba > 0) & (proba < np.inf)).all(axis=1)
+                        key = getattr(dataset, kind)[rows[np.argmax(bad)]].key
+                        raise ValueError(f"classifier row of {NODE_CLASSES[kind]} {key} for attribute {attribute} "
+                                         "is not finite and strictly positive")
                 node, slot = np.nonzero(present)
                 build.add(kind_codes[slot], variables[rows[node], column], -1, np.arange(len(node)), table[present])
 

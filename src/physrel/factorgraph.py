@@ -40,9 +40,11 @@ BP_BLOCK = 16384
 # steadily clamped) before run_bp freezes them: each freeze recomputes the
 # frozen sums from scratch, so it waits for a batch worth that cost.
 BP_FREEZE = 0.01
-# Factor records graph_text formats and load_graph parses (and adds to the
-# graph) at a time, and rows of a synthetic label file formatted at a time,
-# which bounds the Python strings and arrays each holds at once.
+# Factor records graph_text formats at a time, and rows of a synthetic label
+# file formatted at a time; load_graph splits a text into pieces of about
+# TEXT_BLOCK lines (64 * TEXT_BLOCK characters) and adds each run of factor
+# records in a piece to the graph as one block. This bounds the Python strings
+# and arrays each holds at once.
 TEXT_BLOCK = 4096
 # The line breaks str.splitlines knows besides "\n"; no node key or factor kind
 # may hold one.
@@ -660,8 +662,6 @@ def graph_text(graph: FactorGraph) -> Iterator[str]:
     raises ValueError at the call, before any piece. Identical graphs dump byte-identically.
     """
     kind, scope, table, rows = graph.columns()
-    values = [" ".join(map(repr, t)) for t in rows.tolist() + [t.ravel().tolist() for t in graph.bank]]
-    value_of = np.where(scope[:, 1] == -1, table, len(rows) + table)
     n = graph.n_variables
     variables = "".join(f"var\t{vid}\t{graph.node_of(vid)}\n" for vid in range(n))
     # A key or kind holding a tab or a line break would dump to a text that load_graph rejects or misreads.
@@ -673,24 +673,30 @@ def graph_text(graph: FactorGraph) -> Iterator[str]:
     # interleaved fields, so only one block's fields are held as Python
     # objects at a time. The texts around the ids are looked up, not formatted
     # per line: the kind, the second scope id ("" for a unary factor, whose
-    # -1 indexes the last entry) and the values.
+    # -1 indexes the last entry) and a binary factor's values; a unary
+    # factor's are formatted with its block, from its row, by one more %-operation.
     kind_text = [f"\t{k}\t" for k in graph.kinds]
     bad = np.array([_breaks(text[1:-1]) for text in kind_text], bool)[kind]
     if bad.any():
         fid = int(np.argmax(bad))
         raise ValueError(f"factor {fid}: kind {graph.kinds[kind[fid]]!r} holds a tab or a line break")
     second_text = [f",{v}" for v in range(n)] + [""]
-    value_text = [f"\t{v}\n" for v in values]
+    bank_text = [f"\t{' '.join(map(repr, t.ravel().tolist()))}\n" for t in graph.bank]
     def pieces():  # a generator, so the checks above run at the call
         yield variables
         for lo in range(0, len(kind), TEXT_BLOCK):
             hi = min(lo + TEXT_BLOCK, len(kind))
+            unary = scope[lo:hi, 1] == -1
+            ids = table[lo:hi][unary]
+            # The value texts of the block's unary factors, in factor order, then the bank's.
+            texts = (("\t%r %r %r\n" * len(ids)) % tuple(rows[ids].ravel().tolist())).splitlines(True) + bank_text
+            value_of = np.where(unary, np.cumsum(unary) - 1, len(ids) + table[lo:hi])
             fields = [None] * (5 * (hi - lo))
             fields[0::5] = range(lo, hi)
             fields[1::5] = map(kind_text.__getitem__, kind[lo:hi].tolist())
             fields[2::5] = scope[lo:hi, 0].tolist()
             fields[3::5] = map(second_text.__getitem__, scope[lo:hi, 1].tolist())
-            fields[4::5] = map(value_text.__getitem__, value_of[lo:hi].tolist())
+            fields[4::5] = map(texts.__getitem__, value_of.tolist())
             yield ("factor\t%d%s%d%s%s" * (hi - lo)) % tuple(fields)
     return pieces()
 
@@ -713,7 +719,9 @@ def load_graph(text: str) -> FactorGraph:
     only once. Malformed input raises ValueError naming its first bad line.
     """
     graph = FactorGraph()
-    parsed = _FactorColumns()
+    # All that one block leaves to the next: each kind's id, in first-seen order,
+    # what each scope id text read (-1 if malformed) and the factor records added.
+    kinds, ids, n = {}, {}, 0
     # The text is split into lines one piece at a time, so only one piece's
     # lines are held at once. A piece is about TEXT_BLOCK dumped lines long
     # and ends just after a "\n", which no line break str.splitlines knows
@@ -722,8 +730,8 @@ def load_graph(text: str) -> FactorGraph:
     while pos < len(text):
         end = text.find("\n", pos + 64 * TEXT_BLOCK) + 1 or len(text)
         lines = text[pos:end].splitlines()
-        # Runs of consecutive factor records are parsed TEXT_BLOCK lines at a
-        # time; every other line is a variable, skipped, or malformed.
+        # Each run of consecutive factor records is parsed as one block; every
+        # other line is a variable, skipped, or malformed.
         is_factor = np.fromiter(map(str.startswith, lines, repeat("factor\t")), bool, len(lines))
         edges = np.flatnonzero(np.diff(is_factor, prepend=False, append=False)).tolist()
         at = 0  # lines before ``at`` are parsed; the last (lo, hi) is an empty run after every line
@@ -737,80 +745,56 @@ def load_graph(text: str) -> FactorGraph:
                 if not is_var or graph.has_variable(parts[2]):
                     raise ValueError(f"line {first + index}: malformed or duplicate record")
                 graph.add_variable(parts[2])
-            for start in range(lo, hi, TEXT_BLOCK):
-                bad = parsed.add(lines[start : min(start + TEXT_BLOCK, hi)], graph)
-                if bad is not None:
-                    raise ValueError(f"line {first + start + bad}: malformed or duplicate record")
-            at = hi
+            bad = _add_block(lines[lo:hi], graph, n, kinds, ids) if lo < hi else None
+            if bad is not None:
+                raise ValueError(f"line {first + lo + bad}: malformed or duplicate record")
+            n, at = n + hi - lo, hi
         pos, first = end, first + len(lines)
     return graph
 
 
-class _FactorColumns:
-    """What each distinct kind, value text and scope id :func:`load_graph` has
-    read parsed to; each block of factor records goes straight to the graph."""
+def _add_block(lines: list[str], graph: FactorGraph, n: int, kinds: dict, ids: dict) -> Optional[int]:
+    """Add ``factor`` lines, the first numbered ``n``, to ``graph``; return the index of the first malformed one, if
+    any. ``kinds`` and ``ids`` are :func:`load_graph`'s kind ids and scope id cache, updated here."""
+    tabs = list(map(str.count, lines, repeat("\t")))
+    k = len(lines) if tabs.count(4) == len(lines) else [t == 4 for t in tabs].index(False)
+    # The columns of the first k lines, which all hold five fields.
+    fields = "\t".join(lines[:k]).split("\t")
+    numbers, kind_texts, scopes, values = fields[1::5], fields[2::5], fields[3::5], fields[4::5]
+    del fields
+    expected = list(map(str, range(n, n + k)))
+    bad = np.zeros(k, bool) if numbers == expected else np.not_equal(numbers, expected)
+    # The block's own unary and binary tables, in first-seen order; each
+    # distinct value text's code is 4 * its table id + its arity, 0 if malformed.
+    tables = ([], [])
+    codes = {text: _table(text, tables) for text in dict.fromkeys(values)}
+    code = np.fromiter(map(codes.__getitem__, values), np.int64, k)
+    commas = np.fromiter(map(str.count, scopes, repeat(",")), np.int64, k)
+    variables = _lookup(ids, ",".join(scopes).split(","), _variable_id)
+    start = np.cumsum(commas + 1) - commas - 1  # the index of each line's first token
+    a, b = variables[start], variables[start + np.minimum(commas, 1)]
+    bad |= (code % 4 != commas + 1) | (np.minimum(a, b) < 0) | (np.maximum(a, b) >= graph.n_variables)
+    b = np.where(commas, b, -1)  # -1 for a unary factor
+    bad |= a == b
+    if bad.any() or k < len(lines):
+        return int(np.argmax(bad)) if bad.any() else k
+    kind_ids = _lookup(kinds, kind_texts, lambda text: len(kinds))
+    graph.add_factors(list(kinds), kind_ids, np.column_stack([a, b]), code // 4, *tables)
+    return None
 
-    def __init__(self):
-        self.kinds: dict[str, int] = {}  # kind -> kind id, in first-seen order
-        self.rows: list[list[float]] = []  # unary tables
-        self.bank: list[list[float]] = []  # binary tables
-        # Value text -> 4 * (its index into rows or bank) + arity; 0 if malformed.
-        self.tables: dict[str, int] = {}
-        # Scope id text -> variable id, -1 if malformed; holds str(v) for
-        # every variable v defined so far, so only other texts go through int().
-        self.ids: dict[str, int] = {}
-        self.n_variables = 0
-        self.n = 0  # factor records added
 
-    def add(self, lines: list[str], graph: FactorGraph) -> Optional[int]:
-        """Add ``factor`` lines to ``graph``; return the index of the first malformed one, if any."""
-        tabs = list(map(str.count, lines, repeat("\t")))
-        k = len(lines) if tabs.count(4) == len(lines) else [t == 4 for t in tabs].index(False)
-        if k == 0:
-            return 0
-        # The columns of the first k lines, which all hold five fields.
-        fields = "\t".join(lines[:k]).split("\t")
-        ids, kinds, scopes, values = fields[1::5], fields[2::5], fields[3::5], fields[4::5]
-        del fields
-        expected = list(map(str, range(self.n, self.n + k)))
-        bad = np.zeros(k, bool) if ids == expected else np.not_equal(ids, expected)
-        new = range(self.n_variables, graph.n_variables)
-        self.ids.update(zip(map(str, new), new))
-        self.n_variables = graph.n_variables
-        code = _lookup(self.tables, values, self._table)
-        commas = np.fromiter(map(str.count, scopes, repeat(",")), np.int64, k)
-        variables = _lookup(self.ids, ",".join(scopes).split(","), _variable_id)
-        first = np.cumsum(commas + 1) - commas - 1  # the index of each line's first token
-        a, b = variables[first], variables[first + np.minimum(commas, 1)]
-        bad |= (code % 4 != commas + 1) | (np.minimum(a, b) < 0) | (np.maximum(a, b) >= graph.n_variables)
-        b = np.where(commas, b, -1)  # -1 for a unary factor
-        bad |= a == b
-        if bad.any() or k < len(lines):
-            return int(np.argmax(bad)) if bad.any() else k
-        kind_ids = _lookup(self.kinds, kinds, lambda text: len(self.kinds))
-        # Only the tables this block uses go with it, in code order, which is
-        # first-seen order within each arity, so the bank keeps that order.
-        codes, inverse = np.unique(code, return_inverse=True)
-        unary = codes % 4 == 1
-        rows = [self.rows[i] for i in (codes[unary] // 4).tolist()]
-        bank = [self.bank[i] for i in (codes[~unary] // 4).tolist()]
-        table_ids = np.where(unary, np.cumsum(unary), np.cumsum(~unary))[inverse] - 1
-        graph.add_factors(list(self.kinds), kind_ids, np.column_stack([a, b]), table_ids, rows, bank)
-        self.n += k
-        return None
-
-    def _table(self, text: str) -> int:
-        """Store the table ``text`` spells; return its code (see ``tables``)."""
-        try:
-            values = list(map(float, text.split()))
-        except ValueError:
-            return 0
-        arity = _ARITY.get(len(values), 0)
-        if not arity or not all(map((0.0).__lt__, values)) or math.inf in values:  # nan is not positive either
-            return 0
-        store = self.rows if arity == 1 else self.bank
-        store.append(values)
-        return 4 * (len(store) - 1) + arity
+def _table(text: str, tables: tuple[list, list]) -> int:
+    """Append the values ``text`` spells to ``tables``' list of their arity; return their code (see ``_add_block``)."""
+    try:
+        values = list(map(float, text.split()))
+    except ValueError:
+        return 0
+    arity = _ARITY.get(len(values), 0)
+    if not arity or not all(map((0.0).__lt__, values)) or math.inf in values:  # nan is not positive either
+        return 0
+    store = tables[arity - 1]
+    store.append(values)
+    return 4 * (len(store) - 1) + arity
 
 
 _ARITY = {N_VALUES: 1, N_VALUES * N_VALUES: 2}  # table values -> arity

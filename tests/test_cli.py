@@ -173,21 +173,26 @@ def test_a_bp_eps_that_is_not_finite_fails_before_any_work(world, tmp_path, caps
 
 
 def test_a_huge_embedding_value_fails_in_training_and_says_where(world, tmp_path, capsys):
-    # 1e308 is finite, so the file loads; o01 is in a seed pair, and the
-    # descent overflows to weights that are not finite.
-    data = tmp_path / "world"
-    shutil.copytree(world.paths.frames_5.parent, data)
-    rows = (data / "embeddings_objects.txt").read_text().splitlines(keepends=True)
-    index = next(i for i, row in enumerate(rows) if row.startswith("o01 "))
-    word, _, *values = rows[index].split(" ")
-    rows[index] = " ".join([word, "1e308", *values])
-    (data / "embeddings_objects.txt").write_text("".join(rows))
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["infer", *TASK, "--data-dir", str(data), "--out-dir", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == (
-        "error: training diverged for attribute(s) size, weight, strength, rigidness, speed of node class "
-        "object-pair: weights not finite\n"
-    )
+    # 1e308 is finite, so the file loads. o01 is in a seed pair, and the
+    # descent overflows to weights that are not finite. o00's row trains to
+    # finite weights, but the class probabilities of its pairs underflow to
+    # exact zeros, which the builder names before the graph sees them.
+    errors = {
+        "o01": "training diverged for attribute(s) size, weight, strength, rigidness, speed of node class "
+        "object-pair: weights not finite",
+        "o00": "classifier row of object-pair ('o00', 'o03') for attribute size is not finite and strictly positive",
+    }
+    for word, error in errors.items():
+        data = tmp_path / word
+        shutil.copytree(world.paths.frames_5.parent, data)
+        rows = (data / "embeddings_objects.txt").read_text().splitlines(keepends=True)
+        index = next(i for i, row in enumerate(rows) if row.startswith(f"{word} "))
+        _, _, *values = rows[index].split(" ")
+        rows[index] = " ".join([word, "1e308", *values])
+        (data / "embeddings_objects.txt").write_text("".join(rows))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["infer", *TASK, "--data-dir", str(data), "--out-dir", str(tmp_path / f"out-{word}")]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
 
 
 @pytest.mark.parametrize("command", ["train", "build", "infer"])

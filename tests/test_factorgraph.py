@@ -1030,6 +1030,9 @@ def test_load_keeps_first_seen_order_whatever_the_block(monkeypatch, block):
     # Kinds and tables are passed to add_factors in an order other than the
     # one their factors first use; the loaded graph has first-seen order, and
     # with blocks of 1-3 lines each block holds only a few of the 40 tables.
+    # Such blocks cut the text into more than ten calls to add_factors, which
+    # is what lets test_load_graph_matches_the_reference_parser, at the same
+    # block sizes, cover the state one block leaves to the next.
     rng = np.random.default_rng(47)
     g = FactorGraph()
     for i in range(12):
@@ -1046,7 +1049,10 @@ def test_load_keeps_first_seen_order_whatever_the_block(monkeypatch, block):
     fields = [line.split("\t") for line in text.splitlines() if line.startswith("factor\t")]
     expected = run_bp(load_graph(text), BPConfig(max_iterations=20)).marginals  # at the default block
     monkeypatch.setattr(factorgraph, "TEXT_BLOCK", block)
+    add_factors, blocks = FactorGraph.add_factors, []
+    monkeypatch.setattr(FactorGraph, "add_factors", lambda *args, **kw: blocks.append(1) or add_factors(*args, **kw))
     loaded = load_graph(text)
+    assert len(blocks) > 10 if block <= 3 else len(blocks) == 1
     assert loaded.kinds == list(dict.fromkeys(f[2] for f in fields)) != g.kinds
     bank_text = [" ".join(map(repr, t.ravel().tolist())) for t in loaded.bank]
     assert bank_text == list(dict.fromkeys(f[4] for f in fields if "," in f[3]))
@@ -1069,42 +1075,59 @@ def similarity_graph(n: int, b: int) -> FactorGraph:
     return g
 
 
+def distinct_rows_graph(n: int, u: int) -> FactorGraph:
+    """``n`` variables and ``u`` unary factors on random variables, each with its own random row."""
+    rng = np.random.default_rng(53)
+    g = FactorGraph()
+    for i in range(n):
+        g.add_variable(i)
+    g.add_factors(["emb"], np.zeros(u), np.column_stack([rng.integers(0, n, u), np.full(u, -1)]), np.arange(u),
+                  unary_tables=rng.uniform(0.05, 1.0, (u, 3)))
+    return g
+
+
 def test_load_memory_peak_does_not_grow_with_the_factor_count(monkeypatch):
-    # Each block of factor records goes straight into the graph, so what
-    # load_graph holds beyond the graph it returns is about one block's worth.
+    # Each block of factor records goes straight into the graph, and only the
+    # kind ids, the scope id texts and the factor count outlive a block, so
+    # what load_graph holds beyond the graph it returns is about one block's
+    # worth, also when every factor has a row of its own.
     monkeypatch.setattr(factorgraph, "TEXT_BLOCK", 1024)
     n = 20_000
-    extra = []
-    for b in (25_000, 100_000):
-        g = similarity_graph(n, b)
-        text = dump_graph(g)
-        del g
-        tracemalloc.start()
-        try:
-            loaded = load_graph(text)
-            retained, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert loaded.n_variables == n
-        extra.append(peak - retained)
-    assert extra[1] - extra[0] < 2**20
+    for make in (similarity_graph, distinct_rows_graph):
+        extra = []
+        for b in (25_000, 100_000):
+            g = make(n, b)
+            text = dump_graph(g)
+            del g
+            tracemalloc.start()
+            try:
+                loaded = load_graph(text)
+                retained, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert loaded.n_variables == n
+            extra.append(peak - retained)
+        assert extra[1] - extra[0] < 2**20, make.__name__
 
 
 def test_writing_a_dump_holds_one_block_of_its_text(monkeypatch, tmp_path):
     # write_outputs writes each piece graph_text formats before the next is
-    # made, so the peak of writing graph.txt does not grow with the factor
-    # count (0.6 MiB more for the per-factor value ids); dump_graph's whole
-    # text would add 9.5 MiB between the two.
+    # made, and a unary factor's values are formatted with its block, so the
+    # peak of writing graph.txt does not grow with the factor count, also
+    # when every factor has a row of its own; dump_graph's whole text would
+    # add 9.5 MiB between the two similarity graphs.
     monkeypatch.setattr(factorgraph, "TEXT_BLOCK", 1024)
-    peaks = []
-    for b in (25_000, 100_000):
-        g = similarity_graph(20_000, b)
-        g.columns()  # join the chunks before tracing
-        tracemalloc.start()
-        try:
-            write_outputs(tmp_path / str(b), {"graph.txt": graph_text(g)})
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert (tmp_path / str(b) / "graph.txt").read_text(encoding="utf-8") == dump_graph(g)
-    assert peaks[1] - peaks[0] < 2**20
+    for make in (similarity_graph, distinct_rows_graph):
+        peaks = []
+        for b in (25_000, 100_000):
+            g = make(20_000, b)
+            g.columns()  # join the chunks before tracing
+            out = tmp_path / f"{make.__name__}-{b}"
+            tracemalloc.start()
+            try:
+                write_outputs(out, {"graph.txt": graph_text(g)})
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert (out / "graph.txt").read_text(encoding="utf-8") == dump_graph(g)
+        assert peaks[1] - peaks[0] < 2**20, make.__name__

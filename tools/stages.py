@@ -10,9 +10,12 @@ round. Scales: ``small`` is the 30-object world the tests use, ``paper`` is
 7 and 7919. Each process first runs one untimed ``run_task``, then REPEAT
 timed ones per task (``objects/20/test`` and ``frames/5/dev``), and records
 each run's ``RunResult.timings`` (seconds per stage), BP's iteration count,
-``converged`` and BP's seconds per iteration, and at its end its own peak
-RSS (``ru_maxrss``) and that of its reaped children (``RUSAGE_CHILDREN``:
-the BP worker processes ``run_bp`` forks, if any). Both trees read the same
+``converged`` and BP's seconds per iteration; after each timed run it times
+``dump_graph`` of the run's graph as stage ``dump`` and ``load_graph`` of
+that text as stage ``load_graph`` (``load`` is the data's), and records the
+dump's sha256. At its end it records its own peak RSS (``ru_maxrss``) and
+that of its reaped children (``RUSAGE_CHILDREN``: the BP worker processes
+``run_bp`` forks, if any). Both trees read the same
 world files, written once per scale and seed by the change tree's
 ``generate_world``. One BLAS thread per process.
 
@@ -20,11 +23,13 @@ The output holds every run and, per scale, seed, task and stage, each
 tree's median, the median over rounds of the two trees' ratio, which
 cancels most of a shared host's drift between rounds, and the rounds in
 which the change's median was the lower; ``same_bp`` says whether every
-run of both trees gave the same iterations and ``converged``;
+run of both trees gave the same iterations and ``converged``, and ``same_dump``
+whether every dump of one scale, seed and task had the same sha256;
 ``peak_rss_median_mb`` gives, per scale, seed and tree, the median over processes of both peaks,
 and ``host`` the CPUs the runner may use.
 """
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -33,6 +38,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 SCALES = {"small": {}, "paper": {"n_objects": 200, "n_verbs": 300, "n_pairs": 3600}}
@@ -47,19 +53,24 @@ PEAKS = {"self": resource.RUSAGE_SELF, "children": resource.RUSAGE_CHILDREN}
 
 def worker(world: str) -> None:
     """Print one JSON line per timed run_task on ``world``."""
+    from physrel import factorgraph  # BPConfig, dump_graph and load_graph, which every tree has
     from physrel.builder import BuildConfig
-    from physrel.factorgraph import BPConfig
     from physrel.harness import DataPaths, TaskSpec, run_task
 
     paths = DataPaths.from_dir(world)
-    run_task(TaskSpec(*TASKS[0]), BuildConfig(), BPConfig(), paths)  # imports, caches and first-touch pages
+    run_task(TaskSpec(*TASKS[0]), BuildConfig(), factorgraph.BPConfig(), paths)  # imports, caches and first-touch pages
     for task in TASKS:
         for rep in range(REPEAT):
-            result = run_task(TaskSpec(*task), BuildConfig(), BPConfig(), paths)
-            bp = result.bp
+            result = run_task(TaskSpec(*task), BuildConfig(), factorgraph.BPConfig(), paths)
+            start = time.perf_counter()
+            text = factorgraph.dump_graph(result.build.graph)
+            dumped = time.perf_counter()
+            factorgraph.load_graph(text)
+            timings = {**result.timings, "dump": dumped - start, "load_graph": time.perf_counter() - dumped}
             print(json.dumps({
-                "task": "/".join(task), "rep": rep, "timings": result.timings, "iterations": bp.iterations,
-                "converged": bp.converged, "bp_per_iteration": result.timings["bp"] / bp.iterations,
+                "task": "/".join(task), "rep": rep, "timings": timings, "iterations": result.bp.iterations,
+                "converged": result.bp.converged, "bp_per_iteration": result.timings["bp"] / result.bp.iterations,
+                "dump_sha256": hashlib.sha256(text.encode()).hexdigest(),
             }))  # fmt: skip
     peaks = {key: resource.getrusage(who).ru_maxrss / 1024 for key, who in PEAKS.items()}
     print(json.dumps({"peak_rss_mb": peaks}))
@@ -131,6 +142,7 @@ def main(argv=None) -> int:
     import numpy
 
     bp = {(r["scale"], r["seed"], r["task"], r["iterations"], r["converged"]) for r in runs}
+    dumps = {(r["scale"], r["seed"], r["task"], r["dump_sha256"]) for r in runs}
     peaks: dict = {}  # per scale, seed and tree: each peak over the processes
     for p in processes:
         group = peaks.setdefault(f'{p["scale"]} seed {p["seed"]} {p["tree"]}', {})
@@ -143,6 +155,7 @@ def main(argv=None) -> int:
             "nproc": os.cpu_count(), "usable_cpus": cpus, "python": platform.python_version(), "numpy": numpy.__version__
         },
         "same_bp": len(bp) == len({key[:3] for key in bp}),
+        "same_dump": len(dumps) == len({key[:3] for key in dumps}),
         "summary": summarize(runs),
         "peak_rss_median_mb": {group: {k: statistics.median(v) for k, v in by.items()} for group, by in peaks.items()},
         "runs": runs,
